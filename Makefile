@@ -1,12 +1,12 @@
 # Verification targets. `make check` is the tier-1 gate (see ROADMAP.md):
 # gofmt cleanliness, build + full tests, vet, explicit short-mode passes
 # over the idle-skip determinism suite and the config-validation /
-# cancellation-determinism suites (fast, and the properties the event-driven
-# core rework and the run-session lifecycle depend on), and a race-detector
-# pass over the packages that run goroutines (the phased parallel simulation
-# loop and the experiment prewarm fan-out). The race pass uses -short
-# because the detector slows simulation ~10x; the short subset still drives
-# the full phased loop.
+# launch-validation / cancellation-determinism suites (fast, and the
+# properties the event-driven core rework and the run-session lifecycle
+# depend on), and a race-detector pass over the packages that run goroutines
+# (the chip loop's worker pool and the experiment prewarm fan-out). The race
+# pass uses -short because the detector slows simulation ~10x; the short
+# subset still drives the phased and relaxed schedules through the pool.
 
 GO ?= go
 
@@ -34,17 +34,17 @@ skipdet:
 	$(GO) test -short -run 'TestIdleSkipDeterminism' .
 
 valcancel:
-	$(GO) test -run 'TestConfig|TestValidate|TestNormalize|TestNewSession|TestCancel|TestDeadline' . ./internal/gpu
+	$(GO) test -run 'TestConfig|TestValidate|TestNormalize|TestNewSession|TestCancel|TestDeadline|TestRunRejects' . ./internal/gpu
 
-# The -short root pass also drives the relaxed epoch loop (accuracy-envelope
-# subset + determinism), and internal/gpu's relaxed worker-invariance and
-# startup-order tests all run in short mode, so the detector covers the
-# epoch-parallel commit path.
+# The -short root pass also drives the relaxed schedule (accuracy-envelope
+# subset + determinism), and internal/gpu's worker-invariance and
+# startup-order tests (relaxed and phased) all run in short mode, so the
+# detector covers the worker pool and both parallel commit paths.
 race:
 	$(GO) test -race -short . ./internal/gpu ./internal/experiments
 
-# Relaxed-loop differential oracle: the full 17-workload x 2-architecture
-# accuracy envelope against the serial loop plus the (Workers, EpochCycles)
+# Relaxed-schedule differential oracle: the full 17-workload x 2-architecture
+# accuracy envelope against the serial schedule plus the (Workers, EpochCycles)
 # determinism contract — root-level over real workloads, internal/gpu-level
 # for worker-startup-order and functional-correctness properties.
 relaxdet:

@@ -23,7 +23,7 @@
 //
 // -trace-out DIR captures every freshly simulated point as a replayable
 // execution trace (<arch>_<workload>.gstr, written atomically on success;
-// serial loop only). A captured trace replays through gscalar-sim
+// serial schedule only). A captured trace replays through gscalar-sim
 // -workload trace:<file> — or back through this command, since -bench
 // accepts trace:<path> and gen:<dials> specs alongside benchmark
 // abbreviations (a gen spec's own commas are kept with it).
@@ -56,11 +56,11 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write per-point telemetry (counters + time series) into this directory")
 	metricsFormat := flag.String("metrics-format", "json", "telemetry file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write per-point Chrome trace-event files into this directory")
-	traceOut := flag.String("trace-out", "", "capture every freshly simulated point as a replayable execution trace (.gstr) in this directory (serial loop only)")
+	traceOut := flag.String("trace-out", "", "capture every freshly simulated point as a replayable execution trace (.gstr) in this directory (serial schedule only)")
 	parallel := flag.Int("parallel", 1, "simulate up to N (arch, workload) points concurrently; output is identical to -parallel 1")
-	workers := flag.Int("workers", 0, "phased-loop compute workers per simulation (0 = legacy serial loop, -1 = one per host core)")
-	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed-sync parallel loop (deterministic, not bit-identical to serial; scales with -workers)")
-	epoch := flag.Int("epoch", 0, "relaxed-loop epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
+	workers := flag.Int("workers", 0, "phased-schedule compute workers per simulation (0 = serial schedule, -1 = one per host core)")
+	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed schedule (deterministic, not bit-identical to serial; scales with -workers)")
+	epoch := flag.Int("epoch", 0, "relaxed-schedule epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
 	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
 	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
 	timeout := flag.Duration("timeout", 0, "stop simulating after this wall-clock duration")

@@ -28,9 +28,9 @@
 //
 // -trace-out captures the run as a replayable execution trace (written
 // atomically after a successful run): replay it anywhere with
-// -workload trace:<file>, under any architecture or chip loop, and the
-// replayed result is byte-identical to the live run. Capture requires the
-// serial loop and a single workload (not -all).
+// -workload trace:<file>, under any architecture or chip-loop schedule, and
+// the replayed result is byte-identical to the live run. Capture requires
+// the serial schedule and a single workload (not -all).
 package main
 
 import (
@@ -55,7 +55,6 @@ import (
 func main() {
 	var workload string
 	flag.StringVar(&workload, "workload", "", "workload spec: a benchmark abbreviation, trace:<path>, or gen:<dials> (see -list-workloads)")
-	flag.StringVar(&workload, "bench", "", "deprecated alias of -workload")
 	archName := flag.String("arch", "gscalar", "architecture: "+strings.Join(gscalar.ArchNames(), ", "))
 	scale := flag.Int("scale", 1, "workload scale factor")
 	sms := flag.Int("sms", 0, "override number of SMs")
@@ -64,9 +63,9 @@ func main() {
 	flag.BoolVar(&list, "list-workloads", false, "alias of -list")
 	breakdown := flag.Bool("breakdown", false, "print the per-component power breakdown")
 	all := flag.Bool("all", false, "run every Table 2 benchmark and print a summary table")
-	workers := flag.Int("workers", 0, "phased-loop compute workers (0 = legacy serial loop, -1 = one per host core)")
-	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed-sync parallel loop (deterministic, not bit-identical to serial; scales with -workers)")
-	epoch := flag.Int("epoch", 0, "relaxed-loop epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
+	workers := flag.Int("workers", 0, "phased-schedule compute workers (0 = serial schedule, -1 = one per host core)")
+	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed schedule (deterministic, not bit-identical to serial; scales with -workers)")
+	epoch := flag.Int("epoch", 0, "relaxed-schedule epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
 	noskip := flag.Bool("noskip", false, "disable event-driven idle-cycle skipping (results are identical either way)")
 	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
 	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
@@ -75,17 +74,11 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write final counters and the sampled time series to this file")
 	metricsFormat := flag.String("metrics-format", "json", "metrics file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write a Chrome trace-event file (Perfetto-loadable) to this file")
-	traceOut := flag.String("trace-out", "", "capture the run as a replayable execution trace at this path (serial loop only; replay with -workload trace:<path>)")
+	traceOut := flag.String("trace-out", "", "capture the run as a replayable execution trace at this path (serial schedule only; replay with -workload trace:<path>)")
 	sampleStride := flag.Uint64("sample-stride", 0, "simulated cycles between telemetry samples (0 = lifecycle checkpoint stride)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to this file")
 	flag.Parse()
-
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "bench" {
-			fmt.Fprintln(os.Stderr, "gscalar-sim: -bench is deprecated, use -workload")
-		}
-	})
 
 	if *metricsFormat != "json" && *metricsFormat != "csv" {
 		fmt.Fprintf(os.Stderr, "gscalar-sim: unknown -metrics-format %q (want json or csv)\n", *metricsFormat)

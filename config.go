@@ -22,7 +22,7 @@ const DefaultEpochCycles = 64
 // (DefaultConfig values), so a sparse configuration — e.g. a JSON file that
 // only overrides NumSMs — denotes "Table 1 with these changes". MaxCycles,
 // Workers, and DisableIdleSkip keep their zero values: zero is meaningful
-// for all three (default bound, legacy serial loop, skipping enabled). The
+// for all three (default bound, serial schedule, skipping enabled). The
 // relaxed-mode pair is canonicalized: a positive EpochCycles implies
 // Relaxed, and Relaxed without an epoch length takes DefaultEpochCycles, so
 // the two spellings of the same simulation hash identically.

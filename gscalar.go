@@ -148,28 +148,30 @@ type Config struct {
 	L2Bytes         int     // shared L2 (Table 1: 768 KB)
 	MemChannels     int     // DRAM channels (Table 1: 6)
 	MaxCycles       uint64  // abort bound; 0 = default
-	// Workers selects the simulation loop. 0 (default) is the legacy
-	// serial loop. Any other value runs the deterministic phased loop with
-	// that many host compute workers (negative = one per host core); every
-	// non-zero value produces bit-identical results, so Workers only trades
-	// wall-clock time. See docs/architecture.md, "Parallel execution
-	// model".
+	// Workers selects the chip loop's schedule. The simulator has one chip
+	// loop — dispatch, step every SM, commit each SM's stores and L2/DRAM
+	// traffic in ascending SM-id order — run under one of three schedules.
+	// 0 (default) is the serial schedule: one goroutine, each SM committing
+	// right after its own cycle. Any other value is the phased schedule:
+	// every SM steps the cycle, across that many host workers (negative =
+	// one per host core), before any commits. Every non-zero value produces
+	// bit-identical results, so Workers only trades wall-clock time. See
+	// docs/architecture.md, "Parallel execution model".
 	Workers int
-	// Relaxed selects the epoch-based relaxed-synchronization loop: workers
-	// advance their SMs up to EpochCycles simulated cycles between
-	// rendezvous over the shared L2/DRAM system instead of barriering every
-	// cycle, which is what lets multi-worker simulation actually scale.
-	// Unlike the phased loop its results are not bit-identical to the serial
-	// oracle — they carry a small, measured timing delta (see
-	// docs/architecture.md, "Relaxed epoch-parallel execution") — but a
-	// fixed EpochCycles value is deterministic across repeated runs and
-	// every worker count.
+	// Relaxed selects the relaxed schedule: workers advance their SMs up to
+	// EpochCycles simulated cycles between commits instead of one, which is
+	// what lets multi-worker simulation actually scale. Unlike the phased
+	// schedule its results are not bit-identical to the serial one — they
+	// carry a small, measured timing delta (see docs/architecture.md,
+	// "Relaxed epoch-parallel execution") — but a fixed EpochCycles value is
+	// deterministic across repeated runs and every worker count.
 	Relaxed bool
-	// EpochCycles is the relaxed loop's epoch length in simulated cycles.
-	// 0 with Relaxed set takes DefaultEpochCycles; a positive value implies
-	// Relaxed (Normalize canonicalizes the pair); 0 without Relaxed keeps
-	// the per-cycle loops selected by Workers. Shorter epochs track the
-	// serial oracle more closely, longer ones synchronize less often.
+	// EpochCycles is the relaxed schedule's commit interval in simulated
+	// cycles. 0 with Relaxed set takes DefaultEpochCycles; a positive value
+	// implies Relaxed (Normalize canonicalizes the pair); 0 without Relaxed
+	// keeps the per-cycle schedules selected by Workers. Shorter epochs
+	// track the serial schedule more closely, longer ones synchronize less
+	// often.
 	EpochCycles int
 	// DisableIdleSkip turns off event-driven idle-cycle skipping (on by
 	// default). Skipping never changes simulated results — it fast-forwards

@@ -43,10 +43,10 @@ var sharedCache = NewCache()
 // omitted — so it is stable under Config field reordering and additions,
 // and any semantically meaningful field change yields a distinct key: a
 // changed config can never be served a stale result. Workers is normalised
-// to 0 (legacy serial loop) or 1 (phased loop) before hashing: every
+// to 0 (serial schedule) or 1 (phased schedule) before hashing: every
 // non-zero worker count is bit-identical by construction, so the cache
-// shares those entries, while the two loop algorithms — which may differ in
-// the last bits of energy sums — stay separate.
+// shares those entries, while the two schedules — which may differ in the
+// last bits of energy sums — stay separate.
 func configKey(cfg gscalar.Config, scale int) string {
 	return canonicalHash(cfg) + "|scale=" + strconv.Itoa(scale)
 }

@@ -51,14 +51,23 @@ func genKernel(rng *rand.Rand) string {
 
 // TestRandomKernelDifferential cross-checks the timed simulator against the
 // functional golden model on randomly generated structured kernels, across
-// all architectures (the architecture overlays must never change
-// functional behaviour).
+// every architecture (the architecture overlays must never change
+// functional behaviour) and every chip-loop schedule (neither may the
+// schedule), and checks that the schedules execute the same instructions.
 func TestRandomKernelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized differential run")
 	}
 	rng := rand.New(rand.NewSource(42))
 	archs := []sm.Arch{sm.Baseline(), sm.PriorScalarRF(), sm.WarpedCompression(), sm.GScalar(), sm.GScalarCompilerAssist()}
+	schedules := []struct {
+		name                 string
+		workers, epochCycles int
+	}{
+		{"serial", 0, 0},
+		{"phased", 2, 0},
+		{"relaxed", 2, 64},
+	}
 	for trial := 0; trial < 25; trial++ {
 		src := genKernel(rng)
 		prog, err := asm.Assemble(src)
@@ -79,20 +88,36 @@ func TestRandomKernelDifferential(t *testing.T) {
 		}
 		want := mRef.ReadU32(lRef.Params[0], threads*4)
 
-		arch := archs[trial%len(archs)]
-		mT := kernel.NewMemory()
-		lT := lc(mT)
-		cfg := DefaultConfig()
-		cfg.NumSMs = 2
-		cfg.MaxCycles = 5_000_000
-		if _, err := Run(cfg, arch, prog, lT, mT); err != nil {
-			t.Fatalf("trial %d timed (%+v): %v\n%s", trial, arch, err, src)
-		}
-		got := mT.ReadU32(lT.Params[0], threads*4)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (%+v): mem[%d] = %d, want %d\n%s",
-					trial, arch, i, got[i], want[i], src)
+		for _, arch := range archs {
+			var serialInsts uint64
+			for _, sc := range schedules {
+				mT := kernel.NewMemory()
+				lT := lc(mT)
+				cfg := DefaultConfig()
+				cfg.NumSMs = 2
+				cfg.MaxCycles = 5_000_000
+				cfg.Workers = sc.workers
+				cfg.EpochCycles = sc.epochCycles
+				res, err := Run(cfg, arch, prog, lT, mT)
+				if err != nil {
+					t.Fatalf("trial %d %s (%+v): %v\n%s", trial, sc.name, arch, err, src)
+				}
+				if res.ExecMode != sc.name {
+					t.Fatalf("trial %d: %s run executed as %s", trial, sc.name, res.ExecMode)
+				}
+				got := mT.ReadU32(lT.Params[0], threads*4)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d %s (%+v): mem[%d] = %d, want %d\n%s",
+							trial, sc.name, arch, i, got[i], want[i], src)
+					}
+				}
+				if sc.name == "serial" {
+					serialInsts = res.Stats.WarpInsts
+				} else if res.Stats.WarpInsts != serialInsts {
+					t.Fatalf("trial %d %s (%+v): WarpInsts = %d, serial ran %d\n%s",
+						trial, sc.name, arch, res.Stats.WarpInsts, serialInsts, src)
+				}
 			}
 		}
 	}

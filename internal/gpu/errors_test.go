@@ -3,25 +3,77 @@ package gpu
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"gscalar/internal/asm"
 	"gscalar/internal/kernel"
 	"gscalar/internal/sm"
 )
 
+// TestRunRejectsInvalidLaunch checks that malformed and unplaceable launches
+// fail before cycle 0 under every chip-loop schedule. Each run has a
+// watchdog, so a schedule that spins on a launch instead of rejecting it
+// fails the test rather than hanging it.
 func TestRunRejectsInvalidLaunch(t *testing.T) {
-	prog, err := asm.Assemble("exit")
+	prog, err := asm.Assemble("mov r31, 1\nexit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []kernel.LaunchConfig{
-		{Grid: kernel.Dim{X: 0, Y: 1}, Block: kernel.Dim{X: 32, Y: 1}},
-		{Grid: kernel.Dim{X: 1, Y: 1}, Block: kernel.Dim{X: 0, Y: 1}},
-		{Grid: kernel.Dim{X: 1, Y: 1}, Block: kernel.Dim{X: 4096, Y: 1}},
+	valid := kernel.LaunchConfig{Grid: kernel.Dim{X: 4, Y: 1}, Block: kernel.Dim{X: 256, Y: 1}}
+	cases := []struct {
+		name    string
+		lc      kernel.LaunchConfig
+		chip    func(*Config) // nil keeps DefaultConfig
+		errWant string
+	}{
+		{name: "empty grid", lc: kernel.LaunchConfig{Grid: kernel.Dim{X: 0, Y: 1}, Block: kernel.Dim{X: 32, Y: 1}}},
+		{name: "empty block", lc: kernel.LaunchConfig{Grid: kernel.Dim{X: 1, Y: 1}, Block: kernel.Dim{X: 0, Y: 1}}},
+		{name: "block too large", lc: kernel.LaunchConfig{Grid: kernel.Dim{X: 1, Y: 1}, Block: kernel.Dim{X: 4096, Y: 1}}},
+		{name: "no SMs", lc: valid, chip: func(c *Config) { c.NumSMs = 0 }, errWant: "at least 1 SM"},
+		// 256 threads x 32 registers x 4 bytes = 32 KB per CTA: no SM with
+		// an 8 KB register file can ever hold one.
+		{name: "CTA exceeds register file", lc: valid, chip: func(c *Config) { c.SM.RegFileBytes = 8 << 10 },
+			errWant: "32768 register bytes, the register file has 8192"},
 	}
-	for i, lc := range cases {
-		if _, err := Run(DefaultConfig(), sm.Baseline(), prog, &lc, kernel.NewMemory()); err == nil {
-			t.Errorf("case %d: invalid launch accepted", i)
+	schedules := []struct {
+		name                 string
+		workers, epochCycles int
+	}{
+		{"serial", 0, 0},
+		{"phased", 2, 0},
+		{"relaxed", 2, 64},
+	}
+	for _, tc := range cases {
+		for _, sc := range schedules {
+			cfg := DefaultConfig()
+			cfg.MaxCycles = 20_000
+			cfg.Workers = sc.workers
+			cfg.EpochCycles = sc.epochCycles
+			if tc.chip != nil {
+				tc.chip(&cfg)
+			}
+			stepped := false
+			cfg.ObserverStride = 1
+			cfg.Observer = func(Progress) { stepped = true }
+			lc := tc.lc
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(cfg, sm.Baseline(), prog, &lc, kernel.NewMemory())
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				switch {
+				case err == nil:
+					t.Errorf("%s, %s: invalid launch accepted", tc.name, sc.name)
+				case stepped:
+					t.Errorf("%s, %s: rejected only after simulating cycles: %v", tc.name, sc.name, err)
+				case !strings.Contains(err.Error(), tc.errWant):
+					t.Errorf("%s, %s: error %q does not mention %q", tc.name, sc.name, err, tc.errWant)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, %s: Run still going after 10 s", tc.name, sc.name)
+			}
 		}
 	}
 }

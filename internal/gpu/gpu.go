@@ -28,25 +28,30 @@ type Config struct {
 	Energies    power.Energies
 	// MaxCycles aborts runaway simulations (0 = a large default).
 	MaxCycles uint64
-	// Workers selects the chip-loop execution mode. 0 (the default) runs
-	// the legacy serial loop, preserved bit-for-bit. Any other value runs
-	// the deterministic phased loop — per-cycle parallel SM compute, then a
-	// serial commit of shared-state accesses in ascending SM-id order —
-	// with that many compute workers (negative = one per host core). All
-	// Workers != 0 values produce bit-identical results; the worker count
-	// only changes wall-clock time.
+	// Workers and EpochCycles select the chip loop's schedule; there is one
+	// loop (see runChip) and three ways to run it. Workers == 0 with
+	// EpochCycles == 0 is the serial schedule: one goroutine steps the SMs
+	// one cycle at a time in ascending id order, committing each SM's
+	// deferred stores and L2/DRAM traffic right after its own step. Any
+	// other Workers value selects the phased schedule: every SM steps the
+	// cycle — across that many workers (negative = one per host core) —
+	// before any commits, in ascending SM-id order. All Workers != 0 values
+	// produce bit-identical results; the worker count only changes
+	// wall-clock time. Serial and phased results differ only in the low
+	// bits of the energy sums (one shared meter vs per-SM meters merged in
+	// SM order) and where an SM loads a location a lower-numbered SM stored
+	// in the same cycle, which only the serial schedule makes visible.
 	Workers int
-	// EpochCycles, when positive, selects the relaxed epoch-parallel loop:
-	// workers advance their SMs up to EpochCycles cycles between rendezvous
-	// over the shared L2/DRAM system, committing deferred traffic in
-	// ascending SM-id order at each epoch boundary. Unlike the phased loop
-	// it is not bit-identical to the serial loop — beyond-L1 completion
-	// times inside an epoch are estimates against the frozen shared state —
-	// but a fixed EpochCycles value is deterministic for every worker count
-	// and across repeated runs. 0 keeps the per-cycle modes above.
+	// EpochCycles, when positive, selects the relaxed schedule: workers
+	// advance their SMs up to EpochCycles cycles between commits, so
+	// beyond-L1 completion times inside an epoch are estimates against the
+	// shared memory system as the last commit left it. Results are therefore
+	// not bit-identical to the per-cycle schedules, but a fixed EpochCycles
+	// value is deterministic for every worker count and across repeated
+	// runs. 0 keeps the per-cycle schedules above.
 	EpochCycles int
-	// DisableIdleSkip turns off event-driven idle skipping: by default both
-	// loops fast-forward the cycle counter to the chip's next-event cycle
+	// DisableIdleSkip turns off event-driven idle skipping: by default the
+	// chip loop fast-forwards the cycle counter to the chip's next-event cycle
 	// whenever every SM is quiescent (no ready warps, no live operand
 	// collectors — only in-flight memory/pipeline completions). Skipped
 	// cycles mutate no state whatsoever, so results are bit-identical with
@@ -56,7 +61,7 @@ type Config struct {
 	// Observer, when non-nil, is called at lifecycle checkpoints — the
 	// cycle-commit boundaries every ObserverStride simulated cycles — with a
 	// point-in-time progress snapshot. It runs on the simulation goroutine
-	// between cycles, outside both loops' hot paths, and must not mutate
+	// between cycles, outside the chip loop's hot path, and must not mutate
 	// simulator state; calling it changes no simulated result.
 	Observer func(Progress)
 	// ObserverStride is the number of simulated cycles between lifecycle
@@ -72,8 +77,8 @@ type Config struct {
 	// telemetry attached is bit-identical to one without.
 	Telemetry *telemetry.Recorder
 	// ExecTrace, when non-nil, observes every warp-instruction execution in
-	// issue order (trace capture). It requires the serial loop (Workers == 0,
-	// EpochCycles == 0): the parallel loops interleave SM compute across
+	// issue order (trace capture). It requires the serial schedule
+	// (Workers == 0, EpochCycles == 0): the others interleave SM steps across
 	// goroutines, which would make the observation order nondeterministic —
 	// runWithMeter rejects the combination. The hook costs the hot path one
 	// nil check when unset; like Observer/Telemetry it must not mutate
@@ -114,11 +119,11 @@ type Result struct {
 	IPCPerW float64 // the paper's power-efficiency metric
 	EnergyJ float64
 	// ExecMode and Workers record how the run actually executed — the chip
-	// loop ("serial", "phased", or "relaxed") and the resolved compute-worker
-	// count after the crossover heuristics — so benches and callers can
-	// assert what ran rather than what was requested. They describe the
-	// execution, not the simulated machine: serial, phased, and every phased
-	// worker count produce bit-identical simulation outputs.
+	// loop's schedule ("serial", "phased", or "relaxed") and the resolved
+	// compute-worker count after the crossover heuristics — so benches and
+	// callers can assert what ran rather than what was requested. They
+	// describe the execution, not the simulated machine: every phased worker
+	// count produces bit-identical simulation outputs.
 	ExecMode string
 	Workers  int
 }
@@ -172,7 +177,7 @@ func isContextErr(err error) bool {
 
 // rawResult is a simulation outcome before power finalisation, so launch
 // sequences can share one energy meter. Mode and Workers record the chip
-// loop that ran and its resolved compute-worker count.
+// loop's schedule and its resolved compute-worker count.
 type rawResult struct {
 	Cycles  uint64
 	Stats   stats.Sim
@@ -230,12 +235,13 @@ func (cfg Config) effectiveMaxCycles() uint64 {
 	return cfg.MaxCycles
 }
 
-// runWithMeter is the shared simulation entry: it deposits energy into the
-// caller's meter and returns cycle/statistics totals. Config.EpochCycles > 0
-// selects the relaxed epoch loop; otherwise Config.Workers picks the
-// per-cycle loop: 0 is the legacy serial loop; anything else is the phased
-// loop, whose results are bit-identical for every worker count.
+// runWithMeter is the shared simulation entry: it validates the launch,
+// deposits energy into the caller's meter and returns cycle/statistics
+// totals from the chip loop (runChip) under the schedule the config selects.
 func runWithMeter(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory, meter *power.Meter) (rawResult, error) {
+	if cfg.NumSMs < 1 {
+		return rawResult{}, fmt.Errorf("gpu: need at least 1 SM, got %d", cfg.NumSMs)
+	}
 	if err := lc.Validate(cfg.SM.MaxWarps * cfg.SM.WarpSize); err != nil {
 		return rawResult{}, err
 	}
@@ -245,17 +251,11 @@ func runWithMeter(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Pr
 	if cfg.ExecTrace != nil && (cfg.EpochCycles > 0 || cfg.Workers != 0) {
 		return rawResult{}, fmt.Errorf("gpu: ExecTrace requires the serial loop (Workers=0, EpochCycles=0); got Workers=%d EpochCycles=%d", cfg.Workers, cfg.EpochCycles)
 	}
-	if cfg.EpochCycles > 0 {
-		return runRelaxed(ctx, cfg, arch, prog, lc, gmem, meter)
-	}
-	if cfg.Workers != 0 {
-		return runPhased(ctx, cfg, arch, prog, lc, gmem, meter)
-	}
-	return runSerial(ctx, cfg, arch, prog, lc, gmem, meter)
+	return runChip(ctx, cfg, arch, prog, lc, gmem, meter)
 }
 
-// lifecycle bundles the per-run checkpoint state: the cadence at which both
-// chip loops surface cancellation and invoke the progress observer. All
+// lifecycle bundles the per-run checkpoint state: the cadence at which the
+// chip loop surfaces cancellation and invokes the progress observer. All
 // checkpoints land on cycle-commit boundaries at deterministic simulated
 // cycles, so a cancellation triggered from the observer cuts the run at the
 // same cycle on every execution, and a run that completes is untouched.
@@ -331,72 +331,10 @@ func progressOf(sms []*sm.SM, cycle uint64) Progress {
 	return p
 }
 
-// runSerial is the legacy single-goroutine loop: SMs step in ascending id
-// order each cycle, touching the shared memory system and meter directly.
-func runSerial(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory, meter *power.Meter) (rawResult, error) {
-	maxCycles := cfg.effectiveMaxCycles()
-	msys := mem.NewSystem(cfg.MemTiming, cfg.L2Bytes)
-	sms := make([]*sm.SM, cfg.NumSMs)
-	for i := range sms {
-		sms[i] = sm.New(i, cfg.SM, arch, cfg.Energies, prog, lc, gmem, msys, meter)
-		if cfg.ExecTrace != nil {
-			sms[i].SetExecTrace(cfg.ExecTrace)
-		}
-	}
-	tel := bindTelemetry(cfg, sms, []*power.Meter{meter}, meter, msys, modeSerial, 1)
-	lf := newLifecycle(ctx, cfg, tel)
-
-	disp := ctaDispatcher{total: lc.Grid.Count()}
-	var cycle uint64
-
-	for {
-		disp.dispatch(sms)
-
-		// Event-driven idle skipping: once CTA dispatch has run (a fresh
-		// CTA makes its SM unskippable), a chip where every SM is
-		// quiescent can jump straight to the earliest completion event.
-		// The skipped cycles would not have mutated any state.
-		if !cfg.DisableIdleSkip {
-			if target, ok := nextEventCycle(sms); ok && target > cycle {
-				if target >= maxCycles {
-					return rawResult{}, fmt.Errorf("gpu: exceeded %d cycles (deadlock or runaway kernel)", maxCycles)
-				}
-				cycle = target
-			}
-		}
-
-		busy := false
-		for _, s := range sms {
-			s.Cycle(cycle)
-			if s.Err() != nil {
-				return rawResult{}, fmt.Errorf("gpu: cycle %d: %w", cycle, s.Err())
-			}
-			if s.Busy() {
-				busy = true
-			}
-		}
-		cycle++
-		if !busy && disp.done() {
-			break
-		}
-		if cycle >= maxCycles {
-			return rawResult{}, fmt.Errorf("gpu: exceeded %d cycles (deadlock or runaway kernel)", maxCycles)
-		}
-		if err := lf.checkpoint(sms, cycle); err != nil {
-			lf.finalSample(cycle)
-			return finishRun(sms, cycle, modeSerial, 1), err
-		}
-	}
-
-	lf.finalSample(cycle)
-	return finishRun(sms, cycle, modeSerial, 1), nil
-}
-
 // nextEventCycle folds the per-SM next-event reports into a chip-wide skip
 // target. ok is false when any SM must be stepped cycle by cycle. A chip
-// whose SMs are all idle (sm.NoEvent) reports ok=false too: either the run
-// is about to terminate, or CTAs are unplaceable (a configuration error the
-// cycle-by-cycle MaxCycles bound should surface, not a skip).
+// whose SMs are all idle (sm.NoEvent) reports ok=false too: the run is
+// about to terminate, and there is nothing to skip to.
 func nextEventCycle(sms []*sm.SM) (uint64, bool) {
 	next := uint64(sm.NoEvent)
 	for _, s := range sms {

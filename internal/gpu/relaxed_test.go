@@ -69,7 +69,8 @@ func TestRelaxedFunctionalCorrectness(t *testing.T) {
 }
 
 // relaxedRun runs one fixed kernel under the relaxed loop with the given
-// worker count and epoch length, returning the Result and final memory.
+// worker count and epoch length (0 selects the phased loop instead),
+// returning the Result and final memory.
 func relaxedRun(t *testing.T, src string, workers, epochCycles int) (Result, []uint32) {
 	t.Helper()
 	prog, err := asm.Assemble(src)
@@ -87,7 +88,7 @@ func relaxedRun(t *testing.T, src string, workers, epochCycles int) (Result, []u
 	cfg.EpochCycles = epochCycles
 	r, err := Run(cfg, sm.GScalar(), prog, l, m)
 	if err != nil {
-		t.Fatalf("relaxed run (workers=%d): %v", workers, err)
+		t.Fatalf("run (workers=%d, epoch=%d): %v", workers, epochCycles, err)
 	}
 	return r, m.ReadU32(l.Params[0], threads*4)
 }
@@ -119,18 +120,32 @@ func TestRelaxedWorkerCountInvariance(t *testing.T) {
 	}
 
 	// Reversed worker startup order: SM ownership is keyed by worker index,
-	// not launch order, so this must be invisible too.
-	epochWorkerOrder = func(n int) []int {
+	// not launch order, so this must be invisible too — for the relaxed
+	// loop and for the phased loop, which shares the worker pool.
+	phasedBase, phasedBaseMem := relaxedRun(t, src, 1, 0)
+	workerStartOrder = func(n int) []int {
 		order := make([]int, n)
 		for i := range order {
 			order[i] = n - 1 - i
 		}
 		return order
 	}
-	defer func() { epochWorkerOrder = nil }()
+	defer func() { workerStartOrder = nil }()
 	r, _ := relaxedRun(t, src, 4, 64)
 	if relaxedResult(r) != relaxedResult(base) {
 		t.Errorf("reversed worker startup: Result differs:\n got %+v\nwant %+v", r, base)
+	}
+	r, mem := relaxedRun(t, src, 4, 0)
+	if r.ExecMode != "phased" || r.Workers != 4 {
+		t.Fatalf("phased run executed as %s with %d workers, want phased with 4", r.ExecMode, r.Workers)
+	}
+	if relaxedResult(r) != relaxedResult(phasedBase) {
+		t.Errorf("phased, reversed worker startup: Result differs from workers=1:\n got %+v\nwant %+v", r, phasedBase)
+	}
+	for i := range phasedBaseMem {
+		if mem[i] != phasedBaseMem[i] {
+			t.Fatalf("phased, reversed worker startup: mem[%d] = %d, want %d", i, mem[i], phasedBaseMem[i])
+		}
 	}
 }
 

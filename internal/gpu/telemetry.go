@@ -15,7 +15,7 @@ import (
 type chipSampler struct {
 	rec    *telemetry.Recorder
 	sms    []*sm.SM
-	meters []*power.Meter // live meters: per-SM in phased mode, the shared one serially
+	meters []*power.Meter // live meters: per-SM ones (none when serial), then the caller's
 	stride uint64         // resolved sampling stride in simulated cycles
 }
 

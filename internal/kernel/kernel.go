@@ -50,8 +50,8 @@ func (p *Program) Meta(pc int) *InstMeta { return &p.meta[pc] }
 
 // BuildMeta populates the per-PC metadata cache. It is idempotent, and NOT
 // safe to call concurrently with itself or with simulation: callers that
-// share one Program across goroutines (the phased chip loop, the experiment
-// fan-out) must build the cache first, which the assembler and gpu.Run both
+// share one Program across goroutines (the chip loop's worker pool, the
+// experiment fan-out) must build the cache first, which the assembler and gpu.Run both
 // do before any worker starts.
 func (p *Program) BuildMeta() {
 	if len(p.meta) == len(p.Code) && p.meta != nil {
@@ -273,22 +273,22 @@ func NewMemoryFromSnapshot(next uint32, pages []MemPage) *Memory {
 	return m
 }
 
-// StoreBuffer defers global-memory stores for the phased (parallel)
-// simulation mode: during the concurrent compute phase each SM's warps
-// append their stores here instead of writing Memory directly, and the
-// serial commit phase flushes the buffers in ascending SM-id order. All
-// loads of a cycle therefore observe memory as of the end of the previous
-// cycle, independent of worker scheduling, which is what makes the phased
-// mode deterministic for any worker count.
+// StoreBuffer defers an SM's global-memory stores until the chip loop
+// commits the SM: its warps append their stores here instead of writing
+// Memory directly, and the commit flushes the buffers serially in ascending
+// SM-id order. All loads of a step therefore observe memory as of the last
+// commit, independent of worker scheduling, which is what makes the
+// parallel schedules deterministic for any worker count.
 type StoreBuffer struct {
 	ops []storeOp
 	// overlay, when enabled, tracks the latest buffered value per address so
 	// loads can read through the buffer. The relaxed epoch mode needs it:
 	// stores stay buffered for up to a whole epoch there, and a warp reading
-	// back its own SM's recent global store must see the value a serial
-	// simulation would have made visible within a cycle. The phased mode
-	// leaves the overlay disabled — its buffers flush every cycle, so loads
-	// reading memory as of the previous cycle is already the contract.
+	// back its own SM's recent global store must see the value a per-cycle
+	// simulation would have made visible within a cycle. The per-cycle
+	// schedules leave the overlay disabled — their buffers flush every
+	// cycle, so loads reading memory as of the previous commit is already
+	// the contract.
 	overlay map[uint32]uint32
 }
 

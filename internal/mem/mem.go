@@ -209,8 +209,8 @@ type System struct {
 	l2       *Cache
 	chanFree []uint64
 	// chanTx counts DRAM transactions per channel for telemetry. drainToDRAM
-	// runs serially in both chip loops (directly in the serial loop, from the
-	// commit phase in the phased loop), so plain increments are race-free.
+	// runs only from SM.Commit, which the chip loop calls serially, so plain
+	// increments are race-free.
 	chanTx []uint64
 }
 
@@ -325,9 +325,9 @@ func (b *TxBuffer) Len() int { return len(b.txs) }
 // CommitDeferred applies a buffer's transactions to the shared L2/DRAM
 // system in buffer order, each at its recorded issue cycle, and empties the
 // buffer. onTx (when non-nil) receives each transaction's depth outcome for
-// statistics and energy accounting. It must only run serially — the relaxed
-// chip loop calls it for each SM in ascending SM-id order at the epoch
-// rendezvous. Completion times are deliberately not returned: the issuing
+// statistics and energy accounting. It must only run serially — SM.Commit
+// calls it for each SM in ascending SM-id order at the relaxed schedule's
+// epoch rendezvous. Completion times are deliberately not returned: the issuing
 // SMs already ran ahead on EstimateAccess values, and the commit's job is
 // solely to evolve shared state (L2 contents, channel backlog)
 // deterministically for the next epoch's estimates.

@@ -78,7 +78,7 @@ func (m *Meter) AddN(c Component, n int, pJPerUnit float64) {
 	m.pJ[c] += float64(n) * pJPerUnit
 }
 
-// Merge adds every component total of o into m. The phased simulation gives
+// Merge adds every component total of o into m. The parallel schedules give
 // each SM a private meter (so the hot loop is contention-free) and merges
 // them in ascending SM-id order at the end of a launch; a fixed merge order
 // keeps the floating-point sums bit-identical for any worker count.

@@ -28,8 +28,9 @@ A:
 // TestCycleSteadyStateZeroAlloc pins down the hot-path property the
 // event-driven rework relies on: once warm (scratch buffers grown, memory
 // pages touched, collector ring populated), SM.Cycle performs zero heap
-// allocations per cycle. A regression here silently turns the simulator's
-// inner loop back into a GC benchmark.
+// allocations per cycle, and neither does the Commit that follows it. A
+// regression here silently turns the simulator's inner loop back into a GC
+// benchmark.
 func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 	gmem := kernel.NewMemory()
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 4, Y: 1}, Block: kernel.Dim{X: 128, Y: 1}}
@@ -49,6 +50,7 @@ func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 	cycle := uint64(0)
 	for ; cycle < 3000; cycle++ {
 		s.Cycle(cycle)
+		s.Commit()
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -59,10 +61,11 @@ func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.Cycle(cycle)
+		s.Commit()
 		cycle++
 	})
 	if allocs != 0 {
-		t.Errorf("SM.Cycle allocates %.2f objects/cycle in steady state, want 0", allocs)
+		t.Errorf("SM.Cycle+Commit allocates %.2f objects/cycle in steady state, want 0", allocs)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)

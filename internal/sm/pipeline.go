@@ -180,7 +180,7 @@ func isFloatOp(op isa.Opcode) bool {
 	return op >= isa.OpFAdd && op <= isa.OpF2I
 }
 
-// pendingTx is one deferred L2/DRAM transaction of the phased mode.
+// pendingTx is one deferred L2/DRAM transaction of the per-cycle mode.
 type pendingTx struct {
 	line  uint32
 	write bool
@@ -189,7 +189,7 @@ type pendingTx struct {
 // pendingAccess groups the deferred transactions of one dispatched memory
 // instruction with the writeback event they must complete. evIdx indexes
 // s.events and is valid until the next processWritebacks, which cannot run
-// before CommitShared resolves the entry (commit ends the same cycle).
+// before Commit resolves the entry (commit ends the same cycle).
 // txStart/txEnd index s.txBuf, the cycle's flat transaction buffer.
 type pendingAccess struct {
 	evIdx          int
@@ -242,10 +242,11 @@ func (s *SM) fillPut(line uint32, done uint64) {
 
 // dispatchMem models the memory pipeline: address generation, coalescing,
 // L1, and the shared L2/DRAM system. It returns the completion cycle and
-// the number of MSHRs held (for loads). In phased mode, beyond-L1
-// transactions are appended to s.txBuf for CommitShared to apply instead of
-// touching the shared memory system here; the returned done is then a lower
-// bound that commit raises once L2/DRAM timing is known.
+// the number of MSHRs held (for loads). Beyond-L1 transactions never touch
+// the shared memory system here: in per-cycle mode they are appended to
+// s.txBuf for Commit to apply, and the returned done is a lower bound that
+// Commit raises once L2/DRAM timing is known; in relaxed mode loads complete
+// on an estimate and the transactions defer into s.epochTx.
 func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, mshrs int, ok bool) {
 	in := ce.out.Inst
 	t := s.msys.Timing()
@@ -296,34 +297,26 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 				}
 			} else {
 				s.st.L1Misses++
-				switch {
-				case s.relaxed:
-					// Epoch mode: the shared system is frozen until the
-					// rendezvous, so take an estimated completion time now
-					// and defer the real transaction. Stats/energy for the
-					// beyond-L1 part are accounted at commit (commitTx).
-					txDone = s.msys.EstimateAccess(s.now, line)
-					s.epochTx.Defer(s.now, line, false)
-					s.fillPut(line, txDone)
-				case s.phased:
+				if !s.relaxed {
 					s.txBuf = append(s.txBuf, pendingTx{line: line})
 					continue
-				default:
-					txDone = s.memBeyondL1(line, false)
-					s.fillPut(line, txDone)
 				}
+				// Epoch mode: the shared system is frozen until the
+				// rendezvous, so take an estimated completion time now and
+				// defer the real transaction. Stats/energy for the beyond-L1
+				// part are accounted at commit (commitTx).
+				txDone = s.msys.EstimateAccess(s.now, line)
+				s.epochTx.Defer(s.now, line, false)
+				s.fillPut(line, txDone)
 			}
 		} else {
 			// Write-through, write-evict: the store drains towards DRAM in
 			// the background; the warp does not wait on it.
 			s.l1.Invalidate(line)
-			switch {
-			case s.relaxed:
+			if s.relaxed {
 				s.epochTx.Defer(s.now, line, true)
-			case s.phased:
+			} else {
 				s.txBuf = append(s.txBuf, pendingTx{line: line, write: true})
-			default:
-				s.memBeyondL1(line, true)
 			}
 			txDone = s.now + occ + 1
 		}
@@ -338,19 +331,29 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 	return latest + extra, mshrs, true
 }
 
-// CommitShared is the serial phase of a phased-mode cycle: it sends this
-// SM's deferred transactions into the shared L2/DRAM system — fixing up the
-// completion times of their writeback events — and flushes buffered global
-// stores into device memory. The chip loop calls it for each SM in
-// ascending SM-id order, which pins down L2 state transitions and DRAM
-// channel arbitration regardless of how many workers ran the compute phase.
-func (s *SM) CommitShared() {
+// Commit applies the SM's deferred accesses to shared chip state: beyond-L1
+// transactions to the L2/DRAM system, then buffered global stores to device
+// memory. The chip loop calls it for each SM serially in ascending SM-id
+// order — after every Cycle in per-cycle mode, after every RunEpoch in
+// relaxed mode — which pins down L2 state transitions and DRAM channel
+// arbitration regardless of how many workers stepped the SMs.
+//
+// In per-cycle mode each transaction runs at the cycle just stepped and its
+// completion time raises the writeback event it belongs to. In relaxed mode
+// the transactions run at their recorded issue cycles and completion times
+// are not fed back: the SM already ran ahead on estimates, and the commit
+// only evolves the shared state deterministically for the next epoch.
+func (s *SM) Commit() {
+	if s.epochTx.Len() > 0 {
+		s.msys.CommitDeferred(&s.epochTx, s.commitTx)
+	}
 	if len(s.pending) > 0 {
 		for i := range s.pending {
 			p := &s.pending[i]
 			ev := &s.events[p.evIdx]
 			for _, tx := range s.txBuf[p.txStart:p.txEnd] {
-				done := s.memBeyondL1(tx.line, tx.write)
+				done, kind := s.msys.AccessL2(s.now, tx.line, tx.write)
+				s.accountBeyondL1(kind)
 				if !tx.write {
 					s.fillPut(tx.line, done)
 					if d := done + p.extra; d > ev.done {
@@ -363,15 +366,14 @@ func (s *SM) CommitShared() {
 		s.txBuf = s.txBuf[:0]
 		s.recomputeNextWb()
 	}
-	if s.storeBuf != nil && s.storeBuf.Len() > 0 {
+	if s.storeBuf.Len() > 0 {
 		s.storeBuf.Flush(s.gmem)
 	}
 }
 
-// memBeyondL1 sends one transaction into the L2/DRAM system, accounting
-// energy by how deep it went, and returns its completion cycle.
-func (s *SM) memBeyondL1(line uint32, write bool) uint64 {
-	done, kind := s.msys.AccessL2(s.now, line, write)
+// accountBeyondL1 charges the statistics and energy of one L2/DRAM
+// transaction by how deep it went.
+func (s *SM) accountBeyondL1(kind mem.AccessKind) {
 	s.st.L2Accesses++
 	s.meter.AddN(power.CompNoC, mem.LineSize, s.en.NoCPerByte)
 	s.meter.Add(power.CompL2, s.en.L2Access)
@@ -380,7 +382,6 @@ func (s *SM) memBeyondL1(line uint32, write bool) uint64 {
 		s.st.DRAMTransactions++
 		s.meter.AddN(power.CompDRAM, mem.LineSize, s.en.DRAMPerByte)
 	}
-	return done
 }
 
 // recomputeNextWb re-derives the earliest pending writeback time after

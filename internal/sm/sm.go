@@ -142,25 +142,23 @@ type SM struct {
 	regArena  *regfile.Arena
 	laneAlloc func(words int) []uint32
 
-	// Phased (parallel) mode: Cycle defers every access to shared chip
-	// state — L2/DRAM transactions and global-memory stores — into pending
-	// and storeBuf, and CommitShared drains them serially. phased is false
-	// in the legacy serial mode, where Cycle touches msys and gmem directly.
-	phased   bool
+	// Cycle never touches shared chip state: global stores land in storeBuf
+	// and beyond-L1 transactions are deferred, and Commit applies both. The
+	// chip loop calls Commit serially, in ascending SM-id order across the
+	// chip, so shared state evolves identically for any worker count. In the
+	// default per-cycle mode, each memory instruction's transactions sit in
+	// txBuf — one flat buffer per cycle, so deferral allocates nothing in
+	// steady state — under a pending entry naming the writeback event whose
+	// completion time Commit fixes up once L2/DRAM timing is known.
 	pending  []pendingAccess
+	txBuf    []pendingTx
 	storeBuf *kernel.StoreBuffer
-	// txBuf backs the deferred transactions of all pendingAccess entries of
-	// the current cycle (each holds an index range), so deferral allocates
-	// nothing in steady state.
-	txBuf []pendingTx
 
 	// Relaxed (epoch) mode: dispatchMem estimates beyond-L1 completion times
 	// against the frozen shared memory system (mem.System.EstimateAccess) and
-	// defers the actual transactions into epochTx; CommitEpoch applies them —
-	// and flushes the store buffer — at the epoch rendezvous, serially in
-	// ascending SM-id order across the chip. commitTx is the per-transaction
-	// stats/energy callback bound once at EnableRelaxed so commits do not
-	// allocate a closure per epoch.
+	// defers the actual transactions into epochTx instead, which Commit
+	// applies at the epoch rendezvous. commitTx is accountBeyondL1 bound once
+	// at EnableRelaxed so commits do not allocate a closure per epoch.
 	relaxed  bool
 	epochTx  mem.TxBuffer
 	commitTx func(mem.AccessKind)
@@ -200,9 +198,9 @@ type SM struct {
 
 	// execTrace, when non-nil, observes every warp-instruction execution
 	// (trace capture). The hot path pays only a nil check; the hook itself
-	// runs off-path and may allocate. Serial chip loop only — the phased and
-	// relaxed loops never set it, so warp executions reaching the hook are
-	// totally ordered.
+	// runs off-path and may allocate. Serial schedule only — the phased and
+	// relaxed schedules never set it, so warp executions reaching the hook
+	// are totally ordered.
 	execTrace func(smID, warpGlobalID int, out *warp.Outcome)
 
 	err error
@@ -232,8 +230,9 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	}
 	// Assembled programs arrive with the per-PC decode cache built; hand-
 	// constructed ones get it here. New always runs before any concurrent
-	// phase, so this is safe for the parallel loop too.
+	// step, so this is safe for the parallel schedules too.
 	prog.BuildMeta()
+	s.storeBuf = &kernel.StoreBuffer{}
 	s.warps = make([]warpCtx, cfg.MaxWarps)
 	s.ctas = make([]ctaSlot, cfg.MaxCTAs)
 	s.collectors = make([]collectorEntry, cfg.NumCollectors)
@@ -260,36 +259,16 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	return s
 }
 
-// EnablePhased switches the SM into phased mode for parallel simulation:
-// Cycle becomes a pure compute phase free of shared-state writes, and the
-// caller must invoke CommitShared after each cycle (serially, in ascending
-// SM-id order across the chip) to apply deferred L2/DRAM transactions and
-// global stores. Must be called before the first LaunchCTA.
-func (s *SM) EnablePhased() {
-	s.phased = true
-	s.storeBuf = &kernel.StoreBuffer{}
-}
-
 // EnableRelaxed switches the SM into relaxed epoch mode for epoch-parallel
 // simulation: Cycle runs against a frozen shared memory system (estimated
 // beyond-L1 latencies, deferred transactions, buffered global stores with a
-// read-through overlay for same-SM visibility), and the caller must invoke
-// CommitEpoch at each epoch rendezvous (serially, in ascending SM-id order
-// across the chip). Must be called before the first LaunchCTA.
+// read-through overlay for same-SM visibility), and the caller runs whole
+// epochs (RunEpoch) between Commit calls. Must be called before the first
+// LaunchCTA.
 func (s *SM) EnableRelaxed() {
 	s.relaxed = true
-	s.storeBuf = &kernel.StoreBuffer{}
 	s.storeBuf.EnableOverlay()
-	s.commitTx = func(kind mem.AccessKind) {
-		s.st.L2Accesses++
-		s.meter.AddN(power.CompNoC, mem.LineSize, s.en.NoCPerByte)
-		s.meter.Add(power.CompL2, s.en.L2Access)
-		if kind == mem.AccessDRAM {
-			s.st.L2Misses++
-			s.st.DRAMTransactions++
-			s.meter.AddN(power.CompDRAM, mem.LineSize, s.en.DRAMPerByte)
-		}
-	}
+	s.commitTx = s.accountBeyondL1
 }
 
 // RunEpoch advances the SM from cycle start up to (but not including) end,
@@ -321,29 +300,13 @@ func (s *SM) RunEpoch(start, end uint64) uint64 {
 	return stop
 }
 
-// CommitEpoch is the serial phase of the relaxed mode: it applies the
-// epoch's deferred L2/DRAM transactions to the shared memory system (in
-// issue order, accounting stats and energy per transaction) and flushes
-// buffered global stores into device memory. Unlike the phased mode's
-// CommitShared, completion times are not fed back into writeback events —
-// the SM already ran ahead on estimates; the commit's job is to evolve the
-// shared state deterministically for the next epoch.
-func (s *SM) CommitEpoch() {
-	if s.epochTx.Len() > 0 {
-		s.msys.CommitDeferred(&s.epochTx, s.commitTx)
-	}
-	if s.storeBuf.Len() > 0 {
-		s.storeBuf.Flush(s.gmem)
-	}
-}
-
 // Stats returns the SM's statistics accumulator.
 func (s *SM) Stats() *stats.Sim { return &s.st }
 
 // Retired returns the warp instructions this SM has committed so far. It is
-// the chip loops' progress-observer sample: a plain counter read with no
+// the chip loop's progress-observer sample: a plain counter read with no
 // aggregation cost, safe to call between cycles (serially, or after the
-// phased loop's barrier) without disturbing simulation state.
+// chip loop's worker barrier) without disturbing simulation state.
 func (s *SM) Retired() uint64 { return s.st.WarpInsts }
 
 // Err returns the first simulation error encountered, if any.
@@ -357,9 +320,9 @@ func (s *SM) warpsPerCTA() int {
 	return (s.launch.Block.Count() + s.cfg.WarpSize - 1) / s.cfg.WarpSize
 }
 
-// ctaRegBytes returns the register-file footprint of one CTA of the
+// CTARegBytes returns the register-file footprint of one CTA of the
 // current launch.
-func (s *SM) ctaRegBytes() int {
+func (s *SM) CTARegBytes() int {
 	return s.warpsPerCTA() * s.cfg.WarpSize * s.prog.NumRegs * 4
 }
 
@@ -376,7 +339,7 @@ func (s *SM) CanTakeCTA() bool {
 	if !freeSlot {
 		return false
 	}
-	if s.cfg.RegFileBytes > 0 && s.regBytesInUse+s.ctaRegBytes() > s.cfg.RegFileBytes {
+	if s.cfg.RegFileBytes > 0 && s.regBytesInUse+s.CTARegBytes() > s.cfg.RegFileBytes {
 		return false
 	}
 	free := 0
@@ -406,7 +369,7 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 	shared := make([]uint32, (s.launch.SharedBytes+3)/4)
 	cs := &s.ctas[slot]
 	*cs = ctaSlot{active: true, ctaID: ctaLinear, shared: shared, liveWarps: len(ws)}
-	s.regBytesInUse += s.ctaRegBytes()
+	s.regBytesInUse += s.CTARegBytes()
 	for _, w := range ws {
 		wi := -1
 		for i := range s.warps {
@@ -556,7 +519,7 @@ func (s *SM) retireWarp(wi int) {
 			}
 		}
 		cs.active = false
-		s.regBytesInUse -= s.ctaRegBytes()
+		s.regBytesInUse -= s.CTARegBytes()
 	} else {
 		// The remaining warps may all be at the barrier now.
 		s.barrierCheck = true
@@ -619,7 +582,8 @@ func (s *SM) DebugState() string {
 // when its occupancy counter says it has work, so a fully stalled cycle
 // costs four comparisons — which is also what lets the chip loop skip such
 // cycles wholesale (see NextEventCycle): a cycle in which every stage is
-// skipped mutates no state at all.
+// skipped mutates no state at all. In per-cycle mode the caller must Commit
+// after every Cycle, before the next one.
 func (s *SM) Cycle(now uint64) {
 	s.now = now
 	if len(s.events) > 0 && now >= s.nextWb {

@@ -40,6 +40,7 @@ func drive(t *testing.T, s *SM, ctas int, maxCycles uint64) uint64 {
 			next++
 		}
 		s.Cycle(cycle)
+		s.Commit()
 		if s.Err() != nil {
 			t.Fatal(s.Err())
 		}

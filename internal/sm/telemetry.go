@@ -8,7 +8,7 @@ import (
 
 // LiveWarps returns the number of resident, unfinished warps. Like Retired,
 // it is a plain counter read safe between cycles (serially, or after the
-// phased loop's barrier) for progress and telemetry sampling.
+// chip loop's worker barrier) for progress and telemetry sampling.
 func (s *SM) LiveWarps() int { return s.liveWarps }
 
 // ReadyWarps returns the number of warps currently eligible to issue.

@@ -404,8 +404,8 @@ func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Out
 			// Relaxed epoch mode: stores stay buffered for up to an epoch, so
 			// a load must see this SM's own pending stores (same-SM RAW
 			// through global memory). ReadThrough is false whenever the
-			// overlay is disabled or empty, keeping the serial/phased hot
-			// path below branch-free through the buffer.
+			// overlay is disabled or empty, keeping the per-cycle schedules'
+			// hot path below branch-free through the buffer.
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(m)
 				addr := base.at(lane) + off

@@ -267,8 +267,8 @@ type Context struct {
 	Global *kernel.Memory
 	Shared []uint32 // per-CTA shared memory (word-addressed model)
 	// StoreBuf, when non-nil, receives global stores instead of Global
-	// (phased simulation: stores are buffered during the concurrent compute
-	// phase and committed serially at end of cycle).
+	// (timed simulation: an SM buffers its stores until the chip loop
+	// commits them, serially, after the SM's step).
 	StoreBuf *kernel.StoreBuffer
 	// AddrScratch, when non-nil and at least warp-width long, backs
 	// Outcome.Addrs instead of a fresh allocation. Only lanes set in
