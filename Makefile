@@ -51,11 +51,13 @@ relaxdet:
 	$(GO) test -run 'TestRelaxed|TestResolveWorkers' . ./internal/gpu
 
 # Trace capture/replay gate: the internal/trace codec unit tests (round-trip,
-# truncation/version/CRC rejection, unknown-section skip) plus the root-level
-# capture→replay determinism suite — every builtin workload captured and
-# replayed byte-identically (Result + telemetry) under serial and phased
-# loops, content-hash key stability, and parallel-loop capture rejection.
-# Runs the full 17-workload x 2-architecture sweep (~20 s).
+# truncation/version/CRC rejection, skipping unknown sections and the retired
+# tag-5 record stream) plus the root-level capture→replay determinism suite —
+# every builtin workload captured under each of the serial, phased and
+# relaxed schedules and replayed byte-identically (Result + telemetry) to the
+# live run of that schedule, content-hash key stability, and a trace
+# re-captured at the same path resolving to the new file. Runs the full
+# 17-workload x 2-architecture x 3-schedule sweep (~45 s).
 tracedet:
 	$(GO) test ./internal/trace
 	$(GO) test -run 'TestTrace|TestUnknownWorkloadSpec' .

@@ -517,11 +517,11 @@ type refMeas struct {
 
 // traceReplayReference records the execution-trace frontend's cost on a few
 // representative workloads, regenerated live by `make bench`: capturing a
-// run (serial loop with the trace hook installed, plus the atomic file
-// write) and replaying the captured file (decode + reassemble + re-execute
-// through the normal pipeline), each against a plain live serial run.
-// Replay re-simulates from the trace's embedded input, so replay ≈ live is
-// the expectation; capture pays the per-instruction record encode.
+// run (serial loop, input snapshot before the run plus the atomic file
+// write after it) and replaying the captured file (decode + reassemble +
+// re-execute through the normal pipeline), each against a plain live
+// serial run. Replay re-simulates from the trace's embedded input, so
+// replay ≈ live is the expectation, and so is capture ≈ live.
 type traceReplayReference struct {
 	Note      string                `json:"note"`
 	Workloads map[string]replayMeas `json:"workloads"`
@@ -683,8 +683,8 @@ func BenchmarkCoreSpeedup(b *testing.B) {
 			},
 		},
 		TraceReplay: traceReplayReference{
-			Note: "serial loop, GScalar arch; capture = live run with the " +
-				"trace hook + atomic .gstr write; replay = decode + " +
+			Note: "serial loop, GScalar arch; capture = input snapshot + " +
+				"live run + atomic .gstr write; replay = decode + " +
 				"re-execution via -workload trace:<file>, asserted " +
 				"bit-identical to the live run",
 			Workloads: replayWl,

@@ -21,9 +21,9 @@
 // trace — into the given directory as <arch>_<workload> files. Memoized
 // cache hits produce no new telemetry and therefore no files.
 //
-// -trace-out DIR captures every freshly simulated point as a replayable
-// execution trace (<arch>_<workload>.gstr, written atomically on success;
-// serial schedule only). A captured trace replays through gscalar-sim
+// -trace-out DIR captures every freshly simulated point's simulation input
+// as a replayable trace (<arch>_<workload>.gstr, written atomically on
+// success, under any schedule). A captured trace replays through gscalar-sim
 // -workload trace:<file> — or back through this command, since -bench
 // accepts trace:<path> and gen:<dials> specs alongside benchmark
 // abbreviations (a gen spec's own commas are kept with it).
@@ -56,7 +56,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write per-point telemetry (counters + time series) into this directory")
 	metricsFormat := flag.String("metrics-format", "json", "telemetry file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write per-point Chrome trace-event files into this directory")
-	traceOut := flag.String("trace-out", "", "capture every freshly simulated point as a replayable execution trace (.gstr) in this directory (serial schedule only)")
+	traceOut := flag.String("trace-out", "", "capture every freshly simulated point's input as a replayable trace (.gstr) in this directory")
 	parallel := flag.Int("parallel", 1, "simulate up to N (arch, workload) points concurrently; output is identical to -parallel 1")
 	workers := flag.Int("workers", 0, "phased-schedule compute workers per simulation (0 = serial schedule, -1 = one per host core)")
 	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed schedule (deterministic, not bit-identical to serial; scales with -workers)")

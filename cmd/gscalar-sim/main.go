@@ -26,11 +26,12 @@
 // Chrome trace-event file of per-SM activity, loadable in Perfetto. Both
 // compose with -all, which bundles every benchmark into one file.
 //
-// -trace-out captures the run as a replayable execution trace (written
-// atomically after a successful run): replay it anywhere with
-// -workload trace:<file>, under any architecture or chip-loop schedule, and
-// the replayed result is byte-identical to the live run. Capture requires
-// the serial schedule and a single workload (not -all).
+// -trace-out captures the run's simulation input (program, launch, initial
+// memory) as a replayable trace, written atomically after a successful run
+// under any schedule: replay it anywhere with -workload trace:<file>, under
+// any architecture or chip-loop schedule, and the replayed result is
+// byte-identical to a live run under that schedule. Capture takes a single
+// workload (not -all).
 package main
 
 import (
@@ -74,7 +75,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write final counters and the sampled time series to this file")
 	metricsFormat := flag.String("metrics-format", "json", "metrics file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write a Chrome trace-event file (Perfetto-loadable) to this file")
-	traceOut := flag.String("trace-out", "", "capture the run as a replayable execution trace at this path (serial schedule only; replay with -workload trace:<path>)")
+	traceOut := flag.String("trace-out", "", "capture the run's input as a replayable trace at this path (replay with -workload trace:<path>)")
 	sampleStride := flag.Uint64("sample-stride", 0, "simulated cycles between telemetry samples (0 = lifecycle checkpoint stride)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to this file")
@@ -101,7 +102,7 @@ func main() {
 			w, _ := gscalar.WorkloadByAbbr(abbr)
 			fmt.Printf("%-4s %-11s %-8s %s\n", w.Abbr, w.Name, w.Suite, w.Desc)
 		}
-		fmt.Println("\ntrace:<path>  replay an execution trace captured with -trace-out")
+		fmt.Println("\ntrace:<path>  replay a trace captured with -trace-out")
 		fmt.Println("gen:<dials>   calibrated synthetic kernel; dials (name=value, comma-separated):")
 		for _, d := range gen.Schema() {
 			ff := func(v float64) string {

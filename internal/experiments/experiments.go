@@ -36,10 +36,9 @@ type Options struct {
 	OnMetrics func(arch gscalar.Arch, abbr string, m *gscalar.Metrics)
 	// CaptureDir, when non-empty, writes a replayable trace of every
 	// freshly simulated point to <CaptureDir>/<arch>_<workload>.gstr (each
-	// file is written atomically; replay with -workload trace:<file>).
-	// Capture requires the serial chip loop, so it is incompatible with
-	// Config.Workers/EpochCycles. Cache hits write no trace — their run was
-	// not re-simulated.
+	// file is written atomically; replay with -workload trace:<file>), under
+	// whatever schedule Config selects. Cache hits write no trace — their
+	// run was not re-simulated.
 	CaptureDir string
 }
 

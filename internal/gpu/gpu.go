@@ -15,7 +15,6 @@ import (
 	"gscalar/internal/sm"
 	"gscalar/internal/stats"
 	"gscalar/internal/telemetry"
-	"gscalar/internal/warp"
 )
 
 // Config is the chip-level configuration (Table 1).
@@ -76,14 +75,6 @@ type Config struct {
 	// serially between cycles and mutate no simulator state, so a run with
 	// telemetry attached is bit-identical to one without.
 	Telemetry *telemetry.Recorder
-	// ExecTrace, when non-nil, observes every warp-instruction execution in
-	// issue order (trace capture). It requires the serial schedule
-	// (Workers == 0, EpochCycles == 0): the others interleave SM steps across
-	// goroutines, which would make the observation order nondeterministic —
-	// runWithMeter rejects the combination. The hook costs the hot path one
-	// nil check when unset; like Observer/Telemetry it must not mutate
-	// simulator state, so an observed run is bit-identical to a bare one.
-	ExecTrace func(smID, warpGlobalID int, out *warp.Outcome)
 }
 
 // DefaultLifecycleStride is the default spacing, in simulated cycles,
@@ -247,9 +238,6 @@ func runWithMeter(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Pr
 	}
 	if err := ctx.Err(); err != nil {
 		return rawResult{}, fmt.Errorf("gpu: cancelled before cycle 0: %w", err)
-	}
-	if cfg.ExecTrace != nil && (cfg.EpochCycles > 0 || cfg.Workers != 0) {
-		return rawResult{}, fmt.Errorf("gpu: ExecTrace requires the serial loop (Workers=0, EpochCycles=0); got Workers=%d EpochCycles=%d", cfg.Workers, cfg.EpochCycles)
 	}
 	return runChip(ctx, cfg, arch, prog, lc, gmem, meter)
 }

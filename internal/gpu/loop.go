@@ -82,9 +82,6 @@ func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program
 		if c.relaxed {
 			c.sms[i].EnableRelaxed()
 		}
-		if cfg.ExecTrace != nil {
-			c.sms[i].SetExecTrace(cfg.ExecTrace)
-		}
 	}
 	// A CTA that does not fit an empty SM never will: fail now rather than
 	// spin until MaxCycles (or, in the relaxed schedule, forever).

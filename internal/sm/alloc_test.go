@@ -30,7 +30,9 @@ A:
 // pages touched, collector ring populated), SM.Cycle performs zero heap
 // allocations per cycle, and neither does the Commit that follows it. A
 // regression here silently turns the simulator's inner loop back into a GC
-// benchmark.
+// benchmark. testing.AllocsPerRun integer-divides by the run count, so the
+// gate measures a single run of a whole batch of cycles: one allocation
+// anywhere in the batch shows.
 func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 	gmem := kernel.NewMemory()
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 4, Y: 1}, Block: kernel.Dim{X: 128, Y: 1}}
@@ -59,13 +61,22 @@ func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal("kernel drained during warm-up; lengthen the loop")
 	}
 
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Cycle(cycle)
-		s.Commit()
-		cycle++
+	// The last call of f is the measured one; before and after bracket it.
+	const batch = 1000
+	var before, after uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		before = s.Stats().WarpInsts
+		for end := cycle + batch; cycle < end; cycle++ {
+			s.Cycle(cycle)
+			s.Commit()
+		}
+		after = s.Stats().WarpInsts
 	})
 	if allocs != 0 {
-		t.Errorf("SM.Cycle+Commit allocates %.2f objects/cycle in steady state, want 0", allocs)
+		t.Errorf("SM.Cycle+Commit allocates %.0f objects per %d cycles in steady state, want 0", allocs, batch)
+	}
+	if after == before {
+		t.Fatal("no warp instruction issued while measuring; the gate did not exercise the issue path")
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)

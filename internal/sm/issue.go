@@ -155,11 +155,6 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 		s.retireWarp(wi)
 		return false
 	}
-	if s.execTrace != nil {
-		// Trace capture must copy out of the Outcome immediately: Addrs
-		// aliases the collector scratch reused by the next issue.
-		s.execTrace(s.ID, wc.w.GlobalID, &out)
-	}
 
 	// Statistics and front-end energy.
 	s.meter.Add(power.CompFrontEnd, s.en.FrontEndPerInst)

@@ -196,20 +196,7 @@ type SM struct {
 
 	rf *regfile.File // per-cycle bank/port arbitration
 
-	// execTrace, when non-nil, observes every warp-instruction execution
-	// (trace capture). The hot path pays only a nil check; the hook itself
-	// runs off-path and may allocate. Serial schedule only — the phased and
-	// relaxed schedules never set it, so warp executions reaching the hook
-	// are totally ordered.
-	execTrace func(smID, warpGlobalID int, out *warp.Outcome)
-
 	err error
-}
-
-// SetExecTrace installs (or clears, with nil) the per-instruction execution
-// observer. It must be set before the first Cycle and never changed mid-run.
-func (s *SM) SetExecTrace(fn func(smID, warpGlobalID int, out *warp.Outcome)) {
-	s.execTrace = fn
 }
 
 // New constructs an SM.

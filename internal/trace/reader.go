@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"os"
 	"sync"
 
@@ -31,9 +30,6 @@ type Trace struct {
 	memNext  uint32
 	memPages []kernel.MemPage
 
-	recData  []byte
-	recCount int
-
 	progOnce sync.Once
 	prog     *kernel.Program
 	progErr  error
@@ -55,8 +51,8 @@ func ReadFile(path string) (*Trace, error) {
 // Decode parses an encoded trace. It never panics on malformed input: any
 // structural problem yields ErrTruncated, *VersionError or *FormatError,
 // and no allocation is sized from an unvalidated length field. The returned
-// Trace aliases data's memory-image and record bytes, so the caller must
-// not mutate data afterwards.
+// Trace aliases data's memory-image bytes, so the caller must not mutate
+// data afterwards.
 func Decode(data []byte) (*Trace, error) {
 	if len(data) >= len(Magic) && string(data[:len(Magic)]) != Magic {
 		return nil, &FormatError{Offset: 0, Msg: "bad magic (not a trace file)"}
@@ -100,7 +96,7 @@ func Decode(data []byte) (*Trace, error) {
 		}
 		payload := data[d.off : d.off+int(n)]
 		d.off += int(n)
-		if tag <= tagRecords {
+		if tag <= tagMemory {
 			if seen[tag] {
 				return nil, &FormatError{Offset: tagOff, Msg: fmt.Sprintf("duplicate section tag %d", tag)}
 			}
@@ -121,23 +117,9 @@ func Decode(data []byte) (*Trace, error) {
 			if err := t.parseMemory(payload, tagOff); err != nil {
 				return nil, err
 			}
-		case tagRecords:
-			p := &decoder{data: payload}
-			count, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			// Every record occupies at least 8 bytes, so a count claiming
-			// more records than payload bytes is structurally impossible —
-			// reject it here rather than letting Records() size a slice
-			// from it.
-			if count > uint64(p.remaining()) {
-				return nil, &FormatError{Offset: tagOff, Msg: fmt.Sprintf("record count %d exceeds payload size %d", count, p.remaining())}
-			}
-			t.recCount = int(count)
-			t.recData = payload[p.off:]
 		default:
-			// Unknown section from a newer writer: skip (forward compat).
+			// Unknown section from a newer writer, or the retired tag-5
+			// record stream of an older one: skip.
 		}
 	}
 
@@ -218,109 +200,6 @@ func (t *Trace) NewMemory() *kernel.Memory {
 	return kernel.NewMemoryFromSnapshot(t.memNext, t.memPages)
 }
 
-// NumRecords returns the number of dynamic instruction records without
-// decoding them.
-func (t *Trace) NumRecords() int { return t.recCount }
-
-// Records decodes the dynamic instruction stream. The stream is the
-// analysis payload — replay does not consume it — so it is decoded lazily,
-// only when asked for.
-func (t *Trace) Records() ([]Record, error) {
-	d := &decoder{data: t.recData}
-	recs := make([]Record, 0, t.recCount)
-	for i := 0; i < t.recCount; i++ {
-		r, err := decodeRecord(d)
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		recs = append(recs, r)
-	}
-	if d.remaining() != 0 {
-		return nil, &FormatError{Offset: d.off, Msg: "trailing bytes after last record"}
-	}
-	return recs, nil
-}
-
-func decodeRecord(d *decoder) (Record, error) {
-	var r Record
-	sm, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	wid, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	pc, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	op, err := d.u8()
-	if err != nil {
-		return r, err
-	}
-	flags, err := d.u8()
-	if err != nil {
-		return r, err
-	}
-	issued, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	active, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	r.SM, r.Warp, r.PC, r.Op = int(sm), int(wid), int(pc), op
-	r.Issued, r.Active = issued, active
-	r.IsMem = flags&flagMem != 0
-	r.IsGlobal = flags&flagGlobal != 0
-	r.IsStore = flags&flagStore != 0
-	r.Divergent = flags&flagDivergent != 0
-	r.Exited = flags&flagExited != 0
-	r.AtBarrier = flags&flagBarrier != 0
-	r.TookBranch = flags&flagTookBranch != 0
-	r.BranchDiverged = flags&flagBranchDiverged != 0
-
-	dst, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	r.DstReg = int(dst) - 1
-	if dst != 0 {
-		cls, err := d.u8()
-		if err != nil {
-			return r, err
-		}
-		if cls > 4 {
-			return r, &FormatError{Offset: d.off - 1, Msg: fmt.Sprintf("value-class tag %d out of range", cls)}
-		}
-		r.SharedMSBBytes = cls
-	}
-
-	if r.IsMem {
-		n := bits.OnesCount64(active)
-		if n > 0 {
-			r.Addrs = make([]uint32, n)
-			first, err := d.uvarint()
-			if err != nil {
-				return r, err
-			}
-			r.Addrs[0] = uint32(first)
-			prev := int64(uint32(first))
-			for i := 1; i < n; i++ {
-				delta, err := d.varint()
-				if err != nil {
-					return r, err
-				}
-				prev += delta
-				r.Addrs[i] = uint32(prev)
-			}
-		}
-	}
-	return r, nil
-}
-
 // decoder is a bounds-checked cursor over trace bytes.
 type decoder struct {
 	data []byte
@@ -340,18 +219,6 @@ func (d *decoder) u8() (uint8, error) {
 
 func (d *decoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.data[d.off:])
-	if n == 0 {
-		return 0, ErrTruncated
-	}
-	if n < 0 {
-		return 0, &FormatError{Offset: d.off, Msg: "varint overflows 64 bits"}
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.data[d.off:])
 	if n == 0 {
 		return 0, ErrTruncated
 	}

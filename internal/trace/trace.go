@@ -1,18 +1,15 @@
-// Package trace defines the versioned instruction-trace format that powers
-// the capture/replay workload frontend (Accel-Sim style trace-driven
-// execution, ROADMAP "Scenario diversity").
+// Package trace defines the versioned trace format behind the capture/replay
+// workload frontend.
 //
 // A trace file is self-describing: it carries the complete simulation input
 // — the kernel program (as .gasm disassembly text, which reassembles
 // bit-exactly), the launch configuration, and the initial global-memory
-// image — plus the dynamic instruction stream observed at the warp-execute
-// boundary. Replay therefore reconstructs a workloads.Instance and drives
-// the *unmodified* SM pipeline, so a replayed run is byte-identical to the
-// live run it was captured from, under any architecture and any chip loop.
-// The record stream is the analysis payload (opcode class, per-lane active
-// masks, destination value-class tags, memory addresses — enough to drive
-// scalar detection, BDI compression and memory-model studies offline); it is
-// not needed to re-execute.
+// image — and nothing else. Replay therefore reconstructs a
+// workloads.Instance and drives the *unmodified* SM pipeline, so a replayed
+// run is byte-identical to the live run it was captured from, under any
+// architecture and any chip-loop schedule. Capture only snapshots that input
+// before the run and writes it after the run succeeds, so it works under
+// every schedule.
 //
 // # Binary format (version 1)
 //
@@ -34,27 +31,17 @@
 //	            uvarint next-alloc cursor, uvarint page count, then per page
 //	            uvarint page id + uvarint byte count + raw bytes
 //	            (trailing zeros trimmed; absent pages read as zero)
-//	5  records  uvarint record count, then records back to back (see below)
+//
+// Tag 5 is retired and must not be reused: earlier version-1 writers
+// emitted a per-instruction record stream there, which replay never read.
+// Readers skip it like any unknown tag, so those traces still decode and
+// replay unchanged.
 //
 // The footer is a literal 0x00 tag followed by the little-endian CRC32
 // (IEEE) of every preceding byte (magic through the 0x00 tag inclusive). A
 // file that ends before the footer — the only state an interrupted write
 // could leave, and store.AtomicWrite prevents even that — fails decoding
 // with ErrTruncated; a corrupted file fails the CRC with *FormatError.
-//
-// # Record encoding
-//
-// One record per executed warp-instruction, in commit order:
-//
-//	uvarint sm, uvarint warp, uvarint pc
-//	uint8   opcode (isa.Opcode)
-//	uint8   flags: 1 mem | 2 global | 4 store | 8 divergent | 16 exited |
-//	               32 barrier | 64 took-branch | 128 branch-diverged
-//	uvarint issued mask, uvarint active mask
-//	uvarint dst+1 (0 = no register writeback)
-//	uint8   shared-MSB-bytes value-class tag (0..4), present iff dst+1 != 0
-//	uvarint first byte address, then zigzag-varint deltas — one address per
-//	        set bit of the active mask, present iff the mem flag is set
 package trace
 
 import (
@@ -75,19 +62,6 @@ const (
 	tagProgram = 2
 	tagLaunch  = 3
 	tagMemory  = 4
-	tagRecords = 5
-)
-
-// Record flag bits.
-const (
-	flagMem            = 1 << 0
-	flagGlobal         = 1 << 1
-	flagStore          = 1 << 2
-	flagDivergent      = 1 << 3
-	flagExited         = 1 << 4
-	flagBarrier        = 1 << 5
-	flagTookBranch     = 1 << 6
-	flagBranchDiverged = 1 << 7
 )
 
 // Meta describes where a trace came from. It deliberately carries no
@@ -105,40 +79,9 @@ type Meta struct {
 	Scale int `json:"scale,omitempty"`
 	// ConfigHash is the canonical hash of the capturing run's Config.
 	ConfigHash string `json:"config_hash,omitempty"`
-	// WarpSize is the warp width of the capturing run; masks and address
-	// vectors in the record stream are per-lane over this width.
+	// WarpSize is the warp width of the capturing run. Like Arch it is
+	// provenance only: replay runs at the replaying config's warp size.
 	WarpSize int `json:"warp_size"`
-}
-
-// Record is one decoded warp-instruction execution.
-type Record struct {
-	SM   int
-	Warp int
-	PC   int
-	Op   uint8 // isa.Opcode value
-
-	Issued uint64 // lanes live at the stack top when fetched (pre-guard)
-	Active uint64 // lanes that executed (guard applied)
-
-	// DstReg is the written register, -1 if the instruction wrote none.
-	DstReg int
-	// SharedMSBBytes is the destination value-class tag: how many leading
-	// bytes all active lanes' written values share (0..4; 4 = fully
-	// uniform). Valid only when DstReg >= 0.
-	SharedMSBBytes uint8
-
-	IsMem    bool
-	IsGlobal bool
-	IsStore  bool
-	// Addrs holds one byte address per set bit of Active (ascending lane
-	// order) when IsMem; nil otherwise.
-	Addrs []uint32
-
-	Divergent      bool
-	Exited         bool
-	AtBarrier      bool
-	TookBranch     bool
-	BranchDiverged bool
 }
 
 // ErrTruncated reports a trace that ends mid-structure — the input ran out

@@ -10,7 +10,6 @@ import (
 	"gscalar/internal/asm"
 	"gscalar/internal/isa"
 	"gscalar/internal/kernel"
-	"gscalar/internal/warp"
 )
 
 const testProg = `
@@ -21,11 +20,9 @@ const testProg = `
 	exit
 `
 
-// buildCapture assembles a tiny kernel, snapshots a small memory image, and
-// appends a handful of synthetic records covering every field class: a plain
-// ALU writeback, a divergent global load with per-lane addresses, and an
-// exit with no destination.
-func buildCapture(t testing.TB) (*Capture, []Record) {
+// buildCapture assembles a tiny kernel and snapshots it with a launch
+// configuration and a small memory image.
+func buildCapture(t testing.TB) *Capture {
 	t.Helper()
 	prog, err := asm.Assemble(testProg)
 	if err != nil {
@@ -40,68 +37,7 @@ func buildCapture(t testing.TB) (*Capture, []Record) {
 	mem.AllocU32([]uint32{7, 8, 9, 0xdeadbeef})
 
 	meta := Meta{Workload: "HS", Arch: "gscalar", Scale: 1, ConfigHash: "abc", WarpSize: 32}
-	cap := NewCapture(meta, prog, lc, mem)
-
-	uniform := make([]uint32, 32)
-	for i := range uniform {
-		uniform[i] = 42
-	}
-	varied := make([]uint32, 32)
-	for i := range varied {
-		varied[i] = 0x1000 + uint32(i)
-	}
-	addrs := make([]uint32, 32)
-	for i := range addrs {
-		addrs[i] = 0x200 + 4*uint32(i)
-	}
-
-	outs := []warp.Outcome{
-		{
-			PC: 0, Inst: &isa.Instruction{Op: isa.OpMov},
-			Issued: ^uint64(0), Active: ^uint64(0),
-			DstReg: 1, DstVec: uniform,
-		},
-		{
-			PC: 2, Inst: &isa.Instruction{Op: isa.OpLdGlobal},
-			Issued: ^uint64(0), Active: 0x00000000ffff00ff,
-			DstReg: 3, DstVec: varied,
-			IsMem: true, IsGlobal: true, Addrs: addrs,
-			Divergent: true,
-		},
-		{
-			PC: 3, Inst: &isa.Instruction{Op: isa.OpExit},
-			Issued: ^uint64(0), Active: ^uint64(0),
-			DstReg: -1, Exited: true,
-		},
-	}
-	sms := []int{0, 3, 14}
-	warps := []int{0, 17, 255}
-	want := make([]Record, len(outs))
-	for i := range outs {
-		cap.Record(sms[i], warps[i], &outs[i])
-		o := &outs[i]
-		r := Record{
-			SM: sms[i], Warp: warps[i], PC: o.PC, Op: uint8(o.Inst.Op),
-			Issued: o.Issued, Active: o.Active,
-			DstReg: o.DstReg,
-			IsMem:  o.IsMem, IsGlobal: o.IsGlobal, IsStore: o.IsStore,
-			Divergent: o.Divergent, Exited: o.Exited, AtBarrier: o.AtBarrier,
-			TookBranch: o.TookBranch, BranchDiverged: o.BranchDiverged,
-		}
-		if o.DstReg >= 0 {
-			r.SharedMSBBytes = sharedMSBBytes(o.DstVec, o.Active)
-		}
-		if o.IsMem {
-			for m := o.Active; m != 0; m &= m - 1 {
-				lane := 0
-				for ; m&(1<<lane) == 0; lane++ {
-				}
-				r.Addrs = append(r.Addrs, o.Addrs[lane])
-			}
-		}
-		want[i] = r
-	}
-	return cap, want
+	return NewCapture(meta, prog, lc, mem)
 }
 
 func encode(t *testing.T, c *Capture) []byte {
@@ -114,7 +50,7 @@ func encode(t *testing.T, c *Capture) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	cap, want := buildCapture(t)
+	cap := buildCapture(t)
 	data := encode(t, cap)
 
 	tr, err := Decode(data)
@@ -153,35 +89,6 @@ func TestRoundTrip(t *testing.T) {
 		t.Error("NewMemory shares pages between calls")
 	}
 
-	if tr.NumRecords() != len(want) {
-		t.Fatalf("NumRecords = %d, want %d", tr.NumRecords(), len(want))
-	}
-	recs, err := tr.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range recs {
-		w := want[i]
-		if r.SM != w.SM || r.Warp != w.Warp || r.PC != w.PC || r.Op != w.Op ||
-			r.Issued != w.Issued || r.Active != w.Active ||
-			r.DstReg != w.DstReg || r.SharedMSBBytes != w.SharedMSBBytes ||
-			r.IsMem != w.IsMem || r.IsGlobal != w.IsGlobal || r.IsStore != w.IsStore ||
-			r.Divergent != w.Divergent || r.Exited != w.Exited ||
-			r.AtBarrier != w.AtBarrier || r.TookBranch != w.TookBranch ||
-			r.BranchDiverged != w.BranchDiverged {
-			t.Errorf("record %d = %+v, want %+v", i, r, w)
-		}
-		if len(r.Addrs) != len(w.Addrs) {
-			t.Errorf("record %d addrs len = %d, want %d", i, len(r.Addrs), len(w.Addrs))
-			continue
-		}
-		for j := range r.Addrs {
-			if r.Addrs[j] != w.Addrs[j] {
-				t.Errorf("record %d addr %d = %#x, want %#x", i, j, r.Addrs[j], w.Addrs[j])
-			}
-		}
-	}
-
 	// Encoding carries no timestamps: a second encode is byte-identical.
 	if !bytes.Equal(data, encode(t, cap)) {
 		t.Error("re-encoding the same capture produced different bytes")
@@ -189,7 +96,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	cap, _ := buildCapture(t)
+	cap := buildCapture(t)
 	data := encode(t, cap)
 	for i := 0; i < len(data); i++ {
 		_, err := Decode(data[:i])
@@ -208,7 +115,7 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeVersionMismatch(t *testing.T) {
-	cap, _ := buildCapture(t)
+	cap := buildCapture(t)
 	data := encode(t, cap)
 	data[len(Magic)] = 2
 	_, err := Decode(data)
@@ -227,9 +134,9 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 func TestDecodeCRCMismatch(t *testing.T) {
-	cap, _ := buildCapture(t)
+	cap := buildCapture(t)
 	data := encode(t, cap)
-	// Flip a record payload byte: structurally valid, CRC must catch it.
+	// Flip a memory-image payload byte: structurally valid, CRC must catch it.
 	corrupt := bytes.Clone(data)
 	corrupt[len(corrupt)-6] ^= 0xff
 	_, err := Decode(corrupt)
@@ -256,59 +163,62 @@ func spliceSection(data []byte, tag uint8, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
+// TestDecodeSkipsUnknownSections covers forward and backward compatibility:
+// a section from a newer writer and the retired tag-5 record stream of
+// older version-1 writers are both skipped, leaving the simulation input
+// intact.
 func TestDecodeSkipsUnknownSections(t *testing.T) {
-	cap, want := buildCapture(t)
-	data := spliceSection(encode(t, cap), 200, []byte("from the future"))
-	tr, err := Decode(data)
+	data := encode(t, buildCapture(t))
+	want, err := Decode(data)
 	if err != nil {
-		t.Fatalf("unknown section not skipped: %v", err)
+		t.Fatal(err)
 	}
-	if tr.NumRecords() != len(want) {
-		t.Errorf("NumRecords = %d, want %d", tr.NumRecords(), len(want))
-	}
-	if _, err := tr.Records(); err != nil {
-		t.Error(err)
+	// An old record stream: a record count, then one packed record (sm,
+	// warp, pc, opcode, flags, issued and active masks, no destination).
+	legacy := binary.AppendUvarint(nil, 1)
+	legacy = append(legacy, 0, 0, 3, uint8(isa.OpExit), 1<<4)
+	legacy = binary.AppendUvarint(legacy, 1<<32-1)
+	legacy = binary.AppendUvarint(legacy, 1<<32-1)
+	legacy = append(legacy, 0)
+	for _, c := range []struct {
+		name    string
+		tag     uint8
+		payload []byte
+	}{
+		{"newer writer", 200, []byte("from the future")},
+		{"retired record stream", 5, legacy},
+	} {
+		tr, err := Decode(spliceSection(data, c.tag, c.payload))
+		if err != nil {
+			t.Errorf("%s: section not skipped: %v", c.name, err)
+			continue
+		}
+		if tr.Meta != want.Meta || tr.ProgramText() != want.ProgramText() || *tr.Launch() != *want.Launch() {
+			t.Errorf("%s: static sections changed: %+v", c.name, tr.Meta)
+		}
+		if got := tr.NewMemory().ReadU32(256, 4); got[3] != 0xdeadbeef {
+			t.Errorf("%s: memory = %v", c.name, got)
+		}
 	}
 }
 
 func TestDecodeRejectsDuplicateSections(t *testing.T) {
-	cap, _ := buildCapture(t)
-	data := spliceSection(encode(t, cap), tagProgram, []byte(".kernel dup\n\texit\n"))
-	_, err := Decode(data)
-	var fe *FormatError
-	if !errors.As(err, &fe) {
-		t.Fatalf("duplicate section: err = %v, want *FormatError", err)
+	data := encode(t, buildCapture(t))
+	for tag := uint8(tagMeta); tag <= tagMemory; tag++ {
+		_, err := Decode(spliceSection(data, tag, []byte(".kernel dup\n\texit\n")))
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("duplicate section tag %d: err = %v, want *FormatError", tag, err)
+		}
 	}
 }
 
 func TestDecodeTrailingData(t *testing.T) {
-	cap, _ := buildCapture(t)
+	cap := buildCapture(t)
 	data := append(encode(t, cap), 0xaa)
 	_, err := Decode(data)
 	var fe *FormatError
 	if !errors.As(err, &fe) {
 		t.Fatalf("trailing byte: err = %v, want *FormatError", err)
-	}
-}
-
-func TestSharedMSBBytes(t *testing.T) {
-	cases := []struct {
-		name   string
-		vec    []uint32
-		active uint64
-		want   uint8
-	}{
-		{"uniform", []uint32{5, 5, 5, 5}, 0b1111, 4},
-		{"low byte differs", []uint32{0x11223344, 0x11223345}, 0b11, 3},
-		{"third byte differs", []uint32{0x11220000, 0x11220100}, 0b11, 2},
-		{"top byte differs", []uint32{0x01000000, 0x81000000}, 0b11, 0},
-		{"inactive lanes ignored", []uint32{7, 999, 7, 999}, 0b0101, 4},
-		{"single lane", []uint32{0xffffffff}, 0b1, 4},
-		{"empty mask", []uint32{1, 2}, 0, 4},
-	}
-	for _, c := range cases {
-		if got := sharedMSBBytes(c.vec, c.active); got != c.want {
-			t.Errorf("%s: sharedMSBBytes = %d, want %d", c.name, got, c.want)
-		}
 	}
 }

@@ -4,30 +4,24 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
 
 	"gscalar/internal/asm"
 	"gscalar/internal/kernel"
 	"gscalar/internal/store"
-	"gscalar/internal/warp"
 )
 
-// Capture accumulates a trace during a live run. NewCapture snapshots the
-// simulation input (program, launch, initial memory) *before* the run
-// mutates it; Record appends one dynamic instruction per call. Capture is
-// not safe for concurrent use — the capture hook is restricted to the serial
-// chip loop, where warp executions are already totally ordered.
+// Capture holds the simulation input of one run. NewCapture snapshots it
+// before the run mutates memory; WriteFile writes it once the run has
+// succeeded. The run itself is never observed, so capture works under any
+// chip-loop schedule.
 type Capture struct {
 	meta     Meta
 	progText string
 	launch   kernel.LaunchConfig
 	memNext  uint32
 	memPages []kernel.MemPage
-
-	records []byte
-	count   int
 }
 
 // NewCapture starts a capture of a run about to execute prog under lc with
@@ -41,106 +35,6 @@ func NewCapture(meta Meta, prog *kernel.Program, lc *kernel.LaunchConfig, mem *k
 	}
 	c.memNext, c.memPages = mem.Snapshot()
 	return c
-}
-
-// Record appends one executed warp-instruction. It copies everything it
-// needs out of out immediately — in particular out.Addrs, which aliases a
-// collector scratch buffer the SM reuses on the next issue.
-func (c *Capture) Record(smID, warpID int, out *warp.Outcome) {
-	b := c.records
-	b = binary.AppendUvarint(b, uint64(smID))
-	b = binary.AppendUvarint(b, uint64(warpID))
-	b = binary.AppendUvarint(b, uint64(out.PC))
-	b = append(b, uint8(out.Inst.Op))
-
-	var flags uint8
-	if out.IsMem {
-		flags |= flagMem
-	}
-	if out.IsGlobal {
-		flags |= flagGlobal
-	}
-	if out.IsStore {
-		flags |= flagStore
-	}
-	if out.Divergent {
-		flags |= flagDivergent
-	}
-	if out.Exited {
-		flags |= flagExited
-	}
-	if out.AtBarrier {
-		flags |= flagBarrier
-	}
-	if out.TookBranch {
-		flags |= flagTookBranch
-	}
-	if out.BranchDiverged {
-		flags |= flagBranchDiverged
-	}
-	b = append(b, flags)
-
-	b = binary.AppendUvarint(b, out.Issued)
-	b = binary.AppendUvarint(b, out.Active)
-
-	if out.DstReg >= 0 {
-		b = binary.AppendUvarint(b, uint64(out.DstReg)+1)
-		b = append(b, sharedMSBBytes(out.DstVec, out.Active))
-	} else {
-		b = binary.AppendUvarint(b, 0)
-	}
-
-	if out.IsMem {
-		prev := uint32(0)
-		first := true
-		for m := out.Active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(m)
-			addr := uint32(0)
-			if lane < len(out.Addrs) {
-				addr = out.Addrs[lane]
-			}
-			if first {
-				b = binary.AppendUvarint(b, uint64(addr))
-				first = false
-			} else {
-				b = binary.AppendVarint(b, int64(addr)-int64(prev))
-			}
-			prev = addr
-		}
-	}
-
-	c.records = b
-	c.count++
-}
-
-// NumRecords returns the number of records appended so far.
-func (c *Capture) NumRecords() int { return c.count }
-
-// sharedMSBBytes computes the destination value-class tag: the number of
-// leading bytes every active lane's written value shares (4 = scalar-uniform
-// vector, 0 = nothing shared). This is the same notion core.SameMSBBytes
-// feeds G-Scalar's BDI compressor, recomputed here so traces carry the
-// classification input without the replay pipeline needing the stream.
-func sharedMSBBytes(vec []uint32, active uint64) uint8 {
-	if active == 0 || len(vec) == 0 {
-		return 4
-	}
-	firstLane := bits.TrailingZeros64(active)
-	if firstLane >= len(vec) {
-		return 4
-	}
-	first := vec[firstLane]
-	var diff uint32
-	for m := active; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros64(m)
-		if lane < len(vec) {
-			diff |= vec[lane] ^ first
-		}
-	}
-	if diff == 0 {
-		return 4
-	}
-	return uint8(bits.LeadingZeros32(diff) / 8)
 }
 
 // WriteFile encodes the trace to path via store.AtomicWrite: an interrupted
@@ -183,14 +77,6 @@ func (c *Capture) Encode(w io.Writer) error {
 		memBuf = append(memBuf, pg.Data...)
 	}
 	cw.section(tagMemory, memBuf)
-
-	// Records section: count prefix + raw record bytes, streamed without
-	// concatenating into a fresh payload buffer.
-	countPrefix := binary.AppendUvarint(nil, uint64(c.count))
-	cw.write([]byte{tagRecords})
-	cw.write(binary.AppendUvarint(nil, uint64(len(countPrefix)+len(c.records))))
-	cw.write(countPrefix)
-	cw.write(c.records)
 
 	// Footer: the tag byte is covered by the CRC, the CRC itself is not.
 	cw.write([]byte{tagFooter})

@@ -30,8 +30,7 @@ func (w *Warp) Execute(ctx *Context) (Outcome, error) {
 	top := &w.stack[len(w.stack)-1]
 	in := ctx.Prog.At(pc)
 
-	issued := top.Mask
-	active := issued
+	active := top.Mask
 	if in.Guard.On {
 		active &= w.PredMask(in.Guard.Reg, in.Guard.Neg)
 	}
@@ -40,14 +39,13 @@ func (w *Warp) Execute(ctx *Context) (Outcome, error) {
 		PC:     pc,
 		Inst:   in,
 		Active: active,
-		Issued: issued,
 		DstReg: -1,
 	}
 	out.Divergent = active != w.LiveMask
 
 	switch in.Op {
 	case isa.OpBra:
-		w.execBranch(in, top, active, &out)
+		w.execBranch(in, top, active)
 		return out, nil
 
 	case isa.OpExit:
@@ -84,13 +82,12 @@ func (w *Warp) Execute(ctx *Context) (Outcome, error) {
 	return out, nil
 }
 
-func (w *Warp) execBranch(in *isa.Instruction, top *StackEntry, taken Mask, out *Outcome) {
+func (w *Warp) execBranch(in *isa.Instruction, top *StackEntry, taken Mask) {
 	pc := top.PC
 	switch {
 	case taken == top.Mask:
 		// Uniformly taken.
 		top.PC = in.Target
-		out.TookBranch = true
 	case taken == 0:
 		// Uniformly not taken.
 		top.PC = pc + 1
@@ -98,8 +95,6 @@ func (w *Warp) execBranch(in *isa.Instruction, top *StackEntry, taken Mask, out 
 		// Divergent: the executing entry becomes the reconvergence entry,
 		// and the two sides are pushed (not-taken below taken, matching the
 		// GPGPU-Sim PDOM stack).
-		out.BranchDiverged = true
-		out.TookBranch = true
 		top.PC = in.RPC // may be -1: both sides exit before reconverging
 		w.stack = append(w.stack,
 			StackEntry{PC: pc + 1, RPC: in.RPC, Mask: top.Mask &^ taken},
@@ -439,7 +434,6 @@ func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Out
 	out.DstReg = int(dst)
 	out.DstVec = vec
 	out.IsMem = true
-	out.IsGlobal = in.Op == isa.OpLdGlobal
 	return nil
 }
 
@@ -475,7 +469,6 @@ func (w *Warp) execStore(ctx *Context, in *isa.Instruction, active Mask, out *Ou
 		}
 	}
 	out.IsMem = true
-	out.IsGlobal = in.Op == isa.OpStGlobal
 	out.IsStore = true
 	return nil
 }

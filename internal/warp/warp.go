@@ -284,20 +284,16 @@ type Outcome struct {
 	PC     int
 	Inst   *isa.Instruction
 	Active Mask // lanes that executed (guard applied)
-	Issued Mask // lanes active at the stack top when fetched (pre-guard)
 
 	// Register writeback, if any.
 	DstReg int      // -1 if none
 	DstVec []uint32 // full register vector after the (possibly partial) write
 	// Memory access, if any.
-	IsMem    bool
-	IsGlobal bool
-	IsStore  bool
-	Addrs    []uint32 // per-lane byte addresses (valid where Active)
+	IsMem   bool
+	IsStore bool
+	Addrs   []uint32 // per-lane byte addresses (valid where Active)
 
-	Divergent      bool // Active != warp live mask (paper's divergence notion)
-	AtBarrier      bool
-	Exited         bool // warp finished after this instruction
-	TookBranch     bool
-	BranchDiverged bool
+	Divergent bool // Active != warp live mask (paper's divergence notion)
+	AtBarrier bool
+	Exited    bool // warp finished after this instruction
 }

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 
@@ -47,9 +48,10 @@ func (e *UnknownError) Error() string {
 // ("trace:<path>"), or a generated synthetic kernel ("gen:div=0.3,...").
 // Trace files are decoded at resolve time — a missing, truncated or
 // version-mismatched file fails here with the trace package's typed errors —
-// and cached per path, so resolving the same trace across a sweep's points
-// decodes it once. Gen dial errors (*gen.DialError) also surface here, so
-// a bad spec fails before any simulation is attempted.
+// and cached per path while the file is unchanged, so resolving the same
+// trace across a sweep's points decodes it once. Gen dial errors
+// (*gen.DialError) also surface here, so a bad spec fails before any
+// simulation is attempted.
 func Resolve(spec string) (Source, error) {
 	ps, err := ParseSpec(spec)
 	if err != nil {
@@ -161,31 +163,52 @@ func TraceOf(src Source) (*trace.Trace, bool) {
 	return ts.t, true
 }
 
-// traceCache memoizes successful trace decodes per path. Failures are not
-// cached: a capture may legitimately appear at the path later (the atomic
-// writer renames the finished file into place).
+// traceCache memoizes successful trace decodes per path, together with the
+// file's stat at the time it was read. An entry is reused only while the
+// path still names that same file with the same size and modification time,
+// so a trace re-captured at the same path is decoded afresh rather than
+// served stale. Failures are not cached: a capture may legitimately appear
+// at the path later (the atomic writer renames the finished file into place).
 var traceCache = struct {
 	sync.Mutex
-	m map[string]*trace.Trace
-}{m: map[string]*trace.Trace{}}
+	m map[string]cachedTrace
+}{m: map[string]cachedTrace{}}
+
+type cachedTrace struct {
+	info os.FileInfo
+	t    *trace.Trace
+}
 
 func loadTrace(path string) (*trace.Trace, error) {
+	// Stat before reading: if the file is replaced in between, the entry
+	// records the older stat and the next lookup decodes again.
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
 	traceCache.Lock()
-	t, ok := traceCache.m[path]
+	e, ok := traceCache.m[path]
 	traceCache.Unlock()
-	if ok {
-		return t, nil
+	if ok && sameFileVersion(e.info, info) {
+		return e.t, nil
 	}
 	t, err := trace.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	traceCache.Lock()
-	if prev, ok := traceCache.m[path]; ok {
-		t = prev // another goroutine won the decode race; share its Trace
+	if prev, ok := traceCache.m[path]; ok && sameFileVersion(prev.info, info) {
+		t = prev.t // another goroutine won the decode race; share its Trace
 	} else {
-		traceCache.m[path] = t
+		traceCache.m[path] = cachedTrace{info: info, t: t}
 	}
 	traceCache.Unlock()
 	return t, nil
+}
+
+// sameFileVersion reports whether two stats of a path see the same file
+// contents: the same file (not another renamed over it), size and
+// modification time.
+func sameFileVersion(a, b os.FileInfo) bool {
+	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"gscalar/internal/gpu"
-	"gscalar/internal/kernel"
 	"gscalar/internal/telemetry"
 	"gscalar/internal/trace"
 	"gscalar/internal/workloads"
@@ -55,15 +54,14 @@ type Session struct {
 	// itself (Metrics is overwritten per run).
 	Telemetry TelemetryOptions
 	// Capture configures trace capture: when Capture.Path is non-empty,
-	// every warp-instruction execution of the next single-launch run is
-	// recorded and — together with the program, launch configuration and
-	// initial memory image — written to that path as a replayable trace
+	// each single-launch run snapshots its simulation input — program,
+	// launch configuration and initial memory image — before it starts,
+	// and writes it to that path as a replayable trace once it succeeds
 	// (replay with workload spec "trace:<path>"). Like Observer and
 	// Telemetry it lives off-Config: enabling capture changes neither the
-	// config hash nor any simulated result. Capture requires the serial
-	// chip loop (Workers == 0, EpochCycles == 0) so the recorded
-	// instruction order is deterministic, and is rejected for multi-launch
-	// sequences; a run that fails or is cancelled writes no trace.
+	// config hash nor any simulated result, and it works under every
+	// chip-loop schedule. Multi-launch sequences reject it; a run that
+	// fails or is cancelled writes no trace.
 	Capture CaptureOptions
 
 	metrics *Metrics // telemetry of the most recently completed run
@@ -135,35 +133,6 @@ func (s *Session) wrapErr(what string, err error) error {
 	return fmt.Errorf("gscalar: %s on %s: %w", what, s.arch, err)
 }
 
-// newCapture starts a trace capture for a single-launch run, or returns
-// (nil, nil) when capture is disabled. It must be called before simulation
-// starts: the initial memory image is snapshotted here.
-func (s *Session) newCapture(workload string, scale int, prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory) (*trace.Capture, error) {
-	if s.Capture.Path == "" {
-		return nil, nil
-	}
-	if s.cfg.Workers != 0 || s.cfg.EpochCycles > 0 {
-		return nil, fmt.Errorf("trace capture requires the serial chip loop (Workers=0, EpochCycles=0); got Workers=%d EpochCycles=%d", s.cfg.Workers, s.cfg.EpochCycles)
-	}
-	return trace.NewCapture(trace.Meta{
-		Workload:   workload,
-		Arch:       s.arch.String(),
-		Scale:      scale,
-		ConfigHash: s.cfg.Hash(),
-		WarpSize:   s.cfg.WarpSize,
-	}, prog, lc, mem), nil
-}
-
-// finishCapture writes the captured trace after a successful run. A failed
-// or cancelled run writes nothing — a trace must represent a complete
-// execution.
-func (s *Session) finishCapture(cap *trace.Capture, runErr error) error {
-	if cap == nil || runErr != nil {
-		return runErr
-	}
-	return cap.WriteFile(s.Capture.Path)
-}
-
 // Run simulates an assembled program. On cancellation the returned Result
 // holds the partial statistics accumulated so far (see Session).
 func (s *Session) Run(ctx context.Context, prog *Program, launch Launch, mem *Memory) (Result, error) {
@@ -171,18 +140,7 @@ func (s *Session) Run(ctx context.Context, prog *Program, launch Launch, mem *Me
 	if err != nil {
 		return Result{}, err
 	}
-	cap, err := s.newCapture(prog.Name(), 0, prog.p, lc, mem.m)
-	if err != nil {
-		return Result{}, s.wrapErr(prog.Name(), err)
-	}
-	g, rec := s.lower()
-	if cap != nil {
-		g.ExecTrace = cap.Record
-	}
-	r, err := gpu.RunContext(ctx, g, s.arch.model(), prog.p, lc, mem.m)
-	s.finishMetrics(rec, prog.Name())
-	err = s.finishCapture(cap, err)
-	return resultFrom(r), s.wrapErr(prog.Name(), err)
+	return s.runInstance(ctx, prog.Name(), 0, &workloads.Instance{Prog: prog.p, Launch: lc, Mem: mem.m})
 }
 
 // RunWorkload resolves a workload spec — a Table 2 abbreviation ("HS") or a
@@ -232,19 +190,26 @@ func resolveWorkload(spec string) (workloads.Source, error) {
 
 // runInstance executes a built workload instance on the timed simulator,
 // without the golden-output check (sweeps that deliberately skip it reuse
-// this path).
+// this path). With capture enabled, the input is snapshotted before the run
+// mutates memory, and written only if the run succeeds: a trace must
+// represent a complete execution.
 func (s *Session) runInstance(ctx context.Context, label string, scale int, inst *workloads.Instance) (Result, error) {
-	cap, err := s.newCapture(label, scale, inst.Prog, inst.Launch, inst.Mem)
-	if err != nil {
-		return Result{}, s.wrapErr(label, err)
+	var cap *trace.Capture
+	if s.Capture.Path != "" {
+		cap = trace.NewCapture(trace.Meta{
+			Workload:   label,
+			Arch:       s.arch.String(),
+			Scale:      scale,
+			ConfigHash: s.cfg.Hash(),
+			WarpSize:   s.cfg.WarpSize,
+		}, inst.Prog, inst.Launch, inst.Mem)
 	}
 	g, rec := s.lower()
-	if cap != nil {
-		g.ExecTrace = cap.Record
-	}
 	r, err := gpu.RunContext(ctx, g, s.arch.model(), inst.Prog, inst.Launch, inst.Mem)
 	s.finishMetrics(rec, label)
-	err = s.finishCapture(cap, err)
+	if cap != nil && err == nil {
+		err = cap.WriteFile(s.Capture.Path)
+	}
 	return resultFrom(r), s.wrapErr(label, err)
 }
 
