@@ -1,18 +1,18 @@
 # Verification targets. `make check` is the tier-1 gate (see ROADMAP.md):
-# gofmt cleanliness, build + full tests, vet, explicit short-mode passes
-# over the idle-skip determinism suite and the config-validation /
-# launch-validation / cancellation-determinism suites (fast, and the
-# properties the event-driven core rework and the run-session lifecycle
-# depend on), and a race-detector pass over the packages that run goroutines
+# gofmt cleanliness, build + full tests, vet, an explicit pass over the
+# config-validation / launch-validation / cancellation-determinism suites
+# (fast, and the properties the run-session lifecycle depends on), the
+# differential, trace, telemetry, generator, perf-smoke and serving gates
+# below, and a race-detector pass over the packages that run goroutines
 # (the chip loop's worker pool and the experiment prewarm fan-out). The race
 # pass uses -short because the detector slows simulation ~10x; the short
 # subset still drives the phased and relaxed schedules through the pool.
 
 GO ?= go
 
-.PHONY: check build test vet race skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve fmt fmtcheck bench bench-parallel bench-serve profile
+.PHONY: check build test vet race valcancel relaxdet tracedet telemetry gendet perfsmoke serve fmt fmtcheck bench-parallel bench-serve profile
 
-check: fmtcheck build test vet skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve race
+check: fmtcheck build test vet valcancel relaxdet tracedet telemetry gendet perfsmoke serve race
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,6 @@ fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-skipdet:
-	$(GO) test -short -run 'TestIdleSkipDeterminism' .
-
 valcancel:
 	$(GO) test -run 'TestConfig|TestValidate|TestNormalize|TestNewSession|TestCancel|TestDeadline|TestRunRejects' . ./internal/gpu
 
@@ -46,7 +43,8 @@ race:
 # Relaxed-schedule differential oracle: the full 17-workload x 2-architecture
 # accuracy envelope against the serial schedule plus the (Workers, EpochCycles)
 # determinism contract — root-level over real workloads, internal/gpu-level
-# for worker-startup-order and functional-correctness properties.
+# for worker-startup-order, functional-correctness and MaxCycles-at-epoch-start
+# properties.
 relaxdet:
 	$(GO) test -run 'TestRelaxed|TestResolveWorkers' . ./internal/gpu
 
@@ -85,14 +83,9 @@ serve:
 bench-serve:
 	$(GO) test -bench ServeThroughput -benchtime 1x -run '^$$' .
 
-# Regenerates the simulator-performance snapshots: BENCH_core.json
-# (event-driven core loop: serial-noskip baseline vs skip vs skip+workers)
-# and BENCH_parallel.json (serial vs phased-loop speedup at several worker
-# counts).
-bench:
-	$(GO) test -bench 'ParallelSpeedup|CoreSpeedup' -benchtime 1x -run '^$$' .
-
-# Regenerates BENCH_parallel.json only.
+# Regenerates BENCH_parallel.json: the serial schedule against the phased
+# and relaxed schedules at several worker counts, one run per row. Repeated
+# end-to-end measurements come from perfbench (BENCHMARK.json).
 bench-parallel:
 	$(GO) test -bench ParallelSpeedup -benchtime 1x -run '^$$' .
 

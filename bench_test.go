@@ -14,13 +14,11 @@ package gscalar_test
 // paper-vs-measured comparison for every target below.
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -282,9 +280,9 @@ func BenchmarkAblationScalarBank(b *testing.B) {
 
 // timedRun simulates one workload point and reports the wall-clock seconds
 // it took alongside the Result.
-func timedRun(b *testing.B, abbr string, workers int, disableSkip bool) (gscalar.Result, float64) {
+func timedRun(b *testing.B, abbr string, workers int) (gscalar.Result, float64) {
 	b.Helper()
-	cfg := benchCfg(workers, disableSkip)
+	cfg := benchCfg(workers)
 	t0 := time.Now()
 	res, err := runWorkloadVia(b, cfg, gscalar.GScalar, abbr, *benchScale)
 	if err != nil {
@@ -296,10 +294,9 @@ func timedRun(b *testing.B, abbr string, workers int, disableSkip bool) (gscalar
 // benchCfg is the exact configuration a timedRun point simulates; its
 // canonical Hash is recorded in each snapshot row so a BENCH file can be
 // matched unambiguously to the configuration that produced it.
-func benchCfg(workers int, disableSkip bool) gscalar.Config {
+func benchCfg(workers int) gscalar.Config {
 	cfg := gscalar.DefaultConfig()
 	cfg.Workers = workers
-	cfg.DisableIdleSkip = disableSkip
 	return cfg
 }
 
@@ -341,7 +338,7 @@ type parallelBench struct {
 // timedRunEpoch is timedRun on the relaxed loop at the given epoch length.
 func timedRunEpoch(b *testing.B, abbr string, workers, epoch int) (gscalar.Result, float64) {
 	b.Helper()
-	cfg := benchCfg(workers, false)
+	cfg := benchCfg(workers)
 	cfg.EpochCycles = epoch
 	t0 := time.Now()
 	res, err := runWorkloadVia(b, cfg, gscalar.GScalar, abbr, *benchScale)
@@ -360,9 +357,8 @@ func timedRunEpoch(b *testing.B, abbr string, workers, epoch int) (gscalar.Resul
 //
 //	go test -bench ParallelSpeedup -benchtime 1x -run '^$'
 //
-// Idle skipping stays at its default (on) for every row, so this file
-// isolates the loop-structure comparison; BENCH_core.json carries the
-// skip-on/off comparison.
+// Each row is one -benchtime 1x run; perfbench (BENCHMARK.json) is the
+// repeated, end-to-end measurement.
 func BenchmarkParallelSpeedup(b *testing.B) {
 	workloads := []string{"HS", "LBM", "MG"}
 	epochs := []int{64, 256}
@@ -376,7 +372,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		snaps = snaps[:0]
 		bestRelaxed = 0
 		for _, abbr := range workloads {
-			serial, serialSec := timedRun(b, abbr, 0, false)
+			serial, serialSec := timedRun(b, abbr, 0)
 			row := func(mode string, epoch, workers int, res gscalar.Result, sec float64, hash string) parallelSnapshot {
 				snap := parallelSnapshot{
 					Workload:        abbr,
@@ -404,14 +400,14 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			var phasedRef gscalar.Result
 			relaxedRef := map[int]gscalar.Result{}
 			for wi, workers := range workerPoints {
-				par, parSec := timedRun(b, abbr, workers, false)
+				par, parSec := timedRun(b, abbr, workers)
 				if wi == 0 {
 					phasedRef = par
 				} else if !reflect.DeepEqual(stripExecMeta(phasedRef), stripExecMeta(par)) {
 					b.Fatalf("%s: phased loop nondeterministic: workers=%d differs from workers=%d",
 						abbr, workers, workerPoints[0])
 				}
-				snap := row("phased", 0, workers, par, parSec, benchCfg(workers, false).Hash())
+				snap := row("phased", 0, workers, par, parSec, benchCfg(workers).Hash())
 				snap.IdenticalResults = true
 				snaps = append(snaps, snap)
 
@@ -423,7 +419,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 						b.Fatalf("%s: relaxed loop (epoch=%d) nondeterministic: workers=%d differs from workers=%d",
 							abbr, epoch, workers, workerPoints[0])
 					}
-					cfg := benchCfg(workers, false)
+					cfg := benchCfg(workers)
 					cfg.EpochCycles = epoch
 					snap := row("relaxed", epoch, workers, rel, relSec, cfg.Hash())
 					snap.IdenticalResults = true
@@ -456,246 +452,6 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		b.Fatal(err)
 	}
 	if err := os.WriteFile("BENCH_parallel.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// coreSnapshot is one row of BENCH_core.json: a single (workload, mode)
-// simulator-performance measurement. speedup is relative to the
-// serial-noskip baseline row of the same workload.
-type coreSnapshot struct {
-	Workload   string  `json:"workload"`
-	Arch       string  `json:"arch"`
-	ConfigHash string  `json:"config_hash"`
-	Scale      int     `json:"scale"`
-	HostCores  int     `json:"host_cores"`
-	Mode       string  `json:"mode"`
-	Workers    int     `json:"workers"`
-	IdleSkip   bool    `json:"idle_skip"`
-	Cycles     uint64  `json:"cycles"`
-	Seconds    float64 `json:"seconds"`
-	Speedup    float64 `json:"speedup"`
-	// SpeedupVsPrev is this row's wall-clock against the same workload on
-	// the tree before the SoA/branchless execution rework (soaBaseline),
-	// measured on the same host with the serial skip-enabled loop.
-	SpeedupVsPrev float64 `json:"speedup_vs_prev,omitempty"`
-}
-
-// soaBaseline records per-workload serial-loop (idle skip on) wall-clock
-// seconds measured once on this host against the tree as it stood before the
-// SoA/branchless warp-execution rework (commit 46c53c6), best of three runs.
-// The rework is structural — flat register slices, per-predicate lane masks,
-// cached coalesced-line lists — so no flag can restore the old cost.
-var soaBaseline = map[string]float64{
-	"BT": 0.0903, "BP": 0.1502, "HW": 0.0375, "HS": 0.1025,
-	"LC": 0.0701, "PF": 0.1196, "SR1": 0.0489, "SR2": 0.0291,
-	"CC": 0.1848, "LBM": 0.4849, "MG": 0.5211, "MQ": 0.3162,
-	"SAD": 0.0827, "MM": 0.1787, "MV": 2.7960, "ST": 0.0516,
-	"ACF": 0.2158,
-}
-
-// preReworkReference records the one measurement `make bench` cannot
-// reproduce: wall-clock against the simulator as it stood before the
-// event-driven core rework (commit a165751). The hot-path changes —
-// incremental ready lists, per-PC metadata, zero-allocation cycles — are
-// structural, so the -noskip flag cannot restore the old cost; these
-// numbers were measured once by building both trees on the same host.
-type preReworkReference struct {
-	Commit      string             `json:"commit"`
-	Host        string             `json:"host"`
-	Note        string             `json:"note"`
-	SuiteBefore float64            `json:"suite_seconds_before"`
-	SuiteAfter  float64            `json:"suite_seconds_after"`
-	Workloads   map[string]refMeas `json:"workloads"`
-}
-
-type refMeas struct {
-	SecondsBefore float64 `json:"seconds_before"`
-	SecondsAfter  float64 `json:"seconds_after"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// traceReplayReference records the execution-trace frontend's cost on a few
-// representative workloads, regenerated live by `make bench`: capturing a
-// run (serial loop, input snapshot before the run plus the atomic file
-// write after it) and replaying the captured file (decode + reassemble +
-// re-execute through the normal pipeline), each against a plain live
-// serial run. Replay re-simulates from the trace's embedded input, so
-// replay ≈ live is the expectation, and so is capture ≈ live.
-type traceReplayReference struct {
-	Note      string                `json:"note"`
-	Workloads map[string]replayMeas `json:"workloads"`
-}
-
-type replayMeas struct {
-	LiveSeconds     float64 `json:"live_seconds"`
-	CaptureSeconds  float64 `json:"capture_seconds"`
-	ReplaySeconds   float64 `json:"replay_seconds"`
-	TraceBytes      int64   `json:"trace_bytes"`
-	CaptureOverhead float64 `json:"capture_overhead"` // capture/live
-	ReplayOverhead  float64 `json:"replay_overhead"`  // replay/live
-}
-
-// coreBench is the BENCH_core.json document: the fixed pre-rework
-// reference, the SoA-rework reference (fixed "before" column, live "after"
-// column), the trace capture/replay overhead block, plus live rows
-// regenerated by `make bench`.
-type coreBench struct {
-	PreRework   preReworkReference   `json:"pre_rework_reference"`
-	SoARework   preReworkReference   `json:"soa_rework_reference"`
-	TraceReplay traceReplayReference `json:"trace_replay_reference"`
-	Rows        []coreSnapshot       `json:"rows"`
-}
-
-// BenchmarkCoreSpeedup measures the SM core loop's simulator performance
-// across the full Table 2 suite: every workload runs on the serial loop with
-// idle skipping disabled (the closest reproducible stand-in for the old
-// per-cycle full-scan loop) and then with skipping enabled on the serial and
-// phased loops. All modes must produce bit-identical Results — the speedup
-// is free. Each row also carries speedup_vs_prev: wall-clock against the
-// tree before the SoA/branchless execution rework (see soaBaseline), whose
-// suite total the soa_rework_reference block summarises. Regenerate with:
-//
-//	go test -bench CoreSpeedup -benchtime 1x -run '^$'
-//
-// or `make bench`.
-func BenchmarkCoreSpeedup(b *testing.B) {
-	workloads := gscalar.Workloads()
-	cores := runtime.GOMAXPROCS(0)
-	var snaps []coreSnapshot
-	var lbmSpeedup float64
-	soaWl := make(map[string]refMeas, len(workloads))
-	var suiteBefore, suiteAfter float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snaps = snaps[:0]
-		soaWl = map[string]refMeas{}
-		suiteBefore, suiteAfter = 0, 0
-		for _, abbr := range workloads {
-			prev := soaBaseline[abbr]
-			base, baseSec := timedRun(b, abbr, 0, true)
-			add := func(mode string, workers int, skip bool, res gscalar.Result, sec float64) {
-				snap := coreSnapshot{
-					Workload: abbr, Arch: gscalar.GScalar.String(),
-					ConfigHash: benchCfg(workers, !skip).Hash(), Scale: *benchScale,
-					HostCores: cores, Mode: mode, Workers: workers, IdleSkip: skip,
-					Cycles: res.Cycles, Seconds: sec, Speedup: baseSec / sec,
-				}
-				if prev > 0 && *benchScale == 1 {
-					snap.SpeedupVsPrev = prev / sec
-				}
-				snaps = append(snaps, snap)
-			}
-			add("serial-noskip", 0, false, base, baseSec)
-			res, sec := timedRun(b, abbr, 0, false)
-			// Skipping must be invisible in the results: bit-identical to
-			// the same loop run cycle by cycle.
-			if !reflect.DeepEqual(base, res) {
-				b.Fatalf("%s: serial skip-enabled result differs from skip-disabled", abbr)
-			}
-			add("serial-skip", 0, true, res, sec)
-			if prev > 0 {
-				suiteBefore += prev
-				suiteAfter += sec
-				soaWl[abbr] = refMeas{
-					SecondsBefore: prev, SecondsAfter: sec, Speedup: prev / sec,
-				}
-			}
-			if abbr == "LBM" {
-				lbmSpeedup = baseSec / sec
-			}
-			phased1, sec1 := timedRun(b, abbr, 1, false)
-			add("phased-skip", 1, true, phased1, sec1)
-			if cores > 1 {
-				phasedN, secN := timedRun(b, abbr, cores, false)
-				// Phased runs must agree with each other across worker
-				// counts (the serial loop differs in same-cycle store
-				// visibility, so it is the timing baseline, not the
-				// phased reference).
-				if !reflect.DeepEqual(stripExecMeta(phased1), stripExecMeta(phasedN)) {
-					b.Fatalf("%s: phased loop nondeterministic across worker counts", abbr)
-				}
-				add("phased-skip", cores, true, phasedN, secN)
-			}
-		}
-	}
-	// Trace capture/replay overhead on three representative workloads:
-	// divergence-heavy (HS), memory-bound (LBM), loop/gather-heavy (MV).
-	replayWl := map[string]replayMeas{}
-	for _, abbr := range []string{"HS", "LBM", "MV"} {
-		liveRes, liveSec := timedRun(b, abbr, 0, false)
-		path := filepath.Join(b.TempDir(), abbr+".gstr")
-		s, err := gscalar.NewSession(benchCfg(0, false), gscalar.GScalar)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Capture.Path = path
-		t0 := time.Now()
-		if _, err := s.RunWorkload(context.Background(), abbr, *benchScale); err != nil {
-			b.Fatal(err)
-		}
-		capSec := time.Since(t0).Seconds()
-		fi, err := os.Stat(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t0 = time.Now()
-		repRes, err := runWorkloadVia(b, benchCfg(0, false), gscalar.GScalar, "trace:"+path, *benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		repSec := time.Since(t0).Seconds()
-		// Replay is re-execution: byte-identical to the live serial run.
-		if !reflect.DeepEqual(liveRes, repRes) {
-			b.Fatalf("%s: replayed result differs from live serial run", abbr)
-		}
-		replayWl[abbr] = replayMeas{
-			LiveSeconds: liveSec, CaptureSeconds: capSec, ReplaySeconds: repSec,
-			TraceBytes:      fi.Size(),
-			CaptureOverhead: capSec / liveSec, ReplayOverhead: repSec / liveSec,
-		}
-	}
-
-	b.StopTimer()
-	b.ReportMetric(lbmSpeedup, "LBM-skip-speedup")
-	b.ReportMetric(suiteAfter, "suite-s")
-	doc := coreBench{
-		SoARework: preReworkReference{
-			Commit: "46c53c6",
-			Host:   "GOMAXPROCS=1 container host",
-			Note: "seconds_before measured once against the pre-SoA tree " +
-				"(serial loop, idle skip on, best of 3); seconds_after is " +
-				"this run's serial-skip row",
-			SuiteBefore: suiteBefore,
-			SuiteAfter:  suiteAfter,
-			Workloads:   soaWl,
-		},
-		PreRework: preReworkReference{
-			Commit: "a165751",
-			Host:   "Intel Xeon @ 2.10GHz, GOMAXPROCS=1",
-			Note: "measured once against the pre-rework tree; " +
-				"`make bench` regenerates only the rows below",
-			SuiteBefore: 55.7,
-			SuiteAfter:  11.3,
-			Workloads: map[string]refMeas{
-				"LBM": {SecondsBefore: 1.72, SecondsAfter: 0.55, Speedup: 3.1},
-				"HS":  {SecondsBefore: 0.35, SecondsAfter: 0.13, Speedup: 2.7},
-			},
-		},
-		TraceReplay: traceReplayReference{
-			Note: "serial loop, GScalar arch; capture = input snapshot + " +
-				"live run + atomic .gstr write; replay = decode + " +
-				"re-execution via -workload trace:<file>, asserted " +
-				"bit-identical to the live run",
-			Workloads: replayWl,
-		},
-		Rows: snaps,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_core.json", append(out, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -18,7 +18,7 @@
 //	gscalar-sim -workload BP [-arch gscalar] [-scale 1] [-sms 15] [-workers N]
 //	            [-config chip.json] [-dump-config] [-timeout 30s] [-progress N]
 //	            [-metrics-out m.json] [-metrics-format json|csv] [-chrome-trace t.json]
-//	            [-trace-out w.gstr] [-sample-stride N] [-noskip]
+//	            [-trace-out w.gstr] [-sample-stride N]
 //	            [-cpuprofile sim.pprof] [-memprofile sim.mprof] [-list-workloads]
 //
 // With -metrics-out the run's final counters and sampled time series are
@@ -67,7 +67,6 @@ func main() {
 	workers := flag.Int("workers", 0, "phased-schedule compute workers (0 = serial schedule, -1 = one per host core)")
 	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed schedule (deterministic, not bit-identical to serial; scales with -workers)")
 	epoch := flag.Int("epoch", 0, "relaxed-schedule epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
-	noskip := flag.Bool("noskip", false, "disable event-driven idle-cycle skipping (results are identical either way)")
 	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
 	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
 	timeout := flag.Duration("timeout", 0, "stop simulating after this wall-clock duration; partial statistics are printed")
@@ -135,8 +134,6 @@ func main() {
 			cfg.Relaxed = *relaxed
 		case "epoch":
 			cfg.EpochCycles = *epoch
-		case "noskip":
-			cfg.DisableIdleSkip = *noskip
 		}
 	})
 	if *dumpConfig {

@@ -20,12 +20,12 @@ const DefaultEpochCycles = 64
 
 // Normalize fills zero-valued structural fields with their Table 1 defaults
 // (DefaultConfig values), so a sparse configuration — e.g. a JSON file that
-// only overrides NumSMs — denotes "Table 1 with these changes". MaxCycles,
-// Workers, and DisableIdleSkip keep their zero values: zero is meaningful
-// for all three (default bound, serial schedule, skipping enabled). The
-// relaxed-mode pair is canonicalized: a positive EpochCycles implies
-// Relaxed, and Relaxed without an epoch length takes DefaultEpochCycles, so
-// the two spellings of the same simulation hash identically.
+// only overrides NumSMs — denotes "Table 1 with these changes". MaxCycles
+// and Workers keep their zero values: zero is meaningful for both (default
+// bound, serial schedule). The relaxed-mode pair is canonicalized: a
+// positive EpochCycles implies Relaxed, and Relaxed without an epoch length
+// takes DefaultEpochCycles, so the two spellings of the same simulation
+// hash identically.
 func (c *Config) Normalize() {
 	d := DefaultConfig()
 	if c.EpochCycles > 0 {
@@ -157,14 +157,21 @@ func (c Config) JSON() ([]byte, error) {
 // ConfigFromJSON parses, normalizes, and validates a JSON configuration.
 // Unknown fields are rejected (they are almost always typos that would
 // otherwise silently fall back to defaults); absent fields take their
-// Table 1 defaults via Normalize.
+// Table 1 defaults via Normalize. The one exception is the retired key
+// DisableIdleSkip, which every config dumped before chip-wide idle skipping
+// was removed carries: it is accepted with either value and ignored, since
+// skipping never changed a simulated result.
 func ConfigFromJSON(data []byte) (Config, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var c Config
-	if err := dec.Decode(&c); err != nil {
+	var in struct {
+		Config
+		DisableIdleSkip bool // retired
+	}
+	if err := dec.Decode(&in); err != nil {
 		return Config{}, fmt.Errorf("gscalar: parsing config JSON: %w", err)
 	}
+	c := in.Config
 	c.Normalize()
 	if err := c.Validate(); err != nil {
 		return Config{}, err

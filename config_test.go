@@ -2,6 +2,8 @@ package gscalar
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -93,8 +95,8 @@ func TestNormalizeFillsDefaults(t *testing.T) {
 	}
 
 	// Zero stays meaningful for the non-structural fields.
-	if c.MaxCycles != 0 || c.Workers != 0 || c.DisableIdleSkip {
-		t.Error("Normalize touched MaxCycles/Workers/DisableIdleSkip")
+	if c.MaxCycles != 0 || c.Workers != 0 {
+		t.Error("Normalize touched MaxCycles/Workers")
 	}
 
 	full := DefaultConfig()
@@ -150,7 +152,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 4
 	cfg.Workers = 3
-	cfg.DisableIdleSkip = true
 	cfg.Relaxed = true
 	cfg.EpochCycles = 256
 	blob, err := cfg.JSON()
@@ -178,6 +179,33 @@ func TestConfigFromJSONSparse(t *testing.T) {
 	}
 }
 
+// TestConfigFromJSONRetiredIdleSkip loads two configs written by
+// gscalar-sim -dump-config while chip-wide idle skipping still had its
+// DisableIdleSkip knob, one with the knob off and one with it on. The
+// retired key is ignored with either value, so both load to Table 1 with
+// its usual hash. Any other unknown key stays an error.
+func TestConfigFromJSONRetiredIdleSkip(t *testing.T) {
+	for _, name := range []string{"config-idleskip-false.json", "config-idleskip-true.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ConfigFromJSON(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != DefaultConfig() {
+			t.Errorf("%s loaded as %+v, want Table 1", name, got)
+		}
+		if h := got.Hash(); h != defaultConfigHash {
+			t.Errorf("%s hashes to %s, want %s", name, h, defaultConfigHash)
+		}
+	}
+	if _, err := ConfigFromJSON([]byte(`{"DisableIdleSkip": false, "NumSM": 3}`)); err == nil {
+		t.Error("unknown field accepted next to the retired key")
+	}
+}
+
 func TestConfigFromJSONRejects(t *testing.T) {
 	if _, err := ConfigFromJSON([]byte(`{"NumSM": 3}`)); err == nil {
 		t.Error("unknown field (typo) accepted")
@@ -196,10 +224,11 @@ func TestConfigFromJSONRejects(t *testing.T) {
 }
 
 // defaultConfigHash is the canonical content hash of the Table 1
-// configuration. It is a compatibility contract: the experiment cache and
-// the BENCH snapshot files key on it, so it must change only when a Table 1
-// value (or the canonicalisation scheme itself) changes — never when Config
-// gains a new field whose zero value this config keeps.
+// configuration. It is a compatibility contract: the experiment cache, the
+// result store behind gscalar-serve, BENCH_parallel.json and the perfbench
+// report key on it, so it must change only when a Table 1 value (or the
+// canonicalisation scheme itself) changes — never when Config gains or
+// loses a field whose zero value this config keeps.
 const defaultConfigHash = "95581456d13790536ceade439ff5847cc92ce9938a169f7753de36b71a204696"
 
 func TestConfigHashGolden(t *testing.T) {
@@ -219,11 +248,6 @@ func TestConfigHashProperties(t *testing.T) {
 	mut.NumSMs = 14
 	if mut.Hash() == base.Hash() {
 		t.Error("NumSMs change kept the hash")
-	}
-	mut = base
-	mut.DisableIdleSkip = true
-	if mut.Hash() == base.Hash() {
-		t.Error("DisableIdleSkip change kept the hash")
 	}
 	mut = base
 	mut.MaxCycles = 100

@@ -10,8 +10,8 @@ import (
 
 // runWorkloadVia simulates one workload through a fresh Session — the
 // supported entry path now that the context-less free functions are
-// deprecated shims. Shared by the determinism, idle-skip, cancellation and
-// benchmark tests of this package.
+// deprecated shims. Shared by the determinism, cancellation and benchmark
+// tests of this package.
 func runWorkloadVia(t testing.TB, cfg gscalar.Config, arch gscalar.Arch, abbr string, scale int) (gscalar.Result, error) {
 	t.Helper()
 	s, err := gscalar.NewSession(cfg, arch)

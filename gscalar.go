@@ -173,12 +173,6 @@ type Config struct {
 	// track the serial schedule more closely, longer ones synchronize less
 	// often.
 	EpochCycles int
-	// DisableIdleSkip turns off event-driven idle-cycle skipping (on by
-	// default). Skipping never changes simulated results — it fast-forwards
-	// over cycles in which no SM could mutate any state — so the flag only
-	// exists for benchmarking and validation. See docs/architecture.md,
-	// "Performance".
-	DisableIdleSkip bool
 }
 
 // DefaultConfig returns the Table 1 configuration.
@@ -214,7 +208,6 @@ func (c Config) toGPU() gpu.Config {
 			g.EpochCycles = DefaultEpochCycles
 		}
 	}
-	g.DisableIdleSkip = c.DisableIdleSkip
 	g.MemTiming.NumChannels = c.MemChannels
 	g.SM.WarpSize = c.WarpSize
 	g.SM.Schedulers = c.SchedulersPerSM

@@ -12,20 +12,22 @@ import (
 	"gscalar/internal/workloads"
 )
 
-// runCustomArch runs one workload under an arbitrary SM-level architecture
-// (for ablations the public Arch enum does not expose). Results are
-// memoized like runner.run's, keyed by the full sm.Arch value — all of its
-// fields are plain values, so the rendering is a faithful content hash.
-func (s *Suite) runCustomArch(abbr string, arch sm.Arch) (gpu.Result, error) {
-	key := fmt.Sprintf("%s|custom:%+v/%s", configKey(s.r.o.Config, s.r.o.Scale), arch, abbr)
+// runCustomArch runs one workload spec under an arbitrary SM-level
+// architecture (for ablations the public Arch enum does not expose).
+// Results are memoized like runner.run's, keyed by the full sm.Arch value —
+// all of its fields are plain values, so the rendering is a faithful content
+// hash — and by the workload's canonical Source key, so a trace re-captured
+// at the same path is simulated afresh.
+func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
+	src, err := workloads.Resolve(spec)
+	if err != nil {
+		return gpu.Result{}, err
+	}
+	key := fmt.Sprintf("%s|custom:%+v/%s", configKey(s.r.o.Config, s.r.o.Scale), arch, src.Key())
 	if v, ok := s.r.cache.get(key); ok {
 		return v.(gpu.Result), nil
 	}
-	w, ok := workloads.ByAbbr(abbr)
-	if !ok {
-		return gpu.Result{}, errUnknown(abbr)
-	}
-	inst, err := w.Build(s.r.o.Scale)
+	inst, err := src.Build(s.r.o.Scale)
 	if err != nil {
 		return gpu.Result{}, err
 	}
@@ -41,12 +43,6 @@ func (s *Suite) runCustomArch(abbr string, arch sm.Arch) (gpu.Result, error) {
 	s.r.cache.put(key, res)
 	return res, nil
 }
-
-type unknownErr string
-
-func (e unknownErr) Error() string { return "experiments: unknown workload " + string(e) }
-
-func errUnknown(abbr string) error { return unknownErr(abbr) }
 
 // HalfAblationRow quantifies §4.3's design choice: half-warp scalar
 // execution (and its second BVR/EBR set) versus plain G-Scalar.

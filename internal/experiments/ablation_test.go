@@ -1,0 +1,90 @@
+package experiments
+
+import (
+	"context"
+	"path/filepath"
+	"testing"
+
+	"gscalar"
+	"gscalar/internal/sm"
+	"gscalar/internal/workloads"
+)
+
+// captureTrace runs abbr on cfg with trace capture on and returns the
+// replay spec of the written trace.
+func captureTrace(t *testing.T, cfg gscalar.Config, abbr, path string) string {
+	t.Helper()
+	sess, err := gscalar.NewSession(cfg, gscalar.GScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Capture.Path = path
+	if _, err := sess.RunWorkload(context.Background(), abbr, 1); err != nil {
+		t.Fatal(err)
+	}
+	return workloads.TracePrefix + path
+}
+
+// TestAblationsAcceptEveryWorkloadSpec runs every ablation on a generated
+// kernel and on a captured trace, the two spec kinds -bench accepts besides
+// builtin names. Each must yield one row per spec, as the figures do.
+func TestAblationsAcceptEveryWorkloadSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := gscalar.DefaultConfig()
+	cfg.NumSMs = 2
+	specs := []string{
+		"gen:div=0.3,occ=0.05",
+		captureTrace(t, cfg, "HW", filepath.Join(t.TempDir(), "hw.gstr")),
+	}
+	s := NewSuite(Options{Config: cfg, Workloads: specs})
+	ablations := []struct {
+		name string
+		run  func() (int, error)
+	}{
+		{"half", func() (int, error) { r, err := s.HalfAblation(); return len(r), err }},
+		{"moves", func() (int, error) { r, err := s.MoveOverhead(); return len(r), err }},
+		{"scalarbank", func() (int, error) { r, err := s.ScalarBankAblation(); return len(r), err }},
+		{"sched", func() (int, error) { r, err := s.SchedAblation(); return len(r), err }},
+		{"compiler", func() (int, error) { r, err := s.CompilerScalar(); return len(r), err }},
+	}
+	for _, a := range ablations {
+		t.Run(a.name, func(t *testing.T) {
+			n, err := a.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(specs) {
+				t.Errorf("%d rows for %d workload specs", n, len(specs))
+			}
+		})
+	}
+}
+
+// TestCustomArchTraceRecaptured re-captures a different workload at the
+// path of a trace the suite has already run under a custom architecture.
+// The memo is keyed on the trace's content, so the second run simulates
+// the new file instead of returning the old result.
+func TestCustomArchTraceRecaptured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := gscalar.DefaultConfig()
+	cfg.NumSMs = 2
+	path := filepath.Join(t.TempDir(), "w.gstr")
+	spec := captureTrace(t, cfg, "HW", path)
+	s := NewSuite(Options{Config: cfg, Workloads: []string{spec}})
+	before, err := s.runCustomArch(spec, sm.PriorScalarRF())
+	if err != nil {
+		t.Fatal(err)
+	}
+	captureTrace(t, cfg, "SR2", path)
+	after, err := s.runCustomArch(spec, sm.PriorScalarRF())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Cycles == before.Cycles {
+		t.Errorf("re-captured trace replayed the old result (%d cycles)", after.Cycles)
+	}
+}

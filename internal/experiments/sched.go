@@ -25,13 +25,13 @@ type SchedRow struct {
 // SchedAblation runs every benchmark under GTO and LRR scheduling.
 func (s *Suite) SchedAblation() ([]SchedRow, error) {
 	var rows []SchedRow
-	for _, abbr := range s.r.o.Workloads {
-		w, ok := workloads.ByAbbr(abbr)
-		if !ok {
-			return nil, errUnknown(abbr)
+	for _, spec := range s.r.o.Workloads {
+		src, err := workloads.Resolve(spec)
+		if err != nil {
+			return nil, err
 		}
 		run := func(pol sm.SchedPolicy) (gpu.Result, error) {
-			inst, err := w.Build(s.r.o.Scale)
+			inst, err := src.Build(s.r.o.Scale)
 			if err != nil {
 				return gpu.Result{}, err
 			}
@@ -49,7 +49,7 @@ func (s *Suite) SchedAblation() ([]SchedRow, error) {
 			return nil, err
 		}
 		rows = append(rows, SchedRow{
-			Abbr:    abbr,
+			Abbr:    spec,
 			GTOIPC:  gto.IPC,
 			LRRIPC:  lrr.IPC,
 			GTOElig: float64(gto.Stats.EligibleTotal()) / float64(gto.Stats.WarpInsts),

@@ -35,8 +35,9 @@ func TestRunContextExpiredDeadline(t *testing.T) {
 
 // TestObserverDoesNotChangeResults runs with and without a progress observer
 // (serial and phased loops) and requires bit-identical results, plus sane
-// snapshots: strictly increasing cycles, non-decreasing instruction counts,
-// and a live-SM count within the chip size.
+// snapshots: strictly increasing cycles that land exactly on the stride
+// grid, non-decreasing instruction counts, and a live-SM count within the
+// chip size.
 func TestObserverDoesNotChangeResults(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		prog, lc, mem, want := buildSaxpy(t, 4096)
@@ -63,6 +64,9 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 			t.Fatalf("workers=%d: observer never called over %d cycles", workers, res.Cycles)
 		}
 		for i, p := range snaps {
+			if p.Cycle%cfg.ObserverStride != 0 {
+				t.Errorf("workers=%d: snapshot at cycle %d is off the stride-%d grid", workers, p.Cycle, cfg.ObserverStride)
+			}
 			if i > 0 && p.Cycle <= snaps[i-1].Cycle {
 				t.Errorf("workers=%d: snapshot cycles not increasing: %d then %d", workers, snaps[i-1].Cycle, p.Cycle)
 			}

@@ -49,14 +49,6 @@ type Config struct {
 	// value is deterministic for every worker count and across repeated
 	// runs. 0 keeps the per-cycle schedules above.
 	EpochCycles int
-	// DisableIdleSkip turns off event-driven idle skipping: by default the
-	// chip loop fast-forwards the cycle counter to the chip's next-event cycle
-	// whenever every SM is quiescent (no ready warps, no live operand
-	// collectors — only in-flight memory/pipeline completions). Skipped
-	// cycles mutate no state whatsoever, so results are bit-identical with
-	// skipping on or off; the flag exists for benchmarking the raw loop and
-	// for validating exactly that property.
-	DisableIdleSkip bool
 	// Observer, when non-nil, is called at lifecycle checkpoints — the
 	// cycle-commit boundaries every ObserverStride simulated cycles — with a
 	// point-in-time progress snapshot. It runs on the simulation goroutine
@@ -67,7 +59,10 @@ type Config struct {
 	// checkpoints (observer calls and context-cancellation checks). 0 means
 	// DefaultLifecycleStride. The stride is counted in simulated cycles, so
 	// checkpoint placement — and therefore the partial result of a
-	// cancellation triggered by the observer — is deterministic.
+	// cancellation triggered by the observer — is deterministic. The
+	// per-cycle schedules checkpoint exactly on multiples of the stride; a
+	// relaxed epoch can cross a mark, and its checkpoint then fires at the
+	// epoch's end.
 	ObserverStride uint64
 	// Telemetry, when non-nil, collects this run's metrics: every layer
 	// registers its counters/gauges at launch construction and the recorder
@@ -277,9 +272,10 @@ func newLifecycle(ctx context.Context, cfg Config, cs *chipSampler) lifecycle {
 
 // checkpoint fires when the commit boundary at cycle has reached the next
 // stride mark: it samples progress for the observer and reports any context
-// cancellation. Idle skipping may jump several marks at once; the checkpoint
-// then fires once and realigns to the stride grid, keeping the firing cycles
-// a pure function of the simulated cycle sequence.
+// cancellation. The per-cycle schedules reach every mark exactly. Only a
+// relaxed epoch can cross one or more marks; the checkpoint then fires once
+// at the epoch's end and realigns to the stride grid, keeping the firing
+// cycles a pure function of the simulated cycle sequence.
 func (lf *lifecycle) checkpoint(sms []*sm.SM, cycle uint64) error {
 	if lf.sampler != nil && cycle >= lf.nextSample {
 		lf.nextSample = cycle - cycle%lf.sampleStride + lf.sampleStride
@@ -319,10 +315,11 @@ func progressOf(sms []*sm.SM, cycle uint64) Progress {
 	return p
 }
 
-// nextEventCycle folds the per-SM next-event reports into a chip-wide skip
-// target. ok is false when any SM must be stepped cycle by cycle. A chip
-// whose SMs are all idle (sm.NoEvent) reports ok=false too: the run is
-// about to terminate, and there is nothing to skip to.
+// nextEventCycle folds the per-SM next-event reports into the cycle at which
+// the relaxed schedule's next epoch starts. ok is false when any SM must be
+// stepped cycle by cycle. A chip whose SMs are all idle (sm.NoEvent) reports
+// ok=false too: the run is about to terminate, and there is nothing to skip
+// to.
 func nextEventCycle(sms []*sm.SM) (uint64, bool) {
 	next := uint64(sm.NoEvent)
 	for _, s := range sms {

@@ -38,10 +38,9 @@ func (c *chip) step(i int) {
 }
 
 // runChip is the chip loop. Every execution mode runs the same sequence —
-// dispatch CTAs, skip chip-wide idle stretches, step every SM through
-// [cycle, cycle+interval), commit each SM's deferred shared-state accesses
-// in ascending SM-id order, advance, checkpoint — and the mode only sets its
-// parameters:
+// dispatch CTAs, step every SM through [cycle, cycle+interval), commit each
+// SM's deferred shared-state accesses in ascending SM-id order, advance,
+// checkpoint — and the mode only sets its parameters:
 //
 //   - serial (Workers == 0, EpochCycles == 0): interval 1, one goroutine,
 //     one pass that commits each SM right after its own step, on the
@@ -56,9 +55,13 @@ func (c *chip) step(i int) {
 //     shared memory system as the last commit left it, so results are not
 //     bit-identical to the per-cycle schedules, but they are a pure
 //     function of (config, program, launch, memory image, EpochCycles).
+//     An epoch that would open on a chip of quiescent SMs opens instead at
+//     their earliest next event (nextEventCycle).
 //
-// The commit order is fixed and a step reads only shared state frozen at
-// the last commit, so no schedule's result depends on the worker count.
+// The per-cycle schedules step every cycle; a quiescent SM's Cycle is four
+// comparisons. The commit order is fixed and a step reads only shared state
+// frozen at the last commit, so no schedule's result depends on the worker
+// count.
 func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory, meter *power.Meter) (rawResult, error) {
 	mode, interval := modeSerial, uint64(1)
 	switch {
@@ -115,13 +118,13 @@ func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program
 	for {
 		disp.dispatch(c.sms)
 
-		// Event-driven idle skipping: once CTA dispatch has run (a fresh
-		// CTA makes its SM unskippable), a chip where every SM is quiescent
-		// jumps straight to the earliest completion event. The skipped
-		// cycles would not have mutated any state. In the relaxed schedule
-		// this skips whole empty epochs; idling inside an epoch is each
-		// SM's own skip in RunEpoch.
-		if !cfg.DisableIdleSkip {
+		// Relaxed epoch placement: once CTA dispatch has run (a fresh CTA
+		// makes its SM unskippable), a chip where every SM is quiescent
+		// starts the epoch at the earliest completion event rather than
+		// stepping an empty one. Where an epoch starts decides which
+		// estimates its SMs run on, so this is part of the relaxed model.
+		// Idling inside an epoch is each SM's own skip in RunEpoch.
+		if c.relaxed {
 			if target, ok := nextEventCycle(c.sms); ok && target > cycle {
 				if target >= maxCycles {
 					return rawResult{}, errMaxCycles(maxCycles)
@@ -140,8 +143,8 @@ func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program
 		}
 
 		// Commit: fixed ascending SM-id order over all shared state. It runs
-		// on this goroutine after the step, so it — like the idle-skip probe
-		// and the checkpoint — reads SM state race-free.
+		// on this goroutine after the step, so it — like the epoch-placement
+		// probe and the checkpoint — reads SM state race-free.
 		busy := false
 		last := c.start
 		for i, s := range c.sms {

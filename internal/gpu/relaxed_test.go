@@ -191,3 +191,39 @@ func TestResolveWorkersRelaxedSmallLaunch(t *testing.T) {
 		t.Errorf("relaxed, 1 SM: resolveWorkers = %d, want 1", got)
 	}
 }
+
+// TestRelaxedMaxCyclesAtEpochStart covers the bound expiring while the
+// chip is quiescent: the single SM waits on a DRAM load that completes
+// after MaxCycles, so the next epoch's start lands past the bound. The run
+// must fail with the same text the per-cycle schedules report.
+func TestRelaxedMaxCyclesAtEpochStart(t *testing.T) {
+	prog, err := asm.Assemble(`
+	mov r1, %tid.x
+	shl r2, r1, 2
+	iadd r3, $0, r2
+	ldg r4, [r3]
+	stg [r3], r4
+	exit
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(epochCycles int) error {
+		mem := kernel.NewMemory()
+		lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 1, Y: 1}, Block: kernel.Dim{X: 32, Y: 1}}
+		lc.Params[0] = mem.Alloc(32 * 4)
+		cfg := DefaultConfig()
+		cfg.NumSMs = 1
+		cfg.MaxCycles = 200
+		cfg.EpochCycles = epochCycles
+		_, err := Run(cfg, sm.GScalar(), prog, lc, mem)
+		return err
+	}
+	const want = "gpu: exceeded 200 cycles (deadlock or runaway kernel)"
+	if err := run(0); err == nil || err.Error() != want {
+		t.Fatalf("serial: err = %v, want %q", err, want)
+	}
+	if err := run(16); err == nil || err.Error() != want {
+		t.Errorf("relaxed: err = %v, want %q", err, want)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -391,6 +393,41 @@ func TestDrainPersistsAndResumes(t *testing.T) {
 		t.Fatalf("clean drain: %d pending, err %v", n, err)
 	}
 	_ = id
+}
+
+// TestResumePendingWithRetiredConfigKey restarts over a pending.json whose
+// configs carry DisableIdleSkip, the key every drained config had before
+// chip-wide idle skipping was removed. Both points resume, and since the key
+// is ignored they denote one simulation and one store entry.
+func TestResumePendingWithRetiredConfigKey(t *testing.T) {
+	dir := t.TempDir()
+	cfg := `{"NumSMs": 2, "CoreClockHz": 1400000000, "WarpSize": 32, "SchedulersPerSM": 2,
+		"MaxWarpsPerSM": 48, "MaxCTAsPerSM": 8, "RegFileKB": 128, "RegFileBanks": 16,
+		"CollectorsPerSM": 16, "SIMTWidth": 16, "L1Bytes": 16384, "L2Bytes": 786432,
+		"MemChannels": 6, "MaxCycles": 0, "Workers": 0, "Relaxed": false, "EpochCycles": 0,
+		"DisableIdleSkip": %s}`
+	pending := fmt.Sprintf(`{"points": [
+		{"config": %s, "arch": "gscalar", "workload": "HW", "scale": 1},
+		{"config": %s, "arch": "gscalar", "workload": "HW", "scale": 1}]}`,
+		fmt.Sprintf(cfg, "false"), fmt.Sprintf(cfg, "true"))
+	if err := os.WriteFile(filepath.Join(dir, pendingFileName), []byte(pending), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, dir, Options{Workers: 1})
+	var list struct {
+		Jobs []jobView `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/api/v1/jobs", &list)
+	if len(list.Jobs) != 1 || !list.Jobs[0].Recovered {
+		t.Fatalf("recovered job not listed: %+v", list.Jobs)
+	}
+	waitState(t, ts.URL, list.Jobs[0].ID, "done")
+	if got := s.Stats(); got.Simulations != 1 || got.StoreEntries != 1 {
+		t.Fatalf("after resume: %+v", got)
+	}
+	if n, err := s.Drain(); err != nil || n != 0 {
+		t.Fatalf("clean drain: %d pending, err %v", n, err)
+	}
 }
 
 // TestSubmitValidation exercises the 400 paths: unknown arch/workload,

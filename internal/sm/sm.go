@@ -20,7 +20,7 @@ import (
 const basePipeDepth = 6
 
 // NoEvent is returned by NextEventCycle when the SM is idle and places no
-// constraint on how far the chip loop may fast-forward.
+// constraint on how far a relaxed epoch's start may move.
 const NoEvent = ^uint64(0)
 
 // collectorEntry is one operand collector: an issued instruction gathering
@@ -184,7 +184,7 @@ type SM struct {
 	barrierCheck   bool // a barrier arrival/retire may have released a CTA
 	nextWb         uint64
 	// nextWb caches min(events[i].done) (NoEvent when none) so writeback
-	// processing — and the chip loop's idle-skip target — needs no scan.
+	// processing — and NextEventCycle — needs no scan.
 
 	wbScratch   []wbEvent // processWritebacks reuse
 	candScratch []int     // issueFrom candidate snapshot reuse
@@ -404,13 +404,15 @@ func (s *SM) Busy() bool {
 }
 
 // NextEventCycle reports the earliest future cycle at which this SM's
-// observable state can change, for the chip loop's idle skipping. ok is
-// false when the SM must be stepped cycle by cycle: a warp is ready or an
-// operand collector is live (progress every cycle), or the SM is in an
-// error/deadlock state the cycle-by-cycle loop is responsible for
-// surfacing. Otherwise the SM is stalled waiting for writebacks — nothing
-// it does before nextWb can change any state — or fully idle, in which
-// case it returns NoEvent and places no constraint on the skip target.
+// observable state can change. RunEpoch uses it to skip idle stretches
+// inside an epoch, and the chip loop uses it to place the start of a
+// relaxed epoch. ok is false when the SM must be stepped cycle by cycle: a
+// warp is ready or an operand collector is live (progress every cycle), or
+// the SM is in an error/deadlock state the cycle-by-cycle loop is
+// responsible for surfacing. Otherwise the SM is stalled waiting for
+// writebacks — nothing it does before nextWb can change any state — or
+// fully idle, in which case it returns NoEvent and places no constraint on
+// the skip target.
 func (s *SM) NextEventCycle() (uint64, bool) {
 	if s.err != nil || s.readyWarps > 0 || s.liveCollectors > 0 {
 		return 0, false
@@ -567,10 +569,9 @@ func (s *SM) DebugState() string {
 
 // Cycle advances the SM by one core clock at time now. Each stage runs only
 // when its occupancy counter says it has work, so a fully stalled cycle
-// costs four comparisons — which is also what lets the chip loop skip such
-// cycles wholesale (see NextEventCycle): a cycle in which every stage is
-// skipped mutates no state at all. In per-cycle mode the caller must Commit
-// after every Cycle, before the next one.
+// costs four comparisons and mutates no state at all, which is why the
+// per-cycle schedules simply step every cycle. In per-cycle mode the caller
+// must Commit after every Cycle, before the next one.
 func (s *SM) Cycle(now uint64) {
 	s.now = now
 	if len(s.events) > 0 && now >= s.nextWb {

@@ -18,8 +18,8 @@ const hsCeiling = 3 * time.Second * raceMultiplier
 // TestPerfSmokeHS is the `make check` simulator-performance guard: it fails
 // when the HS workload exceeds a generous wall-clock ceiling. It runs in
 // short mode on purpose — the point is to catch order-of-magnitude
-// regressions on every checkin, not to benchmark (BENCH_core.json rows are
-// the measurements).
+// regressions on every checkin, not to benchmark (perfbench, declared in
+// BENCHMARK.json, makes the measurements).
 func TestPerfSmokeHS(t *testing.T) {
 	cfg := gscalar.DefaultConfig()
 	t0 := time.Now()

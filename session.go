@@ -45,7 +45,9 @@ type Session struct {
 	// (observer calls and cancellation checks). 0 means the gpu package's
 	// DefaultLifecycleStride. Checkpoints land at deterministic simulated
 	// cycles, which is what makes observer-triggered cancellation cut a run
-	// at the same cycle on every execution.
+	// at the same cycle on every execution. The serial and phased schedules
+	// checkpoint exactly on multiples of the stride; the relaxed schedule
+	// checkpoints at the end of the epoch that reaches a multiple.
 	ObserverStride uint64
 	// Telemetry configures per-run metric collection; the most recent run's
 	// data is returned by Metrics. Like Observer it lives off-Config, so
