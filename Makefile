@@ -3,16 +3,17 @@
 # config-validation / launch-validation / cancellation-determinism suites
 # (fast, and the properties the run-session lifecycle depends on), the
 # differential, trace, telemetry, generator, perf-smoke and serving gates
-# below, and a race-detector pass over the packages that run goroutines
-# (the chip loop's worker pool and the experiment prewarm fan-out). The race
-# pass uses -short because the detector slows simulation ~10x; the short
-# subset still drives the phased and relaxed schedules through the pool.
+# below, the figure golden (expdet), and a race-detector pass over the
+# packages that run goroutines (the chip loop's worker pool and the
+# experiment prewarm fan-out). The race pass uses -short because the
+# detector slows simulation ~10x; the short subset still drives the phased
+# and relaxed schedules through the pool.
 
 GO ?= go
 
-.PHONY: check build test vet race valcancel relaxdet tracedet telemetry gendet perfsmoke serve fmt fmtcheck bench-parallel bench-serve profile
+.PHONY: check build test vet race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet fmt fmtcheck bench-parallel bench-serve profile
 
-check: fmtcheck build test vet valcancel relaxdet tracedet telemetry gendet perfsmoke serve race
+check: fmtcheck build test vet valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet race
 
 build:
 	$(GO) build ./...
@@ -69,14 +70,26 @@ telemetry:
 	$(GO) test ./internal/telemetry
 	$(GO) test -run 'Telemetry|Metrics|ResultJSON' .
 
-# Serving gate: the result store (atomic writes, index rebuild, singleflight)
-# and the sweep-server HTTP handlers (submit/dedup/cancel/drain-resume),
-# under the race detector — the store is shared by the server's worker pool
-# and the experiment prewarm fan-out, so these paths must be detector-clean.
+# Serving gate: the result store (atomic writes, index rebuild, the Store.Do
+# memo on both backends) and the sweep-server HTTP handlers
+# (submit/dedup/cancel/drain-resume), under the race detector — Store.Do is
+# shared by the server's worker pool and the experiment prewarm fan-out, so
+# these paths must be detector-clean.
 serve:
 	$(GO) vet ./internal/store ./internal/serve ./cmd/gscalar-serve
 	$(GO) test ./internal/store ./internal/serve
 	$(GO) test -race -short ./internal/store ./internal/serve
+
+# Figure golden: the whole evaluation sweep (`gscalar-experiments -exp all`,
+# prewarmed on 2 workers) must print experiments_output.txt byte for byte,
+# less the file's EXIT=0 trailer. Every simulated number of every figure
+# passes through the point memo, so this guards the memo as well as the
+# simulator. About 35 s on a 2-vCPU host.
+expdet:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/gscalar-experiments -exp all -parallel 2 > "$$tmp/out" && \
+	sed '$$d' experiments_output.txt | diff -u - "$$tmp/out" && \
+	echo "expdet: -exp all reproduces experiments_output.txt"
 
 # Regenerates BENCH_serve.json: gscalar-serve sweep throughput over the HTTP
 # API, cold (every point simulates) vs warm (every point a store hit).

@@ -18,8 +18,9 @@
 // With -metrics-out (and/or -chrome-trace) every freshly simulated
 // (architecture, workload) point additionally writes its telemetry — final
 // counters plus the sampled time series, and a Perfetto-loadable Chrome
-// trace — into the given directory as <arch>_<workload> files. Memoized
-// cache hits produce no new telemetry and therefore no files.
+// trace — into the given directory as <arch>_<workload> files. A point
+// answered from the point memo, or joined while another call simulated it,
+// produces no new telemetry and therefore no files.
 //
 // -trace-out DIR captures every freshly simulated point's simulation input
 // as a replayable trace (<arch>_<workload>.gstr, written atomically on
@@ -163,10 +164,11 @@ func main() {
 	}
 
 	// With -parallel N the suite's simulation points run concurrently up
-	// front, filling the memoization cache; the figures below then render
-	// serially from the cache, so the printed output is byte-identical to a
-	// serial run. The fan-out is fail-fast: the first failure (or SIGINT)
-	// cancels the sibling simulations.
+	// front, filling the process-wide point memo (a memory store.Store);
+	// the figures below then render serially from it, so the printed output
+	// is byte-identical to a serial run (make expdet checks this). The
+	// fan-out is fail-fast: the first failure (or SIGINT) cancels the
+	// sibling simulations.
 	if *parallel > 1 {
 		if err := suite.PrewarmContext(ctx, points, *parallel); err != nil {
 			fail(err)

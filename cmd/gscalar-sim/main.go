@@ -59,9 +59,7 @@ func main() {
 	archName := flag.String("arch", "gscalar", "architecture: "+strings.Join(gscalar.ArchNames(), ", "))
 	scale := flag.Int("scale", 1, "workload scale factor")
 	sms := flag.Int("sms", 0, "override number of SMs")
-	var list bool
-	flag.BoolVar(&list, "list", false, "list builtin workloads and exit")
-	flag.BoolVar(&list, "list-workloads", false, "alias of -list")
+	list := flag.Bool("list-workloads", false, "list builtin workloads and the generator dials, and exit")
 	breakdown := flag.Bool("breakdown", false, "print the per-component power breakdown")
 	all := flag.Bool("all", false, "run every Table 2 benchmark and print a summary table")
 	workers := flag.Int("workers", 0, "phased-schedule compute workers (0 = serial schedule, -1 = one per host core)")
@@ -96,7 +94,7 @@ func main() {
 	}
 	defer prof.Stop()
 
-	if list {
+	if *list {
 		for _, abbr := range gscalar.Workloads() {
 			w, _ := gscalar.WorkloadByAbbr(abbr)
 			fmt.Printf("%-4s %-11s %-8s %s\n", w.Abbr, w.Name, w.Suite, w.Desc)

@@ -12,7 +12,8 @@ import (
 // Normalize fills Table 1 defaults into unset fields, Validate enforces the
 // structural invariants every layer below assumes, JSON round-tripping backs
 // the CLIs' -config/-dump-config flags, and Hash provides the canonical
-// content identity the experiment cache and benchmark snapshots key on.
+// content identity that point keys (experiments.PointKey) and benchmark
+// snapshots are built on.
 
 // DefaultEpochCycles is the relaxed loop's epoch length when Relaxed is set
 // without an explicit EpochCycles.
@@ -185,7 +186,9 @@ func ConfigFromJSON(data []byte) (Config, error) {
 // is independent of Go field declaration order and stable when new Config
 // fields are added later (a config that does not use a new field keeps its
 // identity). Two configs hash equal iff they denote the same simulation
-// input, which is what the experiment cache and the BENCH snapshots key on.
+// input, which is what point keys (experiments.PointKey, shared by the
+// experiment suite's memo and the sweep server's store) and the BENCH
+// snapshots build on.
 func (c Config) Hash() string {
 	blob, err := json.Marshal(c)
 	if err != nil {

@@ -224,9 +224,9 @@ func TestConfigFromJSONRejects(t *testing.T) {
 }
 
 // defaultConfigHash is the canonical content hash of the Table 1
-// configuration. It is a compatibility contract: the experiment cache, the
-// result store behind gscalar-serve, BENCH_parallel.json and the perfbench
-// report key on it, so it must change only when a Table 1 value (or the
+// configuration. It is a compatibility contract: the point keys of the
+// experiment suite's memo and of the result store behind gscalar-serve,
+// BENCH_parallel.json and the perfbench report key on it, so it must change only when a Table 1 value (or the
 // canonicalisation scheme itself) changes — never when Config gains or
 // loses a field whose zero value this config keeps.
 const defaultConfigHash = "95581456d13790536ceade439ff5847cc92ce9938a169f7753de36b71a204696"

@@ -123,9 +123,7 @@ func TraceKernel(w io.Writer, prog *Program, launch Launch, mem *Memory, maxEven
 	if err != nil {
 		return err
 	}
-	return profile.Trace(w, prog.p, lc, mem.m, profile.TraceOptions{
-		MaxEvents: maxEvents, OnlyCTA: -1, OnlyWarp: -1,
-	})
+	return profile.Trace(w, prog.p, lc, mem.m, maxEvents)
 }
 
 // Workloads returns the Table 2 benchmark abbreviations in table order.
@@ -159,12 +157,13 @@ func (e *UnknownWorkloadError) Error() string {
 }
 
 // CanonicalWorkloadKey resolves a workload spec — a Table 2 abbreviation or
-// "trace:<path>" — to its canonical cache identity: the abbreviation itself
-// for builtins, "trace:" + the trace file's sha256 content hash for trace
+// "trace:<path>" — to its canonical identity: the abbreviation itself for
+// builtins, "trace:" + the trace file's sha256 content hash for trace
 // replays. Two specs with equal keys simulate identically, which is what
-// lets the experiment cache and the sweep server's result store key
-// trace-backed points on trace *content* rather than on a file path that
-// may be moved, copied or overwritten.
+// lets point keys (experiments.PointKey, used by the experiment suite's
+// memo and the sweep server's result store) name trace-backed points by
+// trace *content* rather than by a file path that may be moved, copied or
+// overwritten.
 func CanonicalWorkloadKey(spec string) (string, error) {
 	src, err := workloads.Resolve(spec)
 	if err != nil {
@@ -175,18 +174,4 @@ func CanonicalWorkloadKey(spec string) (string, error) {
 		return "", fmt.Errorf("gscalar: workload %s: %w", spec, err)
 	}
 	return src.Key(), nil
-}
-
-// DescribeWorkload returns a one-line human description of a workload spec
-// (builtin benchmark or trace replay).
-func DescribeWorkload(spec string) (string, error) {
-	src, err := workloads.Resolve(spec)
-	if err != nil {
-		var unk *workloads.UnknownError
-		if errors.As(err, &unk) {
-			return "", errUnknownWorkload(spec)
-		}
-		return "", fmt.Errorf("gscalar: workload %s: %w", spec, err)
-	}
-	return src.Describe(), nil
 }

@@ -13,19 +13,13 @@ import (
 )
 
 // runCustomArch runs one workload spec under an arbitrary SM-level
-// architecture (for ablations the public Arch enum does not expose).
-// Results are memoized like runner.run's, keyed by the full sm.Arch value —
-// all of its fields are plain values, so the rendering is a faithful content
-// hash — and by the workload's canonical Source key, so a trace re-captured
-// at the same path is simulated afresh.
+// architecture (for ablations the public Arch enum does not expose). It
+// does not memoize: a sweep never asks for one custom-architecture point
+// twice.
 func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
 	src, err := workloads.Resolve(spec)
 	if err != nil {
 		return gpu.Result{}, err
-	}
-	key := fmt.Sprintf("%s|custom:%+v/%s", configKey(s.r.o.Config, s.r.o.Scale), arch, src.Key())
-	if v, ok := s.r.cache.get(key); ok {
-		return v.(gpu.Result), nil
 	}
 	inst, err := src.Build(s.r.o.Scale)
 	if err != nil {
@@ -36,12 +30,7 @@ func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
 	cfg.NumSMs = pub.NumSMs
 	cfg.CoreClockHz = pub.CoreClockHz
 	cfg.Workers = pub.Workers
-	res, err := gpu.RunContext(s.r.ctx, cfg, arch, inst.Prog, inst.Launch, inst.Mem)
-	if err != nil {
-		return res, err
-	}
-	s.r.cache.put(key, res)
-	return res, nil
+	return gpu.RunContext(s.r.ctx, cfg, arch, inst.Prog, inst.Launch, inst.Mem)
 }
 
 // HalfAblationRow quantifies §4.3's design choice: half-warp scalar

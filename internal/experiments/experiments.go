@@ -9,12 +9,14 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
 
 	"gscalar"
 	"gscalar/internal/stats"
+	"gscalar/internal/store"
 )
 
 // Options configures an experiment sweep.
@@ -25,20 +27,19 @@ type Options struct {
 
 	// Telemetry enables per-run metric collection on every simulation the
 	// suite performs. It lives off-Config (like a Session's), so enabling it
-	// changes neither the memoization cache key nor any figure's numbers.
+	// changes neither a point's key nor any figure's numbers.
 	Telemetry gscalar.TelemetryOptions
 	// OnMetrics, when non-nil and Telemetry.Enabled, receives the collected
-	// metrics of each freshly simulated (arch, workload) point, so the suite
-	// can persist per-figure telemetry alongside its memoization cache.
-	// Cache hits do not refire it (their run produced no new telemetry).
-	// Under the parallel prewarm fan-out it is called concurrently and must
-	// be safe for that.
+	// metrics of each freshly simulated (arch, workload) point. A point
+	// answered from the memo, or joined while another call simulated it,
+	// does not refire it (no new run produced telemetry). Under the parallel
+	// prewarm fan-out it is called concurrently and must be safe for that.
 	OnMetrics func(arch gscalar.Arch, abbr string, m *gscalar.Metrics)
 	// CaptureDir, when non-empty, writes a replayable trace of every
 	// freshly simulated point to <CaptureDir>/<arch>_<workload>.gstr (each
 	// file is written atomically; replay with -workload trace:<file>), under
-	// whatever schedule Config selects. Cache hits write no trace — their
-	// run was not re-simulated.
+	// whatever schedule Config selects. A point answered from the memo
+	// writes no trace — it was not re-simulated.
 	CaptureDir string
 }
 
@@ -56,40 +57,46 @@ func (o Options) defaults() Options {
 	return o
 }
 
-// runner memoizes simulation results so figures sharing runs (Fig 1/8/9
-// share the G-Scalar run; Fig 11/12 share baselines) do not re-simulate.
-// Results live in a cache keyed by (config, scale, arch, workload) — by
-// default the process-wide sharedCache, so independent Suites over the same
-// configuration also reuse each other's runs. It is safe for concurrent
-// use, which is what the Prewarm fan-out relies on.
+// memo is the process-wide point memo every Suite shares. The evaluation's
+// figures overlap heavily — Fig 1/8/9 share the G-Scalar runs, Fig 11/12
+// the baselines, and the benchmark harness builds a fresh Suite per figure
+// — so a point simulated once is reused by every consumer in the process.
+var memo = store.NewMemory()
+
+// runner simulates the points of one option set through a point memo (by
+// default the shared one), so figures sharing runs do not re-simulate and
+// independent Suites over the same configuration reuse each other's runs.
+// It is safe for concurrent use, which is what the Prewarm fan-out relies on.
 type runner struct {
-	ctx   context.Context
-	o     Options
-	cache *Cache
+	ctx  context.Context
+	o    Options
+	memo *store.Store
 }
 
 func newRunner(ctx context.Context, o Options) *runner {
-	return &runner{ctx: ctx, o: o.defaults(), cache: sharedCache}
+	return &runner{ctx: ctx, o: o.defaults(), memo: memo}
 }
 
 func (r *runner) run(arch gscalar.Arch, abbr string) (gscalar.Result, error) {
 	return r.runCtx(r.ctx, arch, abbr)
 }
 
+// runCtx returns the Result of one point. The memo stores it as compact
+// JSON and every read decodes it; Go's float formatting round-trips
+// exactly, so a decoded Result equals the simulated one.
 func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gscalar.Result, error) {
-	key := PointKey(r.o.Config, r.o.Scale, arch, abbr)
-	// Cache.Do memoizes and deduplicates: if another goroutine — a Prewarm
+	// Do memoizes and deduplicates: if another goroutine — a Prewarm
 	// sibling, or another Suite over the same options — is already
 	// simulating this key, this call joins that run instead of repeating
 	// it, so each distinct point simulates at most once per process.
-	v, err := r.cache.Do(ctx, key, func() (any, error) {
+	e, _, err := r.memo.Do(ctx, PointKey(r.o.Config, r.o.Scale, arch, abbr), func() (store.Entry, error) {
 		// One Session per fresh point: the prewarm fan-out runs points
 		// concurrently, and a session's telemetry is per-run state. The
 		// session layer annotates escaping errors with the workload and
-		// architecture; a cancelled run's partial result is never cached.
+		// architecture; a cancelled run's partial result is never stored.
 		s, err := gscalar.NewSession(r.o.Config, arch)
 		if err != nil {
-			return nil, err
+			return store.Entry{}, err
 		}
 		s.Telemetry = r.o.Telemetry
 		if r.o.CaptureDir != "" {
@@ -97,19 +104,60 @@ func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gs
 		}
 		res, err := s.RunWorkload(ctx, abbr, r.o.Scale)
 		if err != nil {
-			return nil, err
+			return store.Entry{}, err
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			return store.Entry{}, err
 		}
 		if r.o.OnMetrics != nil {
 			if m := s.Metrics(); m != nil {
 				r.o.OnMetrics(arch, abbr, m)
 			}
 		}
-		return res, nil
+		return store.Entry{Result: b}, nil
 	})
-	if err != nil {
-		return gscalar.Result{}, err
+	var res gscalar.Result
+	if err == nil {
+		err = json.Unmarshal(e.Result, &res)
 	}
-	return v.(gscalar.Result), nil
+	return res, err
+}
+
+// canonicalHash is the configuration component of a point key: the content
+// hash of the normalized config with the phased worker count collapsed.
+// Hashing the normalized form makes a sparse config and its explicit
+// equivalent — the same simulation input — share one key. Workers is
+// collapsed to 0 (serial schedule) or 1 (phased schedule): every non-zero
+// worker count is bit-identical by construction, so those points share an
+// entry, while the two schedules — which may differ in the last bits of
+// energy sums — stay apart.
+func canonicalHash(cfg gscalar.Config) string {
+	cfg.Normalize()
+	if cfg.Workers != 0 {
+		cfg.Workers = 1
+	}
+	return cfg.Hash()
+}
+
+// PointKey is the canonical content identity of one simulation point —
+// "configHash|scale=N|arch/workload" — under which the experiment suite's
+// memory store and gscalar-serve's directory store (internal/store) keep
+// it. Two points share a key iff they denote the same simulation input, so
+// a key can never be served a stale or foreign result.
+//
+// The workload component is canonicalized: a trace-backed spec
+// ("trace:<path>") keys on "trace:" + the file's sha256 content hash, so the
+// same capture is one entry under any path, and replacing the file behind a
+// path can never be served the old file's result. A spec that fails to
+// resolve (unknown name, unreadable trace) keys on its literal text; the
+// simulation itself then reports the real error, and a key that never
+// simulates successfully is never stored.
+func PointKey(cfg gscalar.Config, scale int, arch gscalar.Arch, abbr string) string {
+	if key, err := gscalar.CanonicalWorkloadKey(abbr); err == nil {
+		abbr = key
+	}
+	return store.Key(canonicalHash(cfg), scale, arch.String(), abbr)
 }
 
 // pointFileName renders an (arch, workload-spec) pair as a safe file-name
@@ -120,7 +168,7 @@ func pointFileName(arch gscalar.Arch, abbr string) string {
 	return arch.String() + "_" + clean
 }
 
-// Suite bundles a cached runner over one option set; create it once and
+// Suite bundles a memoizing runner over one option set; create it once and
 // call the figure methods.
 type Suite struct{ r *runner }
 
@@ -131,7 +179,7 @@ func NewSuite(o Options) *Suite { return NewSuiteContext(context.Background(), o
 // NewSuiteContext creates an experiment suite whose simulations observe ctx:
 // cancelling it aborts the in-flight run at its next lifecycle checkpoint and
 // fails any figure evaluated afterwards. Completed runs are unaffected —
-// cancellation never corrupts the shared result cache.
+// cancellation never corrupts the shared point memo.
 func NewSuiteContext(ctx context.Context, o Options) *Suite {
 	return &Suite{r: newRunner(ctx, o)}
 }

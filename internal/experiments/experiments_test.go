@@ -49,26 +49,84 @@ func TestSuiteFig9CachesRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	s := smallSuite()
-	s.r.cache = NewCache() // private cache so other tests cannot pre-warm it
+	cfg := gscalar.DefaultConfig()
+	cfg.NumSMs = 2
+	s, sims := countingSuite(Options{Config: cfg, Workloads: []string{"HS", "MQ", "SAD"}})
 	if _, err := s.Fig9(); err != nil {
 		t.Fatal(err)
 	}
 	// The memoizing runner must serve Fig1 from the same G-Scalar runs: the
-	// second call is pure cache hits and simulates nothing new.
-	if s.r.cache.Len() < 3 {
-		t.Fatalf("runner cache has %d entries", s.r.cache.Len())
+	// second figure is answered from the memo and simulates nothing new.
+	before := sims.Load()
+	if before != 3 || s.r.memo.Len() != 3 {
+		t.Fatalf("Fig9 ran %d simulations into %d memo entries, want 3 and 3", before, s.r.memo.Len())
 	}
-	before := s.r.cache.Len()
-	_, missesBefore := s.r.cache.Counters()
 	if _, err := s.Fig1(); err != nil {
 		t.Fatal(err)
 	}
-	if s.r.cache.Len() != before {
-		t.Errorf("Fig1 re-simulated despite cache (%d -> %d)", before, s.r.cache.Len())
+	if n := sims.Load(); n != before || s.r.memo.Len() != 3 {
+		t.Errorf("Fig1 re-simulated despite the memo (%d -> %d simulations, %d entries)", before, n, s.r.memo.Len())
 	}
-	if _, misses := s.r.cache.Counters(); misses != missesBefore {
-		t.Errorf("Fig1 missed the cache (%d -> %d misses)", missesBefore, misses)
+}
+
+// TestConfigKeyInvalidation checks that every semantically meaningful
+// change to a point — a config field, the scale, the architecture — yields
+// a distinct PointKey, so a changed point can never be served a stale
+// result, while the phased worker count (which never changes results) is
+// collapsed so those points share one key.
+func TestConfigKeyInvalidation(t *testing.T) {
+	key := func(cfg gscalar.Config, scale int) string { return PointKey(cfg, scale, gscalar.GScalar, "HW") }
+	base := key(gscalar.DefaultConfig(), 1)
+
+	mutations := map[string]func(*gscalar.Config){
+		"NumSMs":      func(c *gscalar.Config) { c.NumSMs = 7 },
+		"L1Bytes":     func(c *gscalar.Config) { c.L1Bytes = 32 << 10 },
+		"L2Bytes":     func(c *gscalar.Config) { c.L2Bytes = 256 << 10 },
+		"MemChannels": func(c *gscalar.Config) { c.MemChannels = 2 },
+		"WarpSize":    func(c *gscalar.Config) { c.WarpSize = 64 },
+		"MaxCycles":   func(c *gscalar.Config) { c.MaxCycles = 5 },
+	}
+	for name, mutate := range mutations {
+		cfg := gscalar.DefaultConfig()
+		mutate(&cfg)
+		if k := key(cfg, 1); k == base {
+			t.Errorf("changing %s did not change the point key", name)
+		}
+	}
+	if k := key(gscalar.DefaultConfig(), 2); k == base {
+		t.Error("changing scale did not change the point key")
+	}
+	if k := PointKey(gscalar.DefaultConfig(), 1, gscalar.Baseline, "HW"); k == base {
+		t.Error("changing the architecture did not change the point key")
+	}
+
+	// Workers normalisation: 0 (serial schedule) is its own key; every
+	// non-zero count maps to one shared key (bit-identical results).
+	phased := func(n int) string {
+		cfg := gscalar.DefaultConfig()
+		cfg.Workers = n
+		return key(cfg, 1)
+	}
+	if phased(1) != phased(8) || phased(1) != phased(-1) {
+		t.Error("phased worker counts should share one point key")
+	}
+	if phased(1) == base {
+		t.Error("phased and serial schedules must not share a point key")
+	}
+	if !strings.Contains(base, "|scale=1|") {
+		t.Errorf("key %q lacks the scale component", base)
+	}
+	if !strings.HasPrefix(base, gscalar.DefaultConfig().Hash()) {
+		t.Errorf("key %q is not prefixed by the config content hash", base)
+	}
+
+	// The key hashes the normalized config: a sparse config denotes "Table 1
+	// with these changes" and must share the entry of its explicit form.
+	sparse := gscalar.Config{NumSMs: 7}
+	explicit := gscalar.DefaultConfig()
+	explicit.NumSMs = 7
+	if key(sparse, 1) != key(explicit, 1) {
+		t.Error("sparse config and its normalized equivalent should share a point key")
 	}
 }
 

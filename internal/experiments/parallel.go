@@ -22,7 +22,7 @@ type Point struct {
 // no full-chip points (the static tables), sweep non-default configurations
 // (fig10, width, sched), or use custom SM overlays (parts of half and
 // scalarbank) — those still simulate what Prewarm cannot cover, but every
-// cacheable point below is shared with them.
+// memoized point below is shared with them.
 var expArchs = map[string][]gscalar.Arch{
 	"fig1":       {gscalar.GScalar},
 	"fig8":       {gscalar.GScalar},
@@ -124,8 +124,8 @@ func (s *Suite) Prewarm(points []Point, par int) error {
 }
 
 // PrewarmContext simulates the given points concurrently, at most par at a
-// time, filling the suite's result cache. Figures rendered afterwards are
-// served entirely from the cache, so their output is byte-identical to a
+// time, filling the suite's point memo. Figures rendered afterwards are
+// served entirely from the memo, so their output is byte-identical to a
 // serial run — prewarming only changes when the simulations happen, never
 // what they produce (the phased simulation loop is deterministic, and each
 // point is independent). With par <= 1 the points run serially in order.
@@ -135,8 +135,8 @@ func (s *Suite) Prewarm(points []Point, par int) error {
 // lifecycle checkpoint, and points not yet started are skipped. The error
 // returned is the first genuine failure in point order; if every recorded
 // error is just the propagated cancellation, the first of those is returned.
-// Cancellation never corrupts the cache: points that completed before it
-// remain cached and reusable.
+// Cancellation never corrupts the memo: points that completed before it
+// remain stored and reusable.
 func (s *Suite) PrewarmContext(ctx context.Context, points []Point, par int) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

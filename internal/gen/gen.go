@@ -272,12 +272,6 @@ func (p Params) Canonical() string {
 	return strings.Join(parts, ",")
 }
 
-// Describe is the one-line human description used by workload listings.
-func (p Params) Describe() string {
-	return fmt.Sprintf("synthetic kernel (div=%.2f sfu=%.2f mem=%.2f coal=%.2f mix=%.2f/%.2f/%.2f/%.2f occ=%.2f seed=%d)",
-		p.Div, p.SFU, p.Mem, p.Coal, p.Scalar, p.B3, p.B2, p.B1, p.Occ, p.Seed)
-}
-
 // rng is the same xorshift PRNG the builtin workloads use for inputs —
 // deterministic across Go versions and GOMAXPROCS.
 type rng struct{ s uint64 }

@@ -127,32 +127,10 @@ func Run(cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig
 // a context. A cancelled or deadline-exceeded run returns the partial Result
 // accumulated up to the checkpoint that observed the cancellation — cycles,
 // statistics, and power integrated over the simulated prefix — alongside an
-// error satisfying errors.Is(err, ctx.Err()).
+// error satisfying errors.Is(err, ctx.Err()). It is the one-launch case of
+// RunSequenceContext.
 func RunContext(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory) (Result, error) {
-	var meter power.Meter
-	r, err := runWithMeter(ctx, cfg, arch, prog, lc, gmem, &meter)
-	if err != nil && !isContextErr(err) {
-		return Result{}, err
-	}
-	staticW := cfg.Energies.StaticW(cfg.NumSMs, arch.HasCodec())
-	bd := meter.Finish(r.Cycles, cfg.CoreClockHz, staticW)
-	// Finalize after Finish so the power gauges capture the static bucket.
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.Finalize()
-	}
-	res := Result{
-		Cycles:   r.Cycles,
-		Stats:    r.Stats,
-		Power:    bd,
-		IPC:      r.Stats.IPC(),
-		EnergyJ:  bd.EnergyJ,
-		ExecMode: r.Mode,
-		Workers:  r.Workers,
-	}
-	if bd.AvgPowerW > 0 {
-		res.IPCPerW = res.IPC / bd.AvgPowerW
-	}
-	return res, err
+	return RunSequenceContext(ctx, cfg, arch, gmem, []Step{{Prog: prog, Launch: lc}})
 }
 
 // isContextErr reports whether err stems from context cancellation or an

@@ -7,7 +7,6 @@ import (
 	"gscalar/internal/kernel"
 	"gscalar/internal/power"
 	"gscalar/internal/sm"
-	"gscalar/internal/stats"
 )
 
 // Step is one kernel launch of a sequence.
@@ -16,67 +15,64 @@ type Step struct {
 	Launch *kernel.LaunchConfig
 }
 
-// RunSequence simulates a dependent sequence of kernel launches sharing one
-// device memory. It is RunSequenceContext with a background context.
-func RunSequence(cfg Config, arch sm.Arch, gmem *kernel.Memory, steps []Step) (Result, error) {
-	return RunSequenceContext(context.Background(), cfg, arch, gmem, steps)
-}
-
 // RunSequenceContext simulates a dependent sequence of kernel launches
 // sharing one device memory — the way real applications run (e.g. srad's two
 // passes, or an iterative stencil). Launches are serialised by an implicit
 // device-level barrier, cycles accumulate across launches, and energy is
 // integrated over the whole sequence, so the returned Result is directly
-// comparable to a single-launch Run. Cancelling ctx cuts the sequence at the
-// in-flight launch's next lifecycle checkpoint; the Result then aggregates
-// every completed launch plus the cancelled launch's partial prefix.
+// comparable to a single-launch Run; its ExecMode and Workers are the last
+// launch's. Cancelling ctx cuts the sequence at the in-flight launch's next
+// lifecycle checkpoint; the Result then aggregates every completed launch
+// plus the cancelled launch's partial prefix. An error of a sequence of
+// several launches names the launch it came from.
 func RunSequenceContext(ctx context.Context, cfg Config, arch sm.Arch, gmem *kernel.Memory, steps []Step) (Result, error) {
 	if len(steps) == 0 {
 		return Result{}, fmt.Errorf("gpu: empty launch sequence")
 	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 200_000_000
-	}
+	maxCycles := cfg.effectiveMaxCycles()
 
 	var meter power.Meter
-	var agg stats.Sim
-	var totalCycles uint64
-	anyCodec := arch.HasCodec()
+	var agg rawResult
 	var runErr error
-
 	for i, st := range steps {
 		stepCfg := cfg
-		stepCfg.MaxCycles = maxCycles - totalCycles
+		stepCfg.MaxCycles = maxCycles - agg.Cycles
 		if cfg.Telemetry != nil {
 			// Each launch's internal cycle counter restarts at zero; the base
 			// keeps the recorded series on the sequence-global cycle axis.
-			cfg.Telemetry.SetCycleBase(totalCycles)
+			cfg.Telemetry.SetCycleBase(agg.Cycles)
 		}
 		r, err := runWithMeter(ctx, stepCfg, arch, st.Prog, st.Launch, gmem, &meter)
-		totalCycles += r.Cycles
-		agg.Add(&r.Stats)
+		agg.Cycles += r.Cycles
+		agg.Stats.Add(&r.Stats)
+		agg.Mode, agg.Workers = r.Mode, r.Workers
 		if err != nil {
-			if !isContextErr(err) {
-				return Result{}, fmt.Errorf("gpu: launch %d (%s): %w", i, st.Prog.Name, err)
+			if len(steps) > 1 {
+				err = fmt.Errorf("gpu: launch %d (%s): %w", i, st.Prog.Name, err)
 			}
-			runErr = fmt.Errorf("gpu: launch %d (%s): %w", i, st.Prog.Name, err)
+			if !isContextErr(err) {
+				return Result{}, err
+			}
+			runErr = err
 			break
 		}
 	}
-	agg.Cycles = totalCycles
+	agg.Stats.Cycles = agg.Cycles
 
-	staticW := cfg.Energies.StaticW(cfg.NumSMs, anyCodec)
-	bd := meter.Finish(totalCycles, cfg.CoreClockHz, staticW)
+	staticW := cfg.Energies.StaticW(cfg.NumSMs, arch.HasCodec())
+	bd := meter.Finish(agg.Cycles, cfg.CoreClockHz, staticW)
+	// Finalize after Finish so the power gauges capture the static bucket.
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Finalize()
 	}
 	res := Result{
-		Cycles:  totalCycles,
-		Stats:   agg,
-		Power:   bd,
-		IPC:     agg.IPC(),
-		EnergyJ: bd.EnergyJ,
+		Cycles:   agg.Cycles,
+		Stats:    agg.Stats,
+		Power:    bd,
+		IPC:      agg.Stats.IPC(),
+		EnergyJ:  bd.EnergyJ,
+		ExecMode: agg.Mode,
+		Workers:  agg.Workers,
 	}
 	if bd.AvgPowerW > 0 {
 		res.IPCPerW = res.IPC / bd.AvgPowerW

@@ -360,9 +360,6 @@ type Instruction struct {
 // Class returns the execution-pipeline class of the instruction.
 func (in *Instruction) Class() Class { return ClassOf(in.Op) }
 
-// IsBranch reports whether the instruction is a (possibly divergent) branch.
-func (in *Instruction) IsBranch() bool { return in.Op == OpBra }
-
 // IsLoad reports whether the instruction reads memory.
 func (in *Instruction) IsLoad() bool { return in.Op == OpLdGlobal || in.Op == OpLdShared }
 

@@ -121,9 +121,6 @@ func (m *Meter) RFDynamic() float64 {
 		m.pJ[CompRFScalarBank] + m.pJ[CompCodec]
 }
 
-// ExecDynamic returns the execution-unit dynamic energy aggregate.
-func (m *Meter) ExecDynamic() float64 { return m.pJ[CompExecALU] + m.pJ[CompExecSFU] }
-
 // Breakdown is a finished power report for one simulation.
 type Breakdown struct {
 	Seconds   float64

@@ -34,8 +34,8 @@ type Profile struct {
 	Static      *asm.StaticAnalysis
 }
 
-// Run executes the launch functionally, collecting per-PC statistics.
-// maxInsts bounds runaway kernels (0 = large default).
+// Run executes the launch functionally (warp.RunCTAs), collecting per-PC
+// statistics. maxInsts bounds runaway kernels (0 = large default).
 func Run(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, maxInsts uint64) (*Profile, error) {
 	if maxInsts == 0 {
 		maxInsts = 1 << 32
@@ -45,82 +45,36 @@ func Run(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, maxI
 		PCs:    make([]PC, prog.Len()),
 		Static: asm.Analyze(prog),
 	}
-	for cta := 0; cta < lc.Grid.Count(); cta++ {
-		warps := warp.BuildCTA(prog, lc, cta, 32, 0)
-		ctx := &warp.Context{
-			Prog: prog, Launch: lc, Global: mem,
-			Shared: make([]uint32, (lc.SharedBytes+3)/4),
+	err := warp.RunCTAs(prog, lc, mem, 32, func(_ int, w *warp.Warp, ctx *warp.Context) error {
+		// Peek before executing: the value-uniformity oracle reads the
+		// source registers as the instruction will see them.
+		_, in, active, ok := w.Peek(ctx)
+		uniform := ok && in.Class() != isa.ClassCtrl &&
+			core.ValueScalarOracle(in, active, func(r uint8) []uint32 { return w.RegVec(r) })
+		out, err := w.Execute(ctx)
+		if err != nil {
+			return err
 		}
-		if err := p.runCTA(ctx, warps, maxInsts); err != nil {
-			return nil, fmt.Errorf("profile: cta %d: %w", cta, err)
+		rec := &p.PCs[out.PC]
+		rec.Execs++
+		rec.Lanes += uint64(warp.PopCount(out.Active))
+		if out.Divergent {
+			rec.Divergent++
 		}
+		if uniform {
+			rec.ValueUniform++
+		}
+		p.WarpInsts++
+		p.ThreadInsts += uint64(warp.PopCount(out.Active))
+		if p.WarpInsts > maxInsts {
+			return fmt.Errorf("instruction budget %d exceeded", maxInsts)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
 	return p, nil
-}
-
-func (p *Profile) runCTA(ctx *warp.Context, warps []*warp.Warp, maxInsts uint64) error {
-	for {
-		progress, allDone := false, true
-		atBarrier, live := 0, 0
-		for _, w := range warps {
-			switch w.Status() {
-			case warp.StatusDone:
-				continue
-			case warp.StatusBarrier:
-				allDone = false
-				atBarrier++
-				live++
-				continue
-			}
-			allDone = false
-			live++
-			for w.Status() == warp.StatusReady {
-				pc, in, active, ok := w.Peek(ctx)
-				if !ok {
-					break
-				}
-				uniform := false
-				if in.Class() != isa.ClassCtrl {
-					uniform = core.ValueScalarOracle(in, active, func(r uint8) []uint32 {
-						return w.RegVec(r)
-					})
-				}
-				out, err := w.Execute(ctx)
-				if err != nil {
-					return err
-				}
-				rec := &p.PCs[pc]
-				rec.Execs++
-				rec.Lanes += uint64(warp.PopCount(out.Active))
-				if out.Divergent {
-					rec.Divergent++
-				}
-				if uniform {
-					rec.ValueUniform++
-				}
-				p.WarpInsts++
-				p.ThreadInsts += uint64(warp.PopCount(out.Active))
-				if p.WarpInsts > maxInsts {
-					return fmt.Errorf("instruction budget %d exceeded", maxInsts)
-				}
-				progress = true
-			}
-		}
-		if allDone {
-			return nil
-		}
-		if atBarrier == live && atBarrier > 0 {
-			for _, w := range warps {
-				if w.Status() == warp.StatusBarrier {
-					w.ClearBarrier()
-				}
-			}
-			progress = true
-		}
-		if !progress {
-			return fmt.Errorf("barrier deadlock (%d/%d warps waiting)", atBarrier, live)
-		}
-	}
 }
 
 // Hot returns the n most-executed PCs, descending.

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -8,85 +9,40 @@ import (
 	"gscalar/internal/warp"
 )
 
-// TraceOptions filters the instruction trace.
-type TraceOptions struct {
-	MaxEvents int  // stop after this many trace lines (0 = 10000)
-	OnlyCTA   int  // trace only this CTA (-1 = all)
-	OnlyWarp  int  // trace only this warp within its CTA (-1 = all)
-	Divergent bool // trace only divergent instructions
-}
+// errTraceFull stops a trace that reached its event limit.
+var errTraceFull = errors.New("trace full")
 
-// Trace functionally executes the launch, writing one line per dynamic
-// warp instruction to w:
+// Trace functionally executes the launch (warp.RunCTAs), writing one line
+// per dynamic warp instruction to w:
 //
 //	cta warp pc | active-mask | instruction | dst=value(s)
 //
 // Uniform destination vectors print once; non-uniform ones print the first
-// few lanes. Trace is the instruction-level companion to the aggregate
-// profiler and is intended for debugging kernels and the simulator itself.
-func Trace(out io.Writer, prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, opt TraceOptions) error {
-	if opt.MaxEvents == 0 {
-		opt.MaxEvents = 10000
+// few lanes. The trace stops after maxEvents lines (0 = 10000). Trace is the
+// instruction-level companion to the aggregate profiler and is intended for
+// debugging kernels and the simulator itself.
+func Trace(out io.Writer, prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, maxEvents int) error {
+	if maxEvents == 0 {
+		maxEvents = 10000
 	}
 	events := 0
-	for cta := 0; cta < lc.Grid.Count(); cta++ {
-		if opt.OnlyCTA >= 0 && cta != opt.OnlyCTA {
-			continue
+	err := warp.RunCTAs(prog, lc, mem, 32, func(cta int, w *warp.Warp, ctx *warp.Context) error {
+		o, err := w.Execute(ctx)
+		if err != nil {
+			return err
 		}
-		warps := warp.BuildCTA(prog, lc, cta, 32, 0)
-		ctx := &warp.Context{
-			Prog: prog, Launch: lc, Global: mem,
-			Shared: make([]uint32, (lc.SharedBytes+3)/4),
+		writeEvent(out, cta, w, &o)
+		if events++; events >= maxEvents {
+			return errTraceFull
 		}
-		for {
-			progress, allDone := false, true
-			atBarrier, live := 0, 0
-			for _, w := range warps {
-				switch w.Status() {
-				case warp.StatusDone:
-					continue
-				case warp.StatusBarrier:
-					allDone = false
-					atBarrier++
-					live++
-					continue
-				}
-				allDone = false
-				live++
-				for w.Status() == warp.StatusReady {
-					o, err := w.Execute(ctx)
-					if err != nil {
-						return err
-					}
-					progress = true
-					if opt.OnlyWarp >= 0 && w.ID != opt.OnlyWarp {
-						continue
-					}
-					if opt.Divergent && !o.Divergent {
-						continue
-					}
-					writeEvent(out, cta, w, &o)
-					if events++; events >= opt.MaxEvents {
-						fmt.Fprintf(out, "... trace truncated at %d events\n", opt.MaxEvents)
-						return nil
-					}
-				}
-			}
-			if allDone {
-				break
-			}
-			if atBarrier == live && atBarrier > 0 {
-				for _, w := range warps {
-					if w.Status() == warp.StatusBarrier {
-						w.ClearBarrier()
-					}
-				}
-				progress = true
-			}
-			if !progress {
-				return fmt.Errorf("profile: barrier deadlock in %s", prog.Name)
-			}
-		}
+		return nil
+	})
+	if errors.Is(err, errTraceFull) {
+		fmt.Fprintf(out, "... trace truncated at %d events\n", maxEvents)
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("profile: trace of %s: %w", prog.Name, err)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func traceSetup(t *testing.T) (*kernel.Program, *kernel.LaunchConfig, *kernel.Me
 func TestTraceBasic(t *testing.T) {
 	prog, lc, mem := traceSetup(t)
 	var b strings.Builder
-	if err := Trace(&b, prog, lc, mem, TraceOptions{OnlyCTA: -1, OnlyWarp: -1}); err != nil {
+	if err := Trace(&b, prog, lc, mem, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -55,33 +55,10 @@ func TestTraceBasic(t *testing.T) {
 	}
 }
 
-func TestTraceFilters(t *testing.T) {
-	prog, lc, mem := traceSetup(t)
-	var b strings.Builder
-	if err := Trace(&b, prog, lc, mem, TraceOptions{OnlyCTA: 1, OnlyWarp: 0, Divergent: true}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if strings.Contains(out, "cta0") {
-		t.Error("CTA filter leaked")
-	}
-	if strings.Contains(out, " w1 ") {
-		t.Error("warp filter leaked")
-	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if line == "" {
-			continue
-		}
-		if !strings.Contains(line, " D ") {
-			t.Errorf("non-divergent line under Divergent filter: %q", line)
-		}
-	}
-}
-
 func TestTraceTruncation(t *testing.T) {
 	prog, lc, mem := traceSetup(t)
 	var b strings.Builder
-	if err := Trace(&b, prog, lc, mem, TraceOptions{MaxEvents: 5, OnlyCTA: -1, OnlyWarp: -1}); err != nil {
+	if err := Trace(&b, prog, lc, mem, 5); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "truncated at 5") {

@@ -34,7 +34,6 @@ const (
 // when its generation equals the current one, so starting a new cycle is a
 // single counter increment instead of clearing every bank flag.
 type File struct {
-	banks     int
 	gen       uint64
 	mainGen   []uint64
 	bvrGen    []uint64
@@ -50,15 +49,11 @@ type File struct {
 // New creates the arbitration state for the given bank count.
 func New(banks int) *File {
 	return &File{
-		banks:   banks,
 		gen:     1,
 		mainGen: make([]uint64, banks),
 		bvrGen:  make([]uint64, banks),
 	}
 }
-
-// Banks returns the number of banks.
-func (f *File) Banks() int { return f.banks }
 
 // NewCycle releases all port grants for the next cycle.
 func (f *File) NewCycle() { f.gen++ }

@@ -3,22 +3,25 @@
 // HTTP, runs them on a bounded worker pool, and memoizes every completed
 // Result in a disk-backed content-addressed store (internal/store).
 //
-// The server's contract is "never simulate the same point twice":
+// The server's contract is "never simulate the same point twice". Each
+// point makes one store.Do call, which answers it in one of three ways:
 //
-//   - A submitted point whose key is already in the store completes
-//     instantly from disk — including points completed by an earlier
-//     process that crashed or drained.
+//   - A point whose key is already in the store completes instantly from
+//     disk ("cached") — including points completed by an earlier process
+//     that crashed or drained.
 //   - Concurrent submissions of the same missing key are deduplicated in
-//     flight: one simulation runs, every other point joins its result.
+//     flight: one simulation runs, every other point joins its result
+//     ("joined").
 //   - On graceful drain (SIGINT/SIGTERM), in-flight runs stop at their next
 //     lifecycle checkpoint and every unfinished point is persisted to
 //     pending.json inside the store directory; a new server over the same
 //     directory re-enqueues them, and whatever did complete resolves as a
 //     store hit.
 //
-// Keys are experiments.PointKey — the same canonical identity the CLI
-// in-process cache uses — so results are interchangeable across entry
-// points and a key can never be served a stale or foreign result.
+// Keys are experiments.PointKey — the same canonical identity the
+// experiment suite's memory store uses — so results are interchangeable
+// across entry points and a key can never be served a stale or foreign
+// result.
 package serve
 
 import (
@@ -134,8 +137,6 @@ type Server struct {
 	opts Options
 	st   *store.Store
 
-	flight store.Group
-
 	// runCtx parents every simulation; Drain cancels it so in-flight runs
 	// stop at their next lifecycle checkpoint.
 	runCtx  context.Context
@@ -155,8 +156,8 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	sims      atomic.Uint64 // fresh simulations actually run
-	storeHits atomic.Uint64 // points completed from the disk store
-	joins     atomic.Uint64 // points that joined an in-flight simulation
+	storeHits atomic.Uint64 // points completed from the disk store (cached)
+	joins     atomic.Uint64 // points that joined an in-flight simulation (joined)
 
 	// Test hooks (nil in production).
 	testBeforeRun  func(PointSpec)  // entered a fresh simulation
@@ -287,6 +288,8 @@ func (s *Server) worker() {
 // under drain, to be persisted as pending).
 func (s *Server) runPoint(j *job, idx int) {
 	p := j.points[idx]
+	ctx, cancel := context.WithCancel(s.runCtx)
+	defer cancel()
 	s.mu.Lock()
 	if p.status != pointQueued || s.draining {
 		// Cancelled while queued, or draining: leave untouched. A still-
@@ -294,47 +297,27 @@ func (s *Server) runPoint(j *job, idx int) {
 		s.mu.Unlock()
 		return
 	}
-	s.mu.Unlock()
-
-	// Fast path: the point was completed before — by this process, an
-	// earlier run of a duplicate submission, or a previous server life
-	// over the same store directory.
-	if e, ok, err := s.st.Get(p.key); err != nil {
-		s.finishError(p, err)
-		return
-	} else if ok {
-		s.storeHits.Add(1)
-		s.mu.Lock()
-		p.status = pointDone
-		p.cached = true
-		p.result = e.Result
-		s.mu.Unlock()
-		return
-	}
-
-	ctx, cancel := context.WithCancel(s.runCtx)
-	defer cancel()
-	s.mu.Lock()
-	if p.status != pointQueued { // cancelled between the checks
-		s.mu.Unlock()
-		return
-	}
 	p.status = pointRunning
 	p.cancel = cancel
 	s.mu.Unlock()
 
-	v, shared, err := s.flight.Do(ctx, p.key, func() (any, error) {
+	// The point was completed before — by this process, an earlier
+	// duplicate submission, or a previous server life over the same store
+	// directory — or it joins an identical in-flight run, or it simulates.
+	e, how, err := s.st.Do(ctx, p.key, func() (store.Entry, error) {
 		return s.simulate(ctx, p)
 	})
 
 	s.mu.Lock()
 	p.cancel = nil
 	if err == nil {
-		e := v.(store.Entry)
 		p.status = pointDone
 		p.result = e.Result
-		p.joined = shared
-		if shared {
+		p.cached = how == store.Stored
+		p.joined = how == store.Joined
+		if p.cached {
+			s.storeHits.Add(1)
+		} else if p.joined {
 			s.joins.Add(1)
 		}
 		s.mu.Unlock()
@@ -358,7 +341,7 @@ func (s *Server) runPoint(j *job, idx int) {
 		p.status = pointQueued
 		p.partial = false
 		p.result = nil
-	case shared && ctx.Err() == nil:
+	case how == store.Joined && ctx.Err() == nil:
 		// The in-flight leader we joined was cancelled, but this point was
 		// not: retry by re-enqueueing (the next attempt becomes leader, or
 		// hits the store).
@@ -386,27 +369,18 @@ func (s *Server) enqueueLocked(j *job, idx int) bool {
 	}
 }
 
-// simulate runs one fresh simulation as the flight leader for p.key, stores
-// the completed entry, and returns it. On cancellation it records the
-// partial prefix on p (never in the store) and returns the context error.
-func (s *Server) simulate(ctx context.Context, p *pointState) (any, error) {
-	// Re-check the store under the flight's per-key exclusivity: this point
-	// may have lost a race with a leader that completed (and was forgotten)
-	// between runPoint's store check and this flight — flights are
-	// forgotten once done, the store is forever.
-	if e, ok, err := s.st.Get(p.key); err != nil {
-		return nil, err
-	} else if ok {
-		s.storeHits.Add(1)
-		return e, nil
-	}
+// simulate runs one fresh simulation of p as the flight leader for p.key
+// and returns the entry for Store.Do to store. On cancellation it records
+// the partial prefix on p (never in the store) and returns the context
+// error.
+func (s *Server) simulate(ctx context.Context, p *pointState) (store.Entry, error) {
 	if hook := s.testBeforeRun; hook != nil {
 		hook(p.spec)
 	}
 	s.sims.Add(1)
 	sess, err := gscalar.NewSession(p.spec.Config, p.spec.Arch)
 	if err != nil {
-		return nil, err
+		return store.Entry{}, err
 	}
 	if s.opts.Telemetry {
 		sess.Telemetry = gscalar.TelemetryOptions{Enabled: true}
@@ -437,14 +411,13 @@ func (s *Server) simulate(ctx context.Context, p *pointState) (any, error) {
 				s.mu.Unlock()
 			}
 		}
-		return nil, err
+		return store.Entry{}, err
 	}
 	resultJSON, err := json.Marshal(res)
 	if err != nil {
-		return nil, err
+		return store.Entry{}, err
 	}
 	e := store.Entry{
-		Key:        key,
 		ConfigHash: key[:strings.IndexByte(key, '|')],
 		Arch:       p.spec.Arch.String(),
 		Workload:   p.spec.Workload,
@@ -456,17 +429,7 @@ func (s *Server) simulate(ctx context.Context, p *pointState) (any, error) {
 			e.Metrics = mb
 		}
 	}
-	if err := s.st.Put(e); err != nil {
-		return nil, err
-	}
 	return e, nil
-}
-
-func (s *Server) finishError(p *pointState, err error) {
-	s.mu.Lock()
-	p.status = pointFailed
-	p.errMsg = err.Error()
-	s.mu.Unlock()
 }
 
 func isCancel(err error) bool {

@@ -216,7 +216,8 @@ func TestSweepGridExpansion(t *testing.T) {
 
 // TestConcurrentDuplicateSubmissions fires many copies of the same point at
 // once and requires exactly one simulation: every other point either joins
-// the in-flight run or hits the store, but never re-simulates.
+// the in-flight run or hits the store, but never re-simulates — and each
+// point's cached/joined flag agrees with the store_hits/joins counters.
 func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir(), Options{Workers: 4})
 	req := map[string]any{"config": tinyConfig(), "arch": "gscalar", "workload": "HW"}
@@ -238,6 +239,7 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 		}()
 	}
 	var first []byte
+	var cached, joined uint64
 	for i := 0; i < jobs; i++ {
 		id := <-ids
 		if id == "" {
@@ -250,6 +252,12 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 		} else if !bytes.Equal(first, rr.Results[0].Result) {
 			t.Fatalf("duplicate submissions disagree on Result bytes")
 		}
+		if rr.Results[0].Cached {
+			cached++
+		}
+		if rr.Results[0].Joined {
+			joined++
+		}
 	}
 	got := s.Stats()
 	if got.Simulations != 1 {
@@ -259,6 +267,10 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	if got.StoreHits+got.Joins != jobs-1 {
 		t.Fatalf("dedup accounting: %d store hits + %d joins, want %d (%+v)",
 			got.StoreHits, got.Joins, jobs-1, got)
+	}
+	if cached != got.StoreHits || joined != got.Joins {
+		t.Fatalf("point flags: %d cached and %d joined, counters: %d store hits and %d joins",
+			cached, joined, got.StoreHits, got.Joins)
 	}
 }
 
@@ -526,8 +538,9 @@ func TestQueueFullRejected(t *testing.T) {
 }
 
 // TestStoreKeyMatchesExperimentsCache pins the cross-component contract:
-// the server's point key equals the key the CLI in-process cache derives
-// for the same input, so results are interchangeable.
+// the server's point key is experiments.PointKey, the key the experiment
+// suite's memory store derives for the same input, so results are
+// interchangeable.
 func TestStoreKeyMatchesExperimentsCache(t *testing.T) {
 	cfg := gscalar.DefaultConfig()
 	cfg.NumSMs = 2

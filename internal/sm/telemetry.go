@@ -11,9 +11,6 @@ import (
 // chip loop's worker barrier) for progress and telemetry sampling.
 func (s *SM) LiveWarps() int { return s.liveWarps }
 
-// ReadyWarps returns the number of warps currently eligible to issue.
-func (s *SM) ReadyWarps() int { return s.readyWarps }
-
 // RegisterTelemetry registers this SM's counters and gauges, keyed by its id.
 // Every source is a plain field the simulation already maintains — no
 // telemetry work happens on the hot path; the registry reads the values at

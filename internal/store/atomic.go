@@ -35,14 +35,6 @@ func AtomicWrite(path string, emit func(io.Writer) error) error {
 	return nil
 }
 
-// WriteFileAtomic is AtomicWrite over a byte slice.
-func WriteFileAtomic(path string, data []byte) error {
-	return AtomicWrite(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // tmpPrefix marks in-flight temporary files so Open can both skip and sweep
 // them: a crash between CreateTemp and Rename leaves only a tmpPrefix file
 // behind, never a partial store entry.

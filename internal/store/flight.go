@@ -5,34 +5,34 @@ import (
 	"sync"
 )
 
-// Group deduplicates concurrent calls that share a key ("singleflight"): the
+// group deduplicates concurrent calls that share a key ("singleflight"): the
 // first caller of a key becomes the leader and runs fn; callers arriving
 // while the leader is in flight wait for its outcome instead of repeating
 // the work. Once the leader finishes the key is forgotten, so a later call
-// runs fresh — persistent memoization is the caller's concern (the
-// experiment cache and the result store layer it on top).
+// runs fresh — memoization is Store.Do's concern, which looks the key up
+// again inside the flight.
 //
-// The zero Group is ready to use.
-type Group struct {
+// The zero group is ready to use.
+type group struct {
 	mu    sync.Mutex
 	calls map[string]*call
 }
 
 type call struct {
 	done    chan struct{} // closed when the leader finished
-	waiters int           // callers that joined this flight (under Group.mu)
-	val     any
+	waiters int           // callers that joined this flight (under group.mu)
+	val     Entry
 	err     error
 }
 
-// Do executes fn once per key among concurrent callers. The leader's return
+// do executes fn once per key among concurrent callers. The leader's return
 // values are handed to every waiter; shared reports whether this caller
 // joined an in-flight leader rather than running fn itself. A waiter whose
 // ctx expires stops waiting and returns ctx's error without disturbing the
 // leader; the leader itself runs fn to completion regardless of ctx — fn is
 // expected to observe cancellation on its own (simulation runs do, at their
 // lifecycle checkpoints).
-func (g *Group) Do(ctx context.Context, key string, fn func() (any, error)) (v any, shared bool, err error) {
+func (g *group) do(ctx context.Context, key string, fn func() (Entry, error)) (v Entry, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*call)
@@ -44,7 +44,7 @@ func (g *Group) Do(ctx context.Context, key string, fn func() (any, error)) (v a
 		case <-c.done:
 			return c.val, true, c.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return Entry{}, true, ctx.Err()
 		}
 	}
 	c := &call{done: make(chan struct{})}
@@ -58,22 +58,4 @@ func (g *Group) Do(ctx context.Context, key string, fn func() (any, error)) (v a
 	g.mu.Unlock()
 	close(c.done)
 	return c.val, false, c.err
-}
-
-// InFlight reports the number of keys currently being computed.
-func (g *Group) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.calls)
-}
-
-// Waiters reports how many callers are currently joined to key's in-flight
-// call (0 when the key is idle). It exists for tests and introspection.
-func (g *Group) Waiters(key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.calls[key]; ok {
-		return c.waiters
-	}
-	return 0
 }

@@ -1,27 +1,29 @@
-// Package store is the disk-backed, content-addressed result store behind
-// gscalar-serve (and the infrastructure it shares with the rest of the
-// repository: atomic file writes and singleflight call deduplication).
+// Package store is the content-addressed result store of simulation points,
+// and the one memo every entry point keeps them in: gscalar-serve over a
+// directory (Open), the experiment suite in memory (NewMemory). Do looks a
+// point up, deduplicates concurrent misses of one key in a singleflight
+// group, and stores what the single run produced.
 //
 // Each entry is one completed simulation point, addressed by the canonical
-// key "configHash|scale=N|arch/workload" — the same identity the in-process
-// experiment cache uses, derived from Config.Hash(), so two requests denote
-// the same entry iff they denote the same simulation input. Entries are
-// single JSON files named by the SHA-256 of their key, written atomically
-// (temp file + rename); the in-memory index is rebuilt by scanning the
-// directory on Open, so a restarted — or crashed — server re-serves every
-// point that completed before it went down without re-simulating anything.
+// key "configHash|scale=N|arch/workload" (experiments.PointKey), derived
+// from Config.Hash(), so two requests denote the same entry iff they denote
+// the same simulation input. A directory store keeps each entry as one JSON
+// file named by the SHA-256 of its key, written atomically (temp file +
+// rename); the in-memory index is rebuilt by scanning the directory on
+// Open, so a restarted — or crashed — server re-serves every point that
+// completed before it went down without re-simulating anything.
 // All simulation loops are deterministic, which is what makes a stored blob
 // equivalent to a fresh run: the stored Result bytes are the byte-identical
 // answer a new simulation of that key would produce.
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,13 +51,21 @@ type Entry struct {
 	Metrics    json.RawMessage `json:"metrics,omitempty"`
 }
 
-// Store is a content-addressed collection of Entries in one directory. It is
-// safe for concurrent use.
+// Store is a content-addressed collection of Entries, in one directory or
+// in memory. It is safe for concurrent use.
 type Store struct {
-	dir string
+	dir string // "" for a memory-only store
 
 	mu    sync.RWMutex
-	index map[string]string // key -> file path
+	index map[string]string // key -> entry file path (directory store)
+	mem   map[string]Entry  // key -> entry (memory-only store)
+
+	flight group
+}
+
+// NewMemory returns an empty store that keeps its entries in memory only.
+func NewMemory() *Store {
+	return &Store{mem: make(map[string]Entry)}
 }
 
 // Open opens (creating if necessary) the store rooted at dir and rebuilds
@@ -94,44 +104,34 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
+// Dir returns the store's root directory ("" for a memory-only store).
 func (s *Store) Dir() string { return s.dir }
 
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.index)
-}
-
-// Keys returns the stored keys, sorted.
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	return keys
+	return len(s.index) + len(s.mem)
 }
 
 // Contains reports whether key is stored, without reading the entry.
 func (s *Store) Contains(key string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.index[key]
-	return ok
+	_, onDisk := s.index[key]
+	_, inMem := s.mem[key]
+	return onDisk || inMem
 }
 
 // Get reads the entry stored under key. ok is false when the key is absent;
 // a read or decode failure of a present key is returned as an error.
 func (s *Store) Get(key string) (Entry, bool, error) {
 	s.mu.RLock()
+	e, inMem := s.mem[key]
 	path, ok := s.index[key]
 	s.mu.RUnlock()
-	if !ok {
-		return Entry{}, false, nil
+	if inMem || !ok {
+		return e, inMem, nil
 	}
 	e, err := readEntry(path)
 	if err != nil {
@@ -140,13 +140,68 @@ func (s *Store) Get(key string) (Entry, bool, error) {
 	return e, true, nil
 }
 
+// How reports how Do obtained an entry.
+type How int
+
+const (
+	Ran    How = iota // this call ran fn and stored the entry it produced
+	Stored            // the entry was already stored
+	Joined            // a concurrent call ran fn; this call shared its outcome
+)
+
+// testAfterMiss is a test hook: when non-nil, Do calls it after a key's
+// first lookup missed and before entering the flight.
+var testAfterMiss func(key string)
+
+// Do returns the entry stored under key, producing and storing it with fn
+// when it is missing. Concurrent calls for one missing key run fn once: the
+// first becomes the leader, looks the key up again (it may have missed the
+// first lookup while an earlier flight completed and left), runs fn and
+// Puts the entry under key; the rest join it and share its outcome. An error
+// of fn stores nothing, so a later call runs fn again. A joined caller whose
+// ctx expires returns ctx's error while the leader runs on — fn observes
+// cancellation on its own. A call that joined reports Joined also when the
+// shared outcome is an error.
+func (s *Store) Do(ctx context.Context, key string, fn func() (Entry, error)) (Entry, How, error) {
+	if e, ok, err := s.Get(key); err != nil || ok {
+		return e, Stored, err
+	}
+	if testAfterMiss != nil {
+		testAfterMiss(key)
+	}
+	how := Ran
+	e, shared, err := s.flight.do(ctx, key, func() (Entry, error) {
+		if e, ok, err := s.Get(key); err != nil || ok {
+			how = Stored
+			return e, err
+		}
+		e, err := fn()
+		if err != nil {
+			return Entry{}, err
+		}
+		e.Key = key
+		return e, s.Put(e)
+	})
+	if shared {
+		how = Joined
+	}
+	return e, how, err
+}
+
 // Put stores e under e.Key, atomically: concurrent readers observe either
-// the previous entry or the complete new one, never a partial file. The
-// entry file is named by the SHA-256 of the key, so the layout is
-// content-addressed and a re-Put of the same key overwrites in place.
+// the previous entry or the complete new one, never a partial file. In a
+// directory store the entry file is named by the SHA-256 of the key, so the
+// layout is content-addressed and a re-Put of the same key overwrites in
+// place.
 func (s *Store) Put(e Entry) error {
 	if e.Key == "" {
 		return fmt.Errorf("store: entry has no key")
+	}
+	if s.dir == "" {
+		s.mu.Lock()
+		s.mem[e.Key] = e
+		s.mu.Unlock()
+		return nil
 	}
 	path := filepath.Join(s.dir, fileName(e.Key))
 	// Plain (compact) encoding: an indenting encoder would reformat the raw

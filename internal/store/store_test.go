@@ -164,7 +164,7 @@ func TestStoreReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if re.Len() != len(keys) {
-		t.Fatalf("reopened Len = %d, want %d (keys: %v)", re.Len(), len(keys), re.Keys())
+		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(keys))
 	}
 	for _, k := range keys {
 		e, ok, err := re.Get(k)
@@ -216,26 +216,36 @@ func TestStoreRejectsKeylessEntry(t *testing.T) {
 	}
 }
 
+// waiters reports how many callers are joined to key's in-flight call.
+func (g *group) waiters(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.waiters
+	}
+	return 0
+}
+
 func TestGroupDeduplicatesConcurrentCalls(t *testing.T) {
-	var g Group
+	var g group
 	var runs atomic.Int32
 	release := make(chan struct{})
 	started := make(chan struct{})
 
 	const callers = 16
 	var wg sync.WaitGroup
-	results := make([]any, callers)
+	results := make([]Entry, callers)
 	sharedCount := atomic.Int32{}
 	do := func(i int) {
 		defer wg.Done()
-		v, shared, err := g.Do(context.Background(), "k", func() (any, error) {
+		v, shared, err := g.do(context.Background(), "k", func() (Entry, error) {
 			runs.Add(1)
 			close(started)
 			<-release
-			return "value", nil
+			return Entry{Key: "value"}, nil
 		})
 		if err != nil {
-			t.Errorf("Do: %v", err)
+			t.Errorf("do: %v", err)
 		}
 		if shared {
 			sharedCount.Add(1)
@@ -253,7 +263,7 @@ func TestGroupDeduplicatesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go do(i)
 	}
-	for g.Waiters("k") != callers-1 {
+	for g.waiters("k") != callers-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -262,34 +272,34 @@ func TestGroupDeduplicatesConcurrentCalls(t *testing.T) {
 		t.Fatalf("fn ran %d times, want 1", n)
 	}
 	for i, v := range results {
-		if v != "value" {
-			t.Errorf("caller %d got %v", i, v)
+		if v.Key != "value" {
+			t.Errorf("caller %d got %+v", i, v)
 		}
 	}
 	if sharedCount.Load() != callers-1 {
 		t.Errorf("shared callers = %d, want %d", sharedCount.Load(), callers-1)
 	}
-	if g.InFlight() != 0 {
-		t.Errorf("InFlight after completion = %d", g.InFlight())
+	if len(g.calls) != 0 {
+		t.Errorf("calls in flight after completion = %d", len(g.calls))
 	}
 }
 
 func TestGroupWaiterObservesContext(t *testing.T) {
-	var g Group
+	var g group
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go g.Do(context.Background(), "k", func() (any, error) {
+	go g.do(context.Background(), "k", func() (Entry, error) {
 		close(started)
 		<-release
-		return nil, nil
+		return Entry{}, nil
 	})
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, shared, err := g.Do(ctx, "k", func() (any, error) {
+	_, shared, err := g.do(ctx, "k", func() (Entry, error) {
 		t.Error("waiter ran fn")
-		return nil, nil
+		return Entry{}, nil
 	})
 	if !shared || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter: shared=%v err=%v", shared, err)
@@ -298,16 +308,178 @@ func TestGroupWaiterObservesContext(t *testing.T) {
 }
 
 func TestGroupLeaderErrorPropagates(t *testing.T) {
-	var g Group
+	var g group
 	boom := errors.New("boom")
-	_, shared, err := g.Do(context.Background(), "k", func() (any, error) { return nil, boom })
+	_, shared, err := g.do(context.Background(), "k", func() (Entry, error) { return Entry{}, boom })
 	if shared || !errors.Is(err, boom) {
 		t.Fatalf("leader: shared=%v err=%v", shared, err)
 	}
 	// The failed key is forgotten: a retry runs fresh.
-	v, _, err := g.Do(context.Background(), "k", func() (any, error) { return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("retry after failure: %v, %v", v, err)
+	v, _, err := g.do(context.Background(), "k", func() (Entry, error) { return Entry{Key: "7"}, nil })
+	if err != nil || v.Key != "7" {
+		t.Fatalf("retry after failure: %+v, %v", v, err)
+	}
+}
+
+// TestStoreDo pins the memo contract of Store.Do on both backends: how a
+// call obtained its entry, and that fn runs exactly when nothing stored or in
+// flight can answer the key.
+func TestStoreDo(t *testing.T) {
+	const key = "h|scale=1|gscalar/BP"
+	result := json.RawMessage(`{"cycles":42}`)
+	produce := func(runs *atomic.Int32) func() (Entry, error) {
+		return func() (Entry, error) {
+			runs.Add(1)
+			return Entry{Arch: "gscalar", Result: result}, nil
+		}
+	}
+	// blockedLeader starts a Do whose fn blocks until release is closed and
+	// returns once that fn is running; the leader's outcome arrives on done.
+	type outcome struct {
+		how How
+		err error
+	}
+	blockedLeader := func(s *Store, runs *atomic.Int32, release chan struct{}) chan outcome {
+		started, done := make(chan struct{}), make(chan outcome, 1)
+		go func() {
+			_, how, err := s.Do(context.Background(), key, func() (Entry, error) {
+				close(started)
+				<-release
+				return produce(runs)()
+			})
+			done <- outcome{how, err}
+		}()
+		<-started
+		return done
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T, s *Store)
+	}{
+		{"stored key skips fn", func(t *testing.T, s *Store) {
+			if err := s.Put(Entry{Key: key, Result: result}); err != nil {
+				t.Fatal(err)
+			}
+			e, how, err := s.Do(context.Background(), key, func() (Entry, error) {
+				t.Error("fn ran for a stored key")
+				return Entry{}, nil
+			})
+			if err != nil || how != Stored || !bytes.Equal(e.Result, result) {
+				t.Fatalf("Do = %s, %v, %v; want the stored entry", e.Result, how, err)
+			}
+		}},
+		{"concurrent misses run fn once", func(t *testing.T, s *Store) {
+			var runs atomic.Int32
+			release := make(chan struct{})
+			leader := blockedLeader(s, &runs, release)
+			const joiners = 7
+			hows := make(chan How, joiners)
+			for i := 0; i < joiners; i++ {
+				go func() {
+					e, how, err := s.Do(context.Background(), key, produce(&runs))
+					if err != nil || !bytes.Equal(e.Result, result) {
+						t.Errorf("joiner: %s, %v", e.Result, err)
+					}
+					hows <- how
+				}()
+			}
+			for s.flight.waiters(key) != joiners {
+				runtime.Gosched()
+			}
+			close(release)
+			if o := <-leader; o.err != nil || o.how != Ran {
+				t.Fatalf("leader: %v, %v; want Ran", o.how, o.err)
+			}
+			for i := 0; i < joiners; i++ {
+				if how := <-hows; how != Joined {
+					t.Errorf("joiner reported %v, want Joined", how)
+				}
+			}
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("fn ran %d times, want 1", n)
+			}
+			if e, ok, err := s.Get(key); !ok || err != nil || e.Key != key || e.Arch != "gscalar" {
+				t.Fatalf("stored entry: %+v, %v, %v", e, ok, err)
+			}
+		}},
+		{"fn error stores nothing", func(t *testing.T, s *Store) {
+			boom := errors.New("boom")
+			_, how, err := s.Do(context.Background(), key, func() (Entry, error) { return Entry{}, boom })
+			if !errors.Is(err, boom) || how != Ran {
+				t.Fatalf("failed Do = %v, %v; want Ran, boom", how, err)
+			}
+			if s.Contains(key) || s.Len() != 0 {
+				t.Fatal("a failed fn stored an entry")
+			}
+			var runs atomic.Int32
+			if _, how, err := s.Do(context.Background(), key, produce(&runs)); err != nil || how != Ran || runs.Load() != 1 {
+				t.Fatalf("retry = %v, %v after %d runs; want Ran after 1", how, err, runs.Load())
+			}
+		}},
+		{"expired joiner gets ctx error", func(t *testing.T, s *Store) {
+			var runs atomic.Int32
+			release := make(chan struct{})
+			leader := blockedLeader(s, &runs, release)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, how, err := s.Do(ctx, key, produce(&runs))
+			if how != Joined || !errors.Is(err, context.Canceled) {
+				t.Fatalf("expired joiner = %v, %v; want Joined, context.Canceled", how, err)
+			}
+			close(release)
+			if o := <-leader; o.err != nil || o.how != Ran {
+				t.Fatalf("leader: %v, %v; want Ran", o.how, o.err)
+			}
+			if runs.Load() != 1 || !s.Contains(key) {
+				t.Fatalf("leader did not complete: %d runs, stored=%v", runs.Load(), s.Contains(key))
+			}
+		}},
+		{"late caller finds the entry on the re-check", func(t *testing.T, s *Store) {
+			var runs atomic.Int32
+			fired := false
+			testAfterMiss = func(string) {
+				if fired {
+					return
+				}
+				fired = true
+				// The first caller has missed its lookup: a second call runs
+				// fn, stores the entry and leaves the flight before the first
+				// caller enters it.
+				if _, how, err := s.Do(context.Background(), key, produce(&runs)); err != nil || how != Ran {
+					t.Errorf("intervening call = %v, %v; want Ran", how, err)
+				}
+			}
+			defer func() { testAfterMiss = nil }()
+			e, how, err := s.Do(context.Background(), key, func() (Entry, error) {
+				t.Error("fn ran although the re-check could answer")
+				return Entry{}, nil
+			})
+			if err != nil || how != Stored || !bytes.Equal(e.Result, result) {
+				t.Fatalf("late caller = %s, %v, %v; want Stored", e.Result, how, err)
+			}
+			if !fired || runs.Load() != 1 {
+				t.Fatalf("hook fired=%v, fn runs=%d; want true, 1", fired, runs.Load())
+			}
+		}},
+	}
+	backends := []struct {
+		name string
+		open func(t *testing.T) *Store
+	}{
+		{"memory", func(*testing.T) *Store { return NewMemory() }},
+		{"directory", func(t *testing.T) *Store {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	}
+	for _, b := range backends {
+		for _, c := range cases {
+			t.Run(b.name+"/"+c.name, func(t *testing.T) { c.run(t, b.open(t)) })
+		}
 	}
 }
 

@@ -49,17 +49,40 @@ type FuncRunResult struct {
 	DivergentInsts uint64
 }
 
-// FuncRun executes the whole launch functionally, CTA by CTA, interleaving
-// the warps of a CTA round-robin so barriers work. It is the golden model
-// the timed simulator is checked against. maxInsts bounds runaway kernels
-// (0 means a large default).
+// FuncRun executes the whole launch functionally (see RunCTAs), counting
+// what it executes. It is the golden model the timed simulator is checked
+// against. maxInsts bounds runaway kernels (0 means a large default).
 func FuncRun(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, warpWidth int, maxInsts uint64) (FuncRunResult, error) {
 	var res FuncRunResult
 	if maxInsts == 0 {
 		maxInsts = 1 << 32
 	}
-	nCTAs := lc.Grid.Count()
-	for cta := 0; cta < nCTAs; cta++ {
+	err := RunCTAs(prog, lc, mem, warpWidth, func(_ int, w *Warp, ctx *Context) error {
+		out, err := w.Execute(ctx)
+		if err != nil {
+			return err
+		}
+		res.WarpInsts++
+		res.ThreadInsts += uint64(PopCount(out.Active))
+		if out.Divergent {
+			res.DivergentInsts++
+		}
+		if res.WarpInsts > maxInsts {
+			return fmt.Errorf("warp: instruction budget %d exceeded (runaway kernel?)", maxInsts)
+		}
+		return nil
+	})
+	return res, err
+}
+
+// RunCTAs executes the whole launch functionally, CTA by CTA, interleaving
+// the warps of a CTA round-robin so barriers work: each warp runs until it
+// blocks at a barrier or finishes, and a barrier releases once every live
+// warp has arrived. step must execute exactly one instruction of w, a ready
+// warp of CTA cta, through ctx; an error from step stops the launch and is
+// returned, wrapped with the CTA index.
+func RunCTAs(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, warpWidth int, step func(cta int, w *Warp, ctx *Context) error) error {
+	for cta := 0; cta < lc.Grid.Count(); cta++ {
 		warps := BuildCTA(prog, lc, cta, warpWidth, 0)
 		ctx := &Context{
 			Prog:   prog,
@@ -67,14 +90,14 @@ func FuncRun(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, 
 			Global: mem,
 			Shared: make([]uint32, (lc.SharedBytes+3)/4),
 		}
-		if err := runCTA(ctx, warps, &res, maxInsts); err != nil {
-			return res, fmt.Errorf("cta %d: %w", cta, err)
+		if err := runCTA(cta, ctx, warps, step); err != nil {
+			return fmt.Errorf("cta %d: %w", cta, err)
 		}
 	}
-	return res, nil
+	return nil
 }
 
-func runCTA(ctx *Context, warps []*Warp, res *FuncRunResult, maxInsts uint64) error {
+func runCTA(cta int, ctx *Context, warps []*Warp, step func(cta int, w *Warp, ctx *Context) error) error {
 	for {
 		progress := false
 		allDone := true
@@ -96,19 +119,10 @@ func runCTA(ctx *Context, warps []*Warp, res *FuncRunResult, maxInsts uint64) er
 			// the functional model fast; round-robin only matters at
 			// barriers.
 			for w.Status() == StatusReady {
-				out, err := w.Execute(ctx)
-				if err != nil {
+				if err := step(cta, w, ctx); err != nil {
 					return err
 				}
-				res.WarpInsts++
-				res.ThreadInsts += uint64(PopCount(out.Active))
-				if out.Divergent {
-					res.DivergentInsts++
-				}
 				progress = true
-				if res.WarpInsts > maxInsts {
-					return fmt.Errorf("warp: instruction budget %d exceeded (runaway kernel?)", maxInsts)
-				}
 			}
 		}
 		if allDone {

@@ -148,9 +148,6 @@ func (w *Warp) RegVec(r uint8) []uint32 {
 // Reg returns register r of a single lane.
 func (w *Warp) Reg(lane int, r uint8) uint32 { return w.regs[int(r)*w.Width+lane] }
 
-// SetReg sets register r of a single lane.
-func (w *Warp) SetReg(lane int, r uint8, v uint32) { w.regs[int(r)*w.Width+lane] = v }
-
 // PredMask returns the set of lanes whose predicate p is set (or clear, if
 // neg). With per-predicate mask storage this is a single mask select.
 func (w *Warp) PredMask(p uint8, neg bool) Mask {

@@ -15,14 +15,12 @@ import (
 // implement it, so every layer above (Session, experiments, serve, CLIs)
 // resolves one spec syntax and never cares where instructions come from.
 type Source interface {
-	// Key is the canonical cache identity of the workload: the Table 2
+	// Key is the canonical identity of the workload: the Table 2
 	// abbreviation for builtins, "trace:" + the trace's content hash for
 	// trace files. Two specs with equal Keys build identical instances, so
 	// Key (together with config hash, arch and scale) is safe to use as a
 	// result-store key.
 	Key() string
-	// Describe is a one-line human description.
-	Describe() string
 	// Build constructs a fresh Instance. scale >= 1 grows builtin grids;
 	// trace sources replay the captured launch exactly and ignore it.
 	Build(scale int) (*Instance, error)
@@ -77,10 +75,7 @@ func Resolve(spec string) (Source, error) {
 // builtinSource adapts a registry Workload to the Source interface.
 type builtinSource struct{ w Workload }
 
-func (b builtinSource) Key() string { return b.w.Abbr }
-func (b builtinSource) Describe() string {
-	return fmt.Sprintf("%s (%s, %s)", b.w.Name, b.w.Abbr, b.w.Suite)
-}
+func (b builtinSource) Key() string                        { return b.w.Abbr }
 func (b builtinSource) Build(scale int) (*Instance, error) { return b.w.Build(scale) }
 
 // traceSource replays a captured trace: the Instance is rebuilt from the
@@ -91,19 +86,6 @@ func (b builtinSource) Build(scale int) (*Instance, error) { return b.w.Build(sc
 type traceSource struct{ t *trace.Trace }
 
 func (s *traceSource) Key() string { return TracePrefix + s.t.Hash }
-
-func (s *traceSource) Describe() string {
-	m := s.t.Meta
-	label := m.Workload
-	if label == "" {
-		label = "unnamed capture"
-	}
-	desc := fmt.Sprintf("trace replay of %s", label)
-	if m.Arch != "" {
-		desc += " (captured on " + m.Arch + ")"
-	}
-	return desc
-}
 
 // Build materialises a replayable Instance. The captured launch is replayed
 // exactly, so scale is ignored — a trace is one concrete run, not a
@@ -126,8 +108,7 @@ func (s *traceSource) Build(scale int) (*Instance, error) {
 // (deterministically), so concurrent builds never share mutable state.
 type genSource struct{ p gen.Params }
 
-func (g *genSource) Key() string      { return GenPrefix + g.p.Canonical() }
-func (g *genSource) Describe() string { return g.p.Describe() }
+func (g *genSource) Key() string { return GenPrefix + g.p.Canonical() }
 
 // Build renders the synthetic kernel. There is no golden-output check:
 // the workload's contract is its measured dynamic properties (held by the
@@ -148,19 +129,6 @@ func GenParamsOf(src Source) (gen.Params, bool) {
 		return gen.Params{}, false
 	}
 	return gs.p, true
-}
-
-// Trace exposes the decoded trace behind a trace-backed Source (nil for
-// builtins); callers use it for metadata like the content hash.
-func (s *traceSource) Trace() *trace.Trace { return s.t }
-
-// TraceOf returns the decoded trace behind src when src replays one.
-func TraceOf(src Source) (*trace.Trace, bool) {
-	ts, ok := src.(*traceSource)
-	if !ok {
-		return nil, false
-	}
-	return ts.t, true
 }
 
 // traceCache memoizes successful trace decodes per path, together with the

@@ -15,10 +15,10 @@ func newSessionT(t *testing.T, cfg Config, arch Arch) *Session {
 	return s
 }
 
-// TestRunSequence runs a producer kernel followed by a dependent consumer
-// kernel over shared memory — the shape of real multi-kernel applications
-// (e.g. srad's two passes).
-func TestRunSequence(t *testing.T) {
+// sequenceKernels assembles a producer kernel and a consumer that reads
+// what the producer stored.
+func sequenceKernels(t *testing.T) (producer, consumer *Program) {
+	t.Helper()
 	producer, err := Assemble(`
 .kernel producer
 	mov  r1, %tid.x
@@ -32,7 +32,7 @@ func TestRunSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	consumer, err := Assemble(`
+	consumer, err = Assemble(`
 .kernel consumer
 	mov  r1, %tid.x
 	imad r2, %ctaid.x, %ntid.x, r1
@@ -47,7 +47,14 @@ func TestRunSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return producer, consumer
+}
 
+// TestRunSequence runs a producer kernel followed by a dependent consumer
+// kernel over shared memory — the shape of real multi-kernel applications
+// (e.g. srad's two passes).
+func TestRunSequence(t *testing.T) {
+	producer, consumer := sequenceKernels(t)
 	const n = 1024
 	mem := NewMemory()
 	mid := mem.Alloc(n * 4)
@@ -84,6 +91,50 @@ func TestRunSequence(t *testing.T) {
 	}
 	if res.EnergyJ <= solo.EnergyJ {
 		t.Errorf("sequence energy %v not greater than solo %v", res.EnergyJ, solo.EnergyJ)
+	}
+}
+
+// TestRunSequenceRecordsExecMode: a sequence's Result records how it ran —
+// the last launch's schedule and resolved worker count — exactly as its
+// Metrics do.
+func TestRunSequenceRecordsExecMode(t *testing.T) {
+	producer, consumer := sequenceKernels(t)
+	const n = 1024
+	for _, tc := range []struct {
+		workers  int
+		mode     string
+		resolved int
+	}{
+		{0, "serial", 1},
+		{2, "phased", 2},
+	} {
+		mem := NewMemory()
+		mid, out := mem.Alloc(n*4), mem.Alloc(n*4)
+		seq := []KernelLaunch{
+			{producer, Launch{GridX: n / 128, BlockX: 128, Params: []uint32{mid}}},
+			{consumer, Launch{GridX: n / 128, BlockX: 128, Params: []uint32{mid, out}}},
+		}
+		cfg := DefaultConfig()
+		cfg.NumSMs = 2
+		cfg.Workers = tc.workers
+		s := newSessionT(t, cfg, GScalar)
+		s.Telemetry = TelemetryOptions{Enabled: true}
+		res, err := s.RunSequence(context.Background(), mem, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := s.Metrics()
+		if m == nil {
+			t.Fatal("telemetry collected no metrics")
+		}
+		if res.ExecMode != tc.mode || res.ResolvedWorkers != tc.resolved {
+			t.Errorf("Workers=%d: Result ran %q with %d workers, want %q with %d",
+				tc.workers, res.ExecMode, res.ResolvedWorkers, tc.mode, tc.resolved)
+		}
+		if m.ExecMode != res.ExecMode || m.Workers != res.ResolvedWorkers {
+			t.Errorf("Workers=%d: Result %q/%d disagrees with Metrics %q/%d",
+				tc.workers, res.ExecMode, res.ResolvedWorkers, m.ExecMode, m.Workers)
+		}
 	}
 }
 
