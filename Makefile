@@ -1,5 +1,6 @@
 # Verification targets. `make check` is the tier-1 gate (see ROADMAP.md):
-# gofmt cleanliness, build + full tests, vet, an explicit pass over the
+# gofmt cleanliness, build + full tests, vet (of the root module and of
+# perfbench, the benchmark's own module), an explicit pass over the
 # config-validation / launch-validation / cancellation-determinism suites
 # (fast, and the properties the run-session lifecycle depends on), the
 # differential, trace, telemetry, generator, perf-smoke and serving gates
@@ -11,9 +12,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet fmt fmtcheck bench-parallel bench-serve profile
+.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet fmt fmtcheck bench-parallel bench-serve profile
 
-check: fmtcheck build test vet valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet race
+check: fmtcheck build test vet perfbench valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet race
 
 build:
 	$(GO) build ./...
@@ -23,6 +24,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own module (replace gscalar => ../), so the root
+# `go build ./...` skips it. Vetting it here fails a change that removes
+# public API the benchmark calls before the benchmark run does.
+perfbench:
+	cd perfbench && $(GO) vet .
 
 fmt:
 	gofmt -w .

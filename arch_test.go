@@ -18,7 +18,7 @@ func TestArchSemantics(t *testing.T) {
 
 	res := map[Arch]Result{}
 	for _, a := range AllArchs() {
-		r, err := RunWorkloadContext(context.Background(), cfg, a, bench, 1)
+		r, err := newSessionT(t, cfg, a).RunWorkload(context.Background(), bench, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,282 +1,23 @@
 package gscalar_test
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation section (§5). Each Benchmark* target prints the corresponding
-// table (paper reference values are annotated in the headers) and reports
-// the headline number as a benchmark metric.
-//
-//	go test -bench Fig11 -benchmem               # one figure
-//	go test -bench . -benchmem -timeout 0        # everything (an hour-plus)
-//	go test -bench Fig9 -workloads BP,LBM        # a subset of Table 2
-//
-// Absolute cycles and Watts come from this repository's simulator, not the
-// authors' GPGPU-Sim/GPUWattch setup; EXPERIMENTS.md records the
-// paper-vs-measured comparison for every target below.
+// Simulator-speed benchmarks. The paper's tables and figures are
+// regenerated by gscalar-experiments (-exp NAME), not by go test -bench;
+// perfbench (BENCHMARK.json) is the repeated end-to-end measurement.
 
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"gscalar"
-	"gscalar/internal/experiments"
 )
 
-var (
-	benchWorkloads = flag.String("workloads", "", "comma-separated Table 2 subset for benches (default: all)")
-	benchScale     = flag.Int("benchscale", 1, "workload scale factor for benches")
-)
-
-func benchSuite() *experiments.Suite {
-	o := experiments.Options{Config: gscalar.DefaultConfig(), Scale: *benchScale}
-	if *benchWorkloads != "" {
-		o.Workloads = strings.Split(*benchWorkloads, ",")
-	}
-	return experiments.NewSuite(o)
-}
-
-// BenchmarkFig1DivergentFraction regenerates Figure 1: the fraction of
-// divergent and divergent-scalar instructions (paper: 28 % divergent, 45 %
-// of those divergent-scalar).
-func BenchmarkFig1DivergentFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.Fig1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig1(rows))
-			var d, ds float64
-			for _, r := range rows {
-				d += r.Divergent
-				ds += r.DivergentScalar
-			}
-			b.ReportMetric(100*d/float64(len(rows)), "%divergent")
-			b.ReportMetric(100*ds/float64(len(rows)), "%div-scalar")
-		}
-	}
-}
-
-// BenchmarkFig8RFAccessDistribution regenerates Figure 8: the register-file
-// access distribution by value similarity (paper means: scalar 36 %, 3-byte
-// 17 %, 2-byte 4 %, 1-byte 7 %).
-func BenchmarkFig8RFAccessDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig8(rows))
-			var sc float64
-			for _, r := range rows {
-				sc += r.Dist.Scalar
-			}
-			b.ReportMetric(100*sc/float64(len(rows)), "%scalar-reads")
-		}
-	}
-}
-
-// BenchmarkFig9ScalarEligibility regenerates Figure 9: instructions
-// eligible for scalar execution, stacked by mechanism (paper means: ALU
-// 22 % + SFU/mem 7 % + half 2 % + divergent 9 % = 40 %).
-func BenchmarkFig9ScalarEligibility(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig9(rows))
-			var tot float64
-			for _, r := range rows {
-				tot += r.E.Total()
-			}
-			b.ReportMetric(100*tot/float64(len(rows)), "%eligible")
-		}
-	}
-}
-
-// BenchmarkFig10WarpSizeSweep regenerates Figure 10: 16-thread-granularity
-// scalar eligibility at warp sizes 32 and 64 (paper: the mean rises to ~5 %
-// at warp size 64).
-func BenchmarkFig10WarpSizeSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.Fig10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig10(rows))
-			var h64 float64
-			for _, r := range rows {
-				h64 += r.Half64
-			}
-			b.ReportMetric(100*h64/float64(len(rows)), "%quarter@64")
-		}
-	}
-}
-
-// BenchmarkFig11PowerEfficiency regenerates Figure 11: normalized IPC/W for
-// ALU-scalar, G-Scalar w/o divergent, and G-Scalar, plus G-Scalar's IPC
-// (paper: 1.24x vs baseline, 1.15x vs ALU-scalar, IPC -1.7 %; BP highest).
-func BenchmarkFig11PowerEfficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig11(rows))
-			var g, ipc float64
-			for _, r := range rows {
-				g += r.GScalar
-				ipc += r.GScalarIPC
-			}
-			b.ReportMetric(g/float64(len(rows)), "xIPC/W")
-			b.ReportMetric(ipc/float64(len(rows)), "xIPC")
-		}
-	}
-}
-
-// BenchmarkFig12RFPower regenerates Figure 12: normalized register-file
-// dynamic power for the scalar-only RF, Warped-Compression (BDI) and the
-// paper's byte-wise compression (paper: 0.63 / ~0.5 / 0.46; compression
-// ratios 2.13 vs 2.17).
-func BenchmarkFig12RFPower(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig12(rows))
-			var ours float64
-			for _, r := range rows {
-				ours += r.Ours
-			}
-			b.ReportMetric(ours/float64(len(rows)), "xRFpower")
-		}
-	}
-}
-
-// BenchmarkTable1Config prints the simulator configuration against Table 1.
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := experiments.FormatTable1(gscalar.DefaultConfig())
-		if i == 0 {
-			fmt.Println(out)
-		}
-	}
-}
-
-// BenchmarkTable2Workloads prints the benchmark roster against Table 2.
-func BenchmarkTable2Workloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := experiments.FormatTable2()
-		if i == 0 {
-			fmt.Println(out)
-		}
-	}
-}
-
-// BenchmarkTable3CodecCost prints the codec synthesis numbers (Table 3) and
-// the derived per-SM cost (paper: +0.32 W / 1.6 %, +0.16 mm² / 0.7 %).
-func BenchmarkTable3CodecCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := experiments.FormatTable3()
-		if i == 0 {
-			fmt.Println(out)
-			c := experiments.CodecCost()
-			b.ReportMetric(c.TotalPowerWPerSM, "W/SM")
-			b.ReportMetric(c.TotalAreaMM2PerSM*1000, "mm2/SM(milli)")
-		}
-	}
-}
-
-// BenchmarkAblationMoveOverhead measures §3.3's injected decompress-move
-// overhead (paper: ~2 % dynamic instructions for the hardware-assisted
-// technique).
-func BenchmarkAblationMoveOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.MoveOverhead()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatMoveOverhead(rows))
-			var hw, ca float64
-			for _, r := range rows {
-				hw += r.Hardware
-				ca += r.CompilerAssisted
-			}
-			b.ReportMetric(100*hw/float64(len(rows)), "%moves-hw")
-			b.ReportMetric(100*ca/float64(len(rows)), "%moves-ca")
-		}
-	}
-}
-
-// BenchmarkAblationCompilerScalar measures §6's compile-time-only
-// scalarization gap (paper: a compiler-assisted method captured 24 % fewer
-// scalar instructions, mostly because loaded-value uniformity is invisible
-// statically).
-func BenchmarkAblationCompilerScalar(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.CompilerScalar()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatCompilerScalar(rows))
-		}
-	}
-}
-
-// BenchmarkAblationHalfWarpScalar measures §4.3's half-warp scalar
-// execution value against its 3 %→7 % register-file area cost.
-func BenchmarkAblationHalfWarpScalar(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.HalfAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatHalfAblation(rows))
-		}
-	}
-}
-
-// BenchmarkAblationScalarBank measures §4.1's single-scalar-bank burst
-// bottleneck in the prior architecture, which G-Scalar's 16 per-bank BVR
-// arrays avoid.
-func BenchmarkAblationScalarBank(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		rows, err := s.ScalarBankAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatScalarBank(rows))
-		}
-	}
-}
+var benchScale = flag.Int("benchscale", 1, "workload scale factor for benches")
 
 // timedRun simulates one workload point and reports the wall-clock seconds
 // it took alongside the Result.

@@ -7,9 +7,9 @@
 // an expired -timeout — cancels the in-flight simulations at their next
 // lifecycle checkpoint (with -parallel, the whole fan-out stops).
 //
-// Usage:
+// Usage (-h lists the experiment names):
 //
-//	gscalar-experiments [-exp all|fig1|fig8|fig9|fig10|fig11|fig12|table1|table2|table3|moves]
+//	gscalar-experiments [-exp all|NAME] [-csv DIR]
 //	                    [-scale N] [-sms N] [-bench BP,LBM,...] [-parallel N] [-workers N]
 //	                    [-config chip.json] [-dump-config] [-timeout 10m]
 //	                    [-metrics-out DIR] [-metrics-format json|csv] [-chrome-trace DIR]
@@ -49,7 +49,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, fig1, fig8, fig9, fig10, fig11, fig12, table1, table2, table3, moves, compiler, half, scalarbank, width, sched)")
+	names := experiments.Names()
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: gscalar-experiments [-exp all|%s] [flags]\n", strings.Join(names, "|"))
+		flag.PrintDefaults()
+	}
+	exp := flag.String("exp", "all", "experiment to run: all, "+strings.Join(names, ", "))
 	scale := flag.Int("scale", 1, "workload scale factor")
 	sms := flag.Int("sms", 0, "override number of SMs (0 = Table 1 value)")
 	bench := flag.String("bench", "", "comma-separated workload subset: abbreviations, trace:<path> and/or gen:<dials> specs (default: all)")
@@ -153,30 +158,37 @@ func main() {
 		}()
 	}
 	suite := experiments.NewSuiteContext(ctx, opts)
-	name := strings.ToLower(*exp)
-
-	// Points doubles as the -exp validator: a typo'd name fails here with
-	// the list of valid experiments, in the serial path too — it must never
-	// silently prewarm (and render) nothing.
-	points, err := suite.Points([]string{name})
+	exps, err := experiments.Select(strings.ToLower(*exp))
 	if err != nil {
 		fail(err)
 	}
 
-	// With -parallel N the suite's simulation points run concurrently up
-	// front, filling the process-wide point memo (a memory store.Store);
-	// the figures below then render serially from it, so the printed output
-	// is byte-identical to a serial run (make expdet checks this). The
-	// fan-out is fail-fast: the first failure (or SIGINT) cancels the
-	// sibling simulations.
+	// With -parallel N the selected experiments' memo points run
+	// concurrently up front, filling the process-wide point memo (a memory
+	// store.Store); the experiments below then render serially from it, so
+	// the printed output is byte-identical to a serial run (make expdet
+	// checks this). The fan-out is fail-fast: the first failure (or SIGINT)
+	// cancels the sibling simulations.
 	if *parallel > 1 {
-		if err := suite.PrewarmContext(ctx, points, *parallel); err != nil {
+		if err := suite.PrewarmContext(ctx, suite.Points(exps), *parallel); err != nil {
 			fail(err)
 		}
 	}
 
-	if err := run(suite, cfg, name, *csvDir); err != nil {
-		fail(err)
+	for _, e := range exps {
+		text, csv, err := e.Render(suite)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(text)
+		if csv != "" && *csvDir != "" {
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				fail(err)
+			}
+			if err := os.WriteFile(filepath.Join(*csvDir, e.Name+".csv"), []byte(csv), 0o644); err != nil {
+				fail(err)
+			}
+		}
 	}
 }
 
@@ -203,7 +215,9 @@ func newMetricsSink(metricsDir, format, traceDir string) (*metricsSink, error) {
 	return &metricsSink{metricsDir: metricsDir, format: format, traceDir: traceDir}, nil
 }
 
-// write is the experiments.Options.OnMetrics hook.
+// write is the experiments.Options.OnMetrics hook. Each file is written
+// atomically (temp file + rename), so an export that fails mid-render
+// leaves no truncated file behind.
 func (s *metricsSink) write(arch gscalar.Arch, abbr string, m *gscalar.Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,7 +228,7 @@ func (s *metricsSink) write(arch gscalar.Arch, abbr string, m *gscalar.Metrics) 
 		}
 	}
 	if s.metricsDir != "" {
-		record(writeVia(filepath.Join(s.metricsDir, point+"."+s.format), func(w io.Writer) error {
+		record(store.AtomicWrite(filepath.Join(s.metricsDir, point+"."+s.format), func(w io.Writer) error {
 			if s.format == "csv" {
 				return m.WriteCSV(w)
 			}
@@ -222,7 +236,7 @@ func (s *metricsSink) write(arch gscalar.Arch, abbr string, m *gscalar.Metrics) 
 		}))
 	}
 	if s.traceDir != "" {
-		record(writeVia(filepath.Join(s.traceDir, point+".trace.json"), m.WriteTrace))
+		record(store.AtomicWrite(filepath.Join(s.traceDir, point+".trace.json"), m.WriteTrace))
 	}
 }
 
@@ -231,164 +245,4 @@ func (s *metricsSink) err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.firstErr
-}
-
-// writeVia streams emit into path atomically (temp file + rename, via
-// store.AtomicWrite): a per-point telemetry export that fails mid-render
-// leaves no truncated file behind.
-func writeVia(path string, emit func(io.Writer) error) error {
-	return store.AtomicWrite(path, emit)
-}
-
-// writeCSV writes one CSV artifact if -csv was given.
-func writeCSV(dir, name, content string) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
-}
-
-func run(s *experiments.Suite, cfg gscalar.Config, exp, csvDir string) error {
-	wants := func(name string) bool { return exp == "all" || exp == name }
-	ran := false
-
-	if wants("table1") {
-		fmt.Println(experiments.FormatTable1(cfg))
-		ran = true
-	}
-	if wants("table2") {
-		fmt.Println(experiments.FormatTable2())
-		ran = true
-	}
-	if wants("table3") {
-		fmt.Println(experiments.FormatTable3())
-		ran = true
-	}
-	if wants("fig1") {
-		rows, err := s.Fig1()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig1(rows))
-		if err := writeCSV(csvDir, "fig1.csv", experiments.Fig1CSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig8") {
-		rows, err := s.Fig8()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig8(rows))
-		if err := writeCSV(csvDir, "fig8.csv", experiments.Fig8CSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig9") {
-		rows, err := s.Fig9()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig9(rows))
-		if err := writeCSV(csvDir, "fig9.csv", experiments.Fig9CSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig10") {
-		rows, err := s.Fig10()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig10(rows))
-		if err := writeCSV(csvDir, "fig10.csv", experiments.Fig10CSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig11") {
-		rows, err := s.Fig11()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig11(rows))
-		if err := writeCSV(csvDir, "fig11.csv", experiments.Fig11CSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig12") {
-		rows, err := s.Fig12()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig12(rows))
-		if err := writeCSV(csvDir, "fig12.csv", experiments.Fig12CSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("moves") {
-		rows, err := s.MoveOverhead()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatMoveOverhead(rows))
-		if err := writeCSV(csvDir, "moves.csv", experiments.MovesCSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("compiler") {
-		rows, err := s.CompilerScalar()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCompilerScalar(rows))
-		ran = true
-	}
-	if wants("half") {
-		rows, err := s.HalfAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatHalfAblation(rows))
-		ran = true
-	}
-	if wants("width") {
-		rows, err := s.WidthSweep([]int{8, 16, 24, 32})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatWidthSweep(rows))
-		if err := writeCSV(csvDir, "width.csv", experiments.WidthCSV(rows)); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("sched") {
-		rows, err := s.SchedAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSched(rows))
-		ran = true
-	}
-	if wants("scalarbank") {
-		rows, err := s.ScalarBankAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatScalarBank(rows))
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package gscalar_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -87,7 +86,7 @@ func TestGenDialAccuracy(t *testing.T) {
 			arch := arch
 			t.Run(fmt.Sprintf("%s/%s", arch, spec), func(t *testing.T) {
 				t.Parallel()
-				res, err := gscalar.RunWorkloadContext(context.Background(), cfg, arch, "gen:"+spec, 1)
+				res, err := runWorkloadVia(t, cfg, arch, "gen:"+spec, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +151,7 @@ func TestGenPhasedMatchesSerial(t *testing.T) {
 		t.Helper()
 		cfg := gscalar.DefaultConfig()
 		cfg.Workers = workers
-		res, err := gscalar.RunWorkloadContext(context.Background(), cfg, gscalar.GScalar, spec, 1)
+		res, err := runWorkloadVia(t, cfg, gscalar.GScalar, spec, 1)
 		if err != nil {
 			t.Fatalf("%s (workers=%d): %v", spec, workers, err)
 		}

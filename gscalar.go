@@ -20,9 +20,7 @@
 // A Session is the single entry point: it validates the (config,
 // architecture) pair once and carries the run-scoped options — progress
 // observation (Observer), metric collection (Telemetry, exported through
-// Metrics as JSON, CSV, or a Chrome trace), and context cancellation. The
-// RunContext / RunWorkloadContext / RunSequenceContext free functions wrap
-// a one-shot Session over the same path.
+// Metrics as JSON, CSV, or a Chrome trace), and context cancellation.
 //
 // Workload specs accept three forms everywhere a workload is named: a
 // Table 2 builtin abbreviation ("BP"), a captured trace ("trace:<path>"),

@@ -6,17 +6,47 @@ import (
 	"gscalar"
 
 	"gscalar/internal/gpu"
-	"gscalar/internal/power"
 	"gscalar/internal/sm"
 	"gscalar/internal/stats"
 	"gscalar/internal/workloads"
 )
 
-// runCustomArch runs one workload spec under an arbitrary SM-level
-// architecture (for ablations the public Arch enum does not expose). It
-// does not memoize: a sweep never asks for one custom-architecture point
-// twice.
-func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
+// chip lowers the suite's configuration to the internal chip config the
+// way a gscalar.Session does, field for field, so a point the ablations
+// simulate outside the memo runs on the same chip as the memo points in its
+// row. It must apply every field gscalar's Config.toGPU applies;
+// TestCustomArchRunsTheSuiteChip compares the two paths.
+func (s *Suite) chip() gpu.Config {
+	c := s.r.o.Config
+	c.Normalize()
+	g := gpu.DefaultConfig()
+	g.NumSMs = c.NumSMs
+	g.CoreClockHz = c.CoreClockHz
+	g.L2Bytes = c.L2Bytes
+	g.MaxCycles = c.MaxCycles
+	g.Workers = c.Workers
+	if c.Relaxed {
+		g.EpochCycles = c.EpochCycles
+	}
+	g.MemTiming.NumChannels = c.MemChannels
+	g.SM.WarpSize = c.WarpSize
+	g.SM.Schedulers = c.SchedulersPerSM
+	g.SM.MaxWarps = c.MaxWarpsPerSM
+	g.SM.MaxCTAs = c.MaxCTAsPerSM
+	g.SM.NumBanks = c.RegFileBanks
+	g.SM.RegFileBytes = c.RegFileKB << 10
+	g.SM.NumCollectors = c.CollectorsPerSM
+	g.SM.ALUWidth = c.SIMTWidth
+	g.SM.MemWidth = c.SIMTWidth
+	g.SM.L1Bytes = c.L1Bytes
+	return g
+}
+
+// runCustomArch runs one workload spec on chip under an SM-level
+// architecture the public Arch enum does not expose, and checks a builtin's
+// output against its golden model, as Session.RunWorkload does. It does not
+// memoize: a sweep never asks for one custom-architecture point twice.
+func (s *Suite) runCustomArch(spec string, chip gpu.Config, arch sm.Arch) (gpu.Result, error) {
 	src, err := workloads.Resolve(spec)
 	if err != nil {
 		return gpu.Result{}, err
@@ -25,12 +55,16 @@ func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	cfg := gpu.DefaultConfig()
-	pub := s.r.o.Config
-	cfg.NumSMs = pub.NumSMs
-	cfg.CoreClockHz = pub.CoreClockHz
-	cfg.Workers = pub.Workers
-	return gpu.RunContext(s.r.ctx, cfg, arch, inst.Prog, inst.Launch, inst.Mem)
+	res, err := gpu.RunContext(s.r.ctx, chip, arch, inst.Prog, inst.Launch, inst.Mem)
+	if err != nil {
+		return gpu.Result{}, err
+	}
+	if inst.Check != nil {
+		if err := inst.Check(); err != nil {
+			return gpu.Result{}, fmt.Errorf("%s: %w", spec, err)
+		}
+	}
+	return res, nil
 }
 
 // HalfAblationRow quantifies §4.3's design choice: half-warp scalar
@@ -58,7 +92,7 @@ func (s *Suite) HalfAblation() ([]HalfAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		without, err := s.runCustomArch(abbr, noHalf)
+		without, err := s.runCustomArch(abbr, s.chip(), noHalf)
 		if err != nil {
 			return nil, err
 		}
@@ -107,11 +141,11 @@ func (s *Suite) ScalarBankAblation() ([]ScalarBankRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		alu, err := s.runCustomArch(abbr, sm.PriorScalarRF())
+		alu, err := s.runCustomArch(abbr, s.chip(), sm.PriorScalarRF())
 		if err != nil {
 			return nil, err
 		}
-		gs, err := s.runCustomArch(abbr, sm.GScalar())
+		gs, err := s.runCustomArch(abbr, s.chip(), sm.GScalar())
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +171,3 @@ func FormatScalarBank(rows []ScalarBankRow) string {
 	return "Section 4.1 ablation: single scalar bank vs per-bank BVR arrays\n" +
 		"(the prior architecture's scalar bursts serialise on its one bank)\n" + t.String()
 }
-
-// CodecCost re-derives the Table 3 chip-cost numbers (used by the Table 3
-// bench target).
-func CodecCost() power.CodecChipCost { return power.Table3Cost() }

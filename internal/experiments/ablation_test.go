@@ -7,6 +7,7 @@ import (
 
 	"gscalar"
 	"gscalar/internal/sm"
+	"gscalar/internal/store"
 	"gscalar/internal/workloads"
 )
 
@@ -75,16 +76,53 @@ func TestCustomArchTraceRecaptured(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.gstr")
 	spec := captureTrace(t, cfg, "HW", path)
 	s := NewSuite(Options{Config: cfg, Workloads: []string{spec}})
-	before, err := s.runCustomArch(spec, sm.PriorScalarRF())
+	before, err := s.runCustomArch(spec, s.chip(), sm.PriorScalarRF())
 	if err != nil {
 		t.Fatal(err)
 	}
 	captureTrace(t, cfg, "SR2", path)
-	after, err := s.runCustomArch(spec, sm.PriorScalarRF())
+	after, err := s.runCustomArch(spec, s.chip(), sm.PriorScalarRF())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Cycles == before.Cycles {
 		t.Errorf("re-captured trace replayed the old result (%d cycles)", after.Cycles)
+	}
+}
+
+// TestCustomArchRunsTheSuiteChip runs the public G-Scalar architecture both
+// as a memo point and through runCustomArch, under configurations that
+// differ from Table 1 in fields a Session lowers. The two must simulate the
+// same chip: an ablation row compares its custom point with memo points of
+// the suite's configuration.
+func TestCustomArchRunsTheSuiteChip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	configs := map[string]func(*gscalar.Config){
+		"MemChannels=2": func(c *gscalar.Config) { c.MemChannels = 2 },
+		"L1Bytes=64KiB": func(c *gscalar.Config) { c.L1Bytes = 64 << 10 },
+		"relaxed@2x256": func(c *gscalar.Config) { c.Workers = 2; c.EpochCycles = 256 },
+	}
+	for name, mutate := range configs {
+		t.Run(name, func(t *testing.T) {
+			cfg := gscalar.DefaultConfig()
+			cfg.NumSMs = 2
+			mutate(&cfg)
+			s := NewSuite(Options{Config: cfg, Workloads: []string{"MV"}})
+			s.r.memo = store.NewMemory()
+			pub, err := s.r.run(gscalar.GScalar, "MV")
+			if err != nil {
+				t.Fatal(err)
+			}
+			custom, err := s.runCustomArch("MV", s.chip(), sm.GScalar())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if custom.Cycles != pub.Cycles || custom.EnergyJ != pub.EnergyJ {
+				t.Errorf("runCustomArch: %d cycles, %g J; memo point: %d cycles, %g J",
+					custom.Cycles, custom.EnergyJ, pub.Cycles, pub.EnergyJ)
+			}
+		})
 	}
 }

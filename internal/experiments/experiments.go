@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (§5) from simulator runs. It is shared by the
-// gscalar-experiments command and the repository's benchmark harness.
+// evaluation section (§5) from simulator runs, for the gscalar-experiments
+// command. The registry (registry.go) declares each experiment once.
 //
 // Each FigN function returns structured rows; each FormatFigN renders the
 // aligned text table, annotated with the paper's reported values where the
@@ -59,8 +59,8 @@ func (o Options) defaults() Options {
 
 // memo is the process-wide point memo every Suite shares. The evaluation's
 // figures overlap heavily — Fig 1/8/9 share the G-Scalar runs, Fig 11/12
-// the baselines, and the benchmark harness builds a fresh Suite per figure
-// — so a point simulated once is reused by every consumer in the process.
+// the baselines — so a point simulated once is reused by every consumer in
+// the process.
 var memo = store.NewMemory()
 
 // runner simulates the points of one option set through a point memo (by

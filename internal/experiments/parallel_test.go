@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -65,10 +64,11 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 	}
 
 	par, sims := countingSuite(opts)
-	points, err := par.Points([]string{"fig11"})
+	fig11, err := Select("fig11")
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := par.Points(fig11)
 	if len(points) != 4*3 {
 		t.Fatalf("fig11 points = %d, want 12", len(points))
 	}
@@ -107,61 +107,26 @@ func TestPointsDeduplicates(t *testing.T) {
 	s := NewSuite(Options{Workloads: []string{"HS", "MQ"}})
 	// fig1 and fig9 both need only the G-Scalar runs; the union must not
 	// repeat them.
-	pts, err := s.Points([]string{"fig1", "fig9"})
-	if err != nil {
-		t.Fatal(err)
+	var exps []Experiment
+	for _, name := range []string{"fig1", "fig9"} {
+		e, err := Select(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e...)
 	}
-	if len(pts) != 2 {
+	if pts := s.Points(exps); len(pts) != 2 {
 		t.Fatalf("points = %v, want one per workload", pts)
 	}
-	all, err := s.Points([]string{"all"})
+	all, err := Select("all")
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[Point]bool{}
-	for _, p := range all {
+	for _, p := range s.Points(all) {
 		if seen[p] {
 			t.Fatalf("duplicate point %+v", p)
 		}
 		seen[p] = true
-	}
-}
-
-// TestPointsRejectsUnknownExperiment is the satellite bugfix's regression
-// test: a typo'd experiment name ("figg11") used to index expArchs to nil
-// and silently prewarm nothing; it must instead fail with an error that
-// lists the valid names.
-func TestPointsRejectsUnknownExperiment(t *testing.T) {
-	s := NewSuite(Options{Workloads: []string{"HS"}})
-	pts, err := s.Points([]string{"figg11"})
-	if err == nil {
-		t.Fatalf("Points(figg11) = %v, want error", pts)
-	}
-	for _, want := range []string{"figg11", "fig11", "table1", "width", "sched"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
-	}
-	// Experiments without prewarmable points (static tables, custom-config
-	// sweeps) are still valid names — they just contribute no points.
-	for _, name := range []string{"table1", "fig10", "width", "sched", "all"} {
-		if !ValidExperiment(name) {
-			t.Errorf("ValidExperiment(%q) = false", name)
-		}
-		if _, err := s.Points([]string{name}); err != nil {
-			t.Errorf("Points(%q): %v", name, err)
-		}
-	}
-	if ValidExperiment("figg11") {
-		t.Error("ValidExperiment(figg11) = true")
-	}
-	// Every name in the registry that expArchs covers must stay consistent.
-	for name := range expArchs {
-		if !ValidExperiment(name) {
-			t.Errorf("expArchs name %q missing from the experiment registry", name)
-		}
-	}
-	if len(ExperimentNames()) < len(expArchs) {
-		t.Error("registry smaller than expArchs")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"gscalar/internal/gpu"
 	"gscalar/internal/sm"
 	"gscalar/internal/stats"
-	"gscalar/internal/workloads"
 )
 
 // SchedRow compares warp-scheduling policies under G-Scalar. The paper's
@@ -24,27 +23,18 @@ type SchedRow struct {
 
 // SchedAblation runs every benchmark under GTO and LRR scheduling.
 func (s *Suite) SchedAblation() ([]SchedRow, error) {
+	run := func(spec string, pol sm.SchedPolicy) (gpu.Result, error) {
+		chip := s.chip()
+		chip.SM.Sched = pol
+		return s.runCustomArch(spec, chip, sm.GScalar())
+	}
 	var rows []SchedRow
 	for _, spec := range s.r.o.Workloads {
-		src, err := workloads.Resolve(spec)
+		gto, err := run(spec, sm.SchedGTO)
 		if err != nil {
 			return nil, err
 		}
-		run := func(pol sm.SchedPolicy) (gpu.Result, error) {
-			inst, err := src.Build(s.r.o.Scale)
-			if err != nil {
-				return gpu.Result{}, err
-			}
-			cfg := gpu.DefaultConfig()
-			cfg.NumSMs = s.r.o.Config.NumSMs
-			cfg.SM.Sched = pol
-			return gpu.RunContext(s.r.ctx, cfg, sm.GScalar(), inst.Prog, inst.Launch, inst.Mem)
-		}
-		gto, err := run(sm.SchedGTO)
-		if err != nil {
-			return nil, err
-		}
-		lrr, err := run(sm.SchedLRR)
+		lrr, err := run(spec, sm.SchedLRR)
 		if err != nil {
 			return nil, err
 		}

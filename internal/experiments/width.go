@@ -74,8 +74,7 @@ func (s *Suite) WidthSweep(bits []int) ([]WidthRow, error) {
 			lc.Params[2] = mask
 			return lc, mem
 		}
-		cfg := gpu.DefaultConfig()
-		cfg.NumSMs = s.r.o.Config.NumSMs
+		cfg := s.chip()
 
 		lcB, memB := build()
 		base, err := gpu.RunContext(s.r.ctx, cfg, sm.Baseline(), prog, lcB, memB)

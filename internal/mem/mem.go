@@ -296,48 +296,3 @@ func (s *System) EstimateAccess(now uint64, line uint32) uint64 {
 	}
 	return start + uint64(t.DRAMBurst) + uint64(t.DRAMLatency) + uint64(t.NoCLatency)
 }
-
-// DeferredTx is one beyond-L1 transaction buffered by the relaxed epoch
-// mode: the issuing core cycle, the 128-byte line, and the direction.
-type DeferredTx struct {
-	Cycle uint64
-	Line  uint32
-	Write bool
-}
-
-// TxBuffer accumulates an SM's deferred transactions over one epoch, in
-// issue order (ascending cycle), so committing buffers SM by SM yields the
-// deterministic (SM-index, cycle) commit order the relaxed mode promises.
-// The backing slice is reused across epochs, so steady-state deferral
-// allocates nothing.
-type TxBuffer struct {
-	txs []DeferredTx
-}
-
-// Defer appends one transaction issued at the given core cycle.
-func (b *TxBuffer) Defer(cycle uint64, line uint32, write bool) {
-	b.txs = append(b.txs, DeferredTx{Cycle: cycle, Line: line, Write: write})
-}
-
-// Len returns the number of buffered transactions.
-func (b *TxBuffer) Len() int { return len(b.txs) }
-
-// CommitDeferred applies a buffer's transactions to the shared L2/DRAM
-// system in buffer order, each at its recorded issue cycle, and empties the
-// buffer. onTx (when non-nil) receives each transaction's depth outcome for
-// statistics and energy accounting. It must only run serially — SM.Commit
-// calls it for each SM in ascending SM-id order at the relaxed schedule's
-// epoch rendezvous. Completion times are deliberately not returned: the issuing
-// SMs already ran ahead on EstimateAccess values, and the commit's job is
-// solely to evolve shared state (L2 contents, channel backlog)
-// deterministically for the next epoch's estimates.
-func (s *System) CommitDeferred(b *TxBuffer, onTx func(AccessKind)) {
-	for i := range b.txs {
-		tx := &b.txs[i]
-		_, kind := s.AccessL2(tx.Cycle, tx.Line, tx.Write)
-		if onTx != nil {
-			onTx(kind)
-		}
-	}
-	b.txs = b.txs[:0]
-}

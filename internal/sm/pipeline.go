@@ -116,7 +116,6 @@ func (s *SM) dispatch(ci int) {
 		isMove: ce.isMove, moveReg: ce.moveReg, predUniform: ce.predUniform,
 	}
 
-	txStart := len(s.txBuf)
 	if class == isa.ClassMem && !ce.isMove {
 		done, mshrs, ok := s.dispatchMem(ce, occ, extra)
 		if !ok {
@@ -134,11 +133,6 @@ func (s *SM) dispatch(ci int) {
 	s.events = append(s.events, ev)
 	if ev.done < s.nextWb {
 		s.nextWb = ev.done
-	}
-	if txEnd := len(s.txBuf); txEnd > txStart {
-		s.pending = append(s.pending, pendingAccess{
-			evIdx: len(s.events) - 1, extra: extra, txStart: txStart, txEnd: txEnd,
-		})
 	}
 	ce.valid = false
 	s.collRelease(ci)
@@ -180,21 +174,17 @@ func isFloatOp(op isa.Opcode) bool {
 	return op >= isa.OpFAdd && op <= isa.OpF2I
 }
 
-// pendingTx is one deferred L2/DRAM transaction of the per-cycle mode.
-type pendingTx struct {
+// beyondTx is one deferred L2/DRAM transaction: the core cycle it issued
+// at, the 128-byte line, the direction, and the index in s.events of the
+// load writeback whose completion time Commit fixes up. ev is -1 for stores
+// and for relaxed-mode loads, which already complete on an estimate. A
+// per-cycle ev stays valid until the next processWritebacks, which cannot
+// run before Commit (commit ends the same cycle).
+type beyondTx struct {
+	cycle uint64
 	line  uint32
 	write bool
-}
-
-// pendingAccess groups the deferred transactions of one dispatched memory
-// instruction with the writeback event they must complete. evIdx indexes
-// s.events and is valid until the next processWritebacks, which cannot run
-// before Commit resolves the entry (commit ends the same cycle).
-// txStart/txEnd index s.txBuf, the cycle's flat transaction buffer.
-type pendingAccess struct {
-	evIdx          int
-	extra          uint64
-	txStart, txEnd int
+	ev    int
 }
 
 // fillGet looks up an in-flight fill of line.
@@ -243,10 +233,10 @@ func (s *SM) fillPut(line uint32, done uint64) {
 // dispatchMem models the memory pipeline: address generation, coalescing,
 // L1, and the shared L2/DRAM system. It returns the completion cycle and
 // the number of MSHRs held (for loads). Beyond-L1 transactions never touch
-// the shared memory system here: in per-cycle mode they are appended to
-// s.txBuf for Commit to apply, and the returned done is a lower bound that
+// the shared memory system here: they are appended to s.beyond for Commit
+// to apply. In per-cycle mode a load's returned done is a lower bound that
 // Commit raises once L2/DRAM timing is known; in relaxed mode loads complete
-// on an estimate and the transactions defer into s.epochTx.
+// on an estimate.
 func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, mshrs int, ok bool) {
 	in := ce.out.Inst
 	t := s.msys.Timing()
@@ -298,26 +288,24 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 			} else {
 				s.st.L1Misses++
 				if !s.relaxed {
-					s.txBuf = append(s.txBuf, pendingTx{line: line})
+					// dispatch appends this instruction's writeback event
+					// at index len(s.events) once dispatchMem succeeds.
+					s.beyond = append(s.beyond, beyondTx{cycle: s.now, line: line, ev: len(s.events)})
 					continue
 				}
 				// Epoch mode: the shared system is frozen until the
 				// rendezvous, so take an estimated completion time now and
 				// defer the real transaction. Stats/energy for the beyond-L1
-				// part are accounted at commit (commitTx).
+				// part are accounted at commit.
 				txDone = s.msys.EstimateAccess(s.now, line)
-				s.epochTx.Defer(s.now, line, false)
+				s.beyond = append(s.beyond, beyondTx{cycle: s.now, line: line, ev: -1})
 				s.fillPut(line, txDone)
 			}
 		} else {
 			// Write-through, write-evict: the store drains towards DRAM in
 			// the background; the warp does not wait on it.
 			s.l1.Invalidate(line)
-			if s.relaxed {
-				s.epochTx.Defer(s.now, line, true)
-			} else {
-				s.txBuf = append(s.txBuf, pendingTx{line: line, write: true})
-			}
+			s.beyond = append(s.beyond, beyondTx{cycle: s.now, line: line, write: true, ev: -1})
 			txDone = s.now + occ + 1
 		}
 		if txDone > latest {
@@ -338,33 +326,32 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 // relaxed mode — which pins down L2 state transitions and DRAM channel
 // arbitration regardless of how many workers stepped the SMs.
 //
-// In per-cycle mode each transaction runs at the cycle just stepped and its
-// completion time raises the writeback event it belongs to. In relaxed mode
-// the transactions run at their recorded issue cycles and completion times
-// are not fed back: the SM already ran ahead on estimates, and the commit
-// only evolves the shared state deterministically for the next epoch.
+// Each transaction runs at its recorded issue cycle, in issue order. The
+// per-cycle schedules commit right after the cycle that recorded the
+// transactions, so that is the cycle just stepped, and a load's completion
+// time raises the writeback event it belongs to. Relaxed-mode completion times are not fed back: the SM already ran
+// ahead on estimates, and the commit only evolves the shared state
+// deterministically for the next epoch.
 func (s *SM) Commit() {
-	if s.epochTx.Len() > 0 {
-		s.msys.CommitDeferred(&s.epochTx, s.commitTx)
-	}
-	if len(s.pending) > 0 {
-		for i := range s.pending {
-			p := &s.pending[i]
-			ev := &s.events[p.evIdx]
-			for _, tx := range s.txBuf[p.txStart:p.txEnd] {
-				done, kind := s.msys.AccessL2(s.now, tx.line, tx.write)
-				s.accountBeyondL1(kind)
-				if !tx.write {
-					s.fillPut(tx.line, done)
-					if d := done + p.extra; d > ev.done {
-						ev.done = d
-					}
-				}
+	if len(s.beyond) > 0 {
+		raised := false
+		for _, tx := range s.beyond {
+			done, kind := s.msys.AccessL2(tx.cycle, tx.line, tx.write)
+			s.accountBeyondL1(kind)
+			if tx.ev < 0 {
+				continue
+			}
+			s.fillPut(tx.line, done)
+			ev := &s.events[tx.ev]
+			if d := done + uint64(s.arch.ExtraLatency); d > ev.done {
+				ev.done = d
+				raised = true
 			}
 		}
-		s.pending = s.pending[:0]
-		s.txBuf = s.txBuf[:0]
-		s.recomputeNextWb()
+		s.beyond = s.beyond[:0]
+		if raised {
+			s.recomputeNextWb()
+		}
 	}
 	if s.storeBuf.Len() > 0 {
 		s.storeBuf.Flush(s.gmem)

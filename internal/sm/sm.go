@@ -143,25 +143,18 @@ type SM struct {
 	laneAlloc func(words int) []uint32
 
 	// Cycle never touches shared chip state: global stores land in storeBuf
-	// and beyond-L1 transactions are deferred, and Commit applies both. The
-	// chip loop calls Commit serially, in ascending SM-id order across the
-	// chip, so shared state evolves identically for any worker count. In the
-	// default per-cycle mode, each memory instruction's transactions sit in
-	// txBuf — one flat buffer per cycle, so deferral allocates nothing in
-	// steady state — under a pending entry naming the writeback event whose
-	// completion time Commit fixes up once L2/DRAM timing is known.
-	pending  []pendingAccess
-	txBuf    []pendingTx
+	// and beyond-L1 transactions are deferred into beyond, and Commit
+	// applies both. The chip loop calls Commit serially, in ascending SM-id
+	// order across the chip, so shared state evolves identically for any
+	// worker count. beyond is reused across commits, so deferral allocates
+	// nothing in steady state.
+	beyond   []beyondTx
 	storeBuf *kernel.StoreBuffer
 
 	// Relaxed (epoch) mode: dispatchMem estimates beyond-L1 completion times
-	// against the frozen shared memory system (mem.System.EstimateAccess) and
-	// defers the actual transactions into epochTx instead, which Commit
-	// applies at the epoch rendezvous. commitTx is accountBeyondL1 bound once
-	// at EnableRelaxed so commits do not allocate a closure per epoch.
-	relaxed  bool
-	epochTx  mem.TxBuffer
-	commitTx func(mem.AccessKind)
+	// against the frozen shared memory system (mem.System.EstimateAccess),
+	// and Commit applies the deferred transactions at the epoch rendezvous.
+	relaxed bool
 
 	outstanding   int
 	regBytesInUse int
@@ -255,7 +248,6 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 func (s *SM) EnableRelaxed() {
 	s.relaxed = true
 	s.storeBuf.EnableOverlay()
-	s.commitTx = s.accountBeyondL1
 }
 
 // RunEpoch advances the SM from cycle start up to (but not including) end,

@@ -1,7 +1,6 @@
 package gscalar_test
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ const hsCeiling = 3 * time.Second * raceMultiplier
 func TestPerfSmokeHS(t *testing.T) {
 	cfg := gscalar.DefaultConfig()
 	t0 := time.Now()
-	if _, err := gscalar.RunWorkloadContext(context.Background(), cfg, gscalar.GScalar, "HS", 1); err != nil {
+	if _, err := runWorkloadVia(t, cfg, gscalar.GScalar, "HS", 1); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(t0); el > hsCeiling {
