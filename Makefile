@@ -123,9 +123,12 @@ gendet:
 	$(GO) test -race -short ./internal/gen ./internal/workloads
 
 # Perf smoke: fail fast when a workload blows a generous wall-clock ceiling
-# (order-of-magnitude simulator regressions, not benchmarking).
+# (order-of-magnitude simulator regressions, not benchmarking), and run one
+# batch of each input of the SM layer's benchmark so it stays runnable. To
+# time that layer: go test -run '^$' -bench SMCycle -benchmem ./internal/sm
 perfsmoke:
 	$(GO) test -short -run 'TestPerfSmoke' .
+	$(GO) test -run '^$$' -bench SMCycle -benchtime 1x ./internal/sm
 
 # End-to-end CPU/heap profiling via internal/hostprof: run the LBM stressor
 # under -cpuprofile/-memprofile and print the top-10 hot functions of each.

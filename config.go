@@ -114,8 +114,8 @@ func (c Config) Validate() error {
 	if c.RegFileBanks < 1 {
 		return bad("RegFileBanks", "need at least 1 register-file bank, got %d", c.RegFileBanks)
 	}
-	if c.CollectorsPerSM < 1 {
-		return bad("CollectorsPerSM", "need at least 1 operand collector, got %d", c.CollectorsPerSM)
+	if c.CollectorsPerSM < 1 || c.CollectorsPerSM > 64 {
+		return bad("CollectorsPerSM", "operand collectors must be in [1, 64] (collector sets are 64-bit masks), got %d", c.CollectorsPerSM)
 	}
 	if c.RegFileBanks < c.CollectorsPerSM {
 		return bad("RegFileBanks", "%d banks cannot feed %d operand collectors (Table 1 pairs them 1:1; banks must be >= collectors)",

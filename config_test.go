@@ -31,6 +31,7 @@ func TestValidateInvalid(t *testing.T) {
 		{"zero CTAs", func(c *Config) { c.MaxCTAsPerSM = 0 }, "MaxCTAsPerSM"},
 		{"zero banks", func(c *Config) { c.RegFileBanks = 0 }, "RegFileBanks"},
 		{"zero collectors", func(c *Config) { c.CollectorsPerSM = 0 }, "CollectorsPerSM"},
+		{"collectors over 64", func(c *Config) { c.CollectorsPerSM = 65; c.RegFileBanks = 65 }, "CollectorsPerSM"},
 		{"banks below collectors", func(c *Config) { c.RegFileBanks = 8; c.CollectorsPerSM = 16 }, "RegFileBanks"},
 		{"width over warp size", func(c *Config) { c.SIMTWidth = 64 }, "SIMTWidth"},
 		{"register file too small for warps", func(c *Config) { c.RegFileKB = 1 }, "RegFileKB"},

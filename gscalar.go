@@ -140,7 +140,7 @@ type Config struct {
 	MaxCTAsPerSM    int     // resident CTAs (Table 1: 8)
 	RegFileKB       int     // register file per SM (Table 1: 128 KB)
 	RegFileBanks    int     // register-file banks (Table 1: 16)
-	CollectorsPerSM int     // operand collectors (Table 1: 16)
+	CollectorsPerSM int     // operand collectors (Table 1: 16; at most 64)
 	SIMTWidth       int     // execution-pipeline width (Table 1: 16)
 	L1Bytes         int     // L1 data cache per SM (Table 1: 16 KB)
 	L2Bytes         int     // shared L2 (Table 1: 768 KB)

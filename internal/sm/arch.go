@@ -125,7 +125,7 @@ type Config struct {
 	MaxWarps      int // resident warps per SM
 	MaxCTAs       int // resident CTAs per SM
 	NumBanks      int // register-file banks
-	NumCollectors int // operand collectors
+	NumCollectors int // operand collectors, at most 64 (collector sets are 64-bit masks)
 	ALUUnits      int // number of ALU pipelines
 	ALUWidth      int // lanes per ALU pipeline
 	MemWidth      int // lanes of the memory pipeline

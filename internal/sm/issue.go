@@ -65,6 +65,13 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	if !wc.valid || wc.done || wc.scoreStalled {
 		return false
 	}
+	if wc.ocStarved {
+		if s.collFree == 0 {
+			s.st.IssueStallOC++
+			return false
+		}
+		wc.ocStarved = false
+	}
 	if wc.w.Status() != warp.StatusReady {
 		return false
 	}
@@ -91,11 +98,12 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 
 	var free int
 	if !isCtrl {
-		free = s.freeCollector()
-		if free < 0 {
+		if s.collFree == 0 {
 			s.st.IssueStallOC++
+			wc.ocStarved = true
 			return false
 		}
+		free = bits.TrailingZeros64(s.collFree)
 	}
 
 	// §3.3: a divergent write to a compressed register must first be
@@ -188,11 +196,12 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	addrBuf := ce.addrBuf
 	lines := ce.lines[:0]
 	*ce = collectorEntry{
-		valid: true, wi: wi, out: out, elig: elig,
+		wi: wi, out: out, elig: elig,
 		srfScalar: srfScalar, predUniform: predUniform,
 		class: m.Class, latency: m.Latency, occMul: m.OccMul,
 		reads: reads, addrBuf: addrBuf, lines: lines,
 	}
+	ce.lanes = ce.scalarLanes(s.cfg.WarpSize)
 	s.collClaim(free)
 	s.liveCollectors++
 	s.planReads(ce, wc, in, out)
@@ -233,35 +242,12 @@ func (s *SM) hazard(wc *warpCtx, in *isa.Instruction) bool {
 	return false
 }
 
-// freeCollector returns the lowest-index free operand collector, or -1. The
-// first 64 entries are found by a trailing-zero count on the free bitmask;
-// larger configurations fall back to scanning the tail, preserving the
-// lowest-index-first allocation order bit-identity depends on.
-func (s *SM) freeCollector() int {
-	if s.collFree != 0 {
-		return bits.TrailingZeros64(s.collFree)
-	}
-	for i := 64; i < len(s.collectors); i++ {
-		if !s.collectors[i].valid {
-			return i
-		}
-	}
-	return -1
-}
+// collClaim/collRelease maintain the collector free bitmask as entries are
+// issued and dispatched. Issue always claims the lowest free index, the
+// allocation order bit-identity depends on.
+func (s *SM) collClaim(i int) { s.collFree &^= uint64(1) << i }
 
-// collClaim/collRelease maintain the collector free bitmask as entries become
-// valid and are dispatched.
-func (s *SM) collClaim(i int) {
-	if i < 64 {
-		s.collFree &^= uint64(1) << i
-	}
-}
-
-func (s *SM) collRelease(i int) {
-	if i < 64 {
-		s.collFree |= uint64(1) << i
-	}
-}
+func (s *SM) collRelease(i int) { s.collFree |= uint64(1) << i }
 
 // injectMove issues the special decompressing register-to-register move of
 // §3.3 into collector slot free: it reads the compressed register, expands
@@ -276,7 +262,7 @@ func (s *SM) injectMove(free, wi int, reg uint8) {
 	addrBuf := ce.addrBuf
 	lines := ce.lines[:0]
 	*ce = collectorEntry{
-		valid: true, wi: wi, isMove: true, moveReg: reg,
+		wi: wi, isMove: true, moveReg: reg,
 		occMul: 1, reads: reads, addrBuf: addrBuf, lines: lines,
 	}
 	ce.out.DstReg = int(reg)

@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"math/bits"
+
 	"gscalar/internal/core"
 	"gscalar/internal/isa"
 	"gscalar/internal/mem"
@@ -11,29 +13,67 @@ import (
 
 // serveCollectors arbitrates register-bank ports among operand collectors
 // and dispatches entries whose operands are complete to the execution
-// units. Each bank serves one main-array access and one BVR/EBR access per
-// cycle (§4.1: the BVR arrays effectively provide 16 banks for scalar
-// values); the Gilani baseline's scalar bank serves a single access per
-// cycle SM-wide (the burst bottleneck).
+// units, in collector-index order. Each bank serves one main-array access
+// and one BVR/EBR access per cycle (§4.1: the BVR arrays effectively provide
+// 16 banks for scalar values); the Gilani baseline's scalar bank serves a
+// single access per cycle SM-wide (the burst bottleneck). Parked collectors
+// hold no pending reads, so skipping them frees no bank port.
 func (s *SM) serveCollectors() {
 	s.rf.NewCycle()
 
-	for ci := range s.collectors {
+	// Snapshot the parked set first: a collector that parks during the walk
+	// has paid for this cycle through its own attempt.
+	parked, parkedLanes := s.parked, s.parkedLanes
+	memFree := s.unitBusy[s.unitMem()] <= s.now
+	memTaker := len(s.collectors) // the collector that took the memory unit, if any
+	for m := s.collAll &^ s.collFree &^ parked; m != 0; m &= m - 1 {
+		ci := bits.TrailingZeros64(m)
 		ce := &s.collectors[ci]
-		if !ce.valid {
-			continue
-		}
 		remaining := ce.reads[:0]
 		for _, r := range ce.reads {
-			if s.serveRead(r) {
-				continue
+			if !s.serveRead(r) {
+				remaining = append(remaining, r)
 			}
-			remaining = append(remaining, r)
 		}
 		ce.reads = remaining
-		if len(ce.reads) == 0 {
-			s.dispatch(ci)
+		if len(ce.reads) > 0 {
+			continue
 		}
+		// A dispatch holds its unit for at least one cycle, so at most one
+		// collector takes the memory unit per cycle.
+		if s.dispatch(ci) == s.unitMem() {
+			memTaker = ci
+		}
+	}
+	if parked != 0 {
+		s.chargeParked(parked, parkedLanes, memFree, memTaker)
+	}
+}
+
+// chargeParked charges this cycle's skipped attempts of the parked
+// collectors exactly what dispatch would have charged them. Each attempt
+// counts one IssueStallUnit. An attempt that found the memory unit free went
+// on to generate its addresses before failing on the full MSHR file, so it
+// also deposited its AGU lanes; the unit was free for a parked collector if
+// it was free at the start of the cycle and no lower-index collector took
+// it. The lanes go in one deposit: CompLSU only ever receives AGU charges of
+// lanes × AGUPerLane, an integer number of picojoules, so every partial sum
+// is an integer below 2^53 and float64 addition is exact in any grouping.
+// The charge is made every cycle rather than in bulk at wake-up because
+// telemetry samples the meter and the stall counters mid-run.
+func (s *SM) chargeParked(parked uint64, lanes int, memFree bool, memTaker int) {
+	s.st.IssueStallUnit += uint64(bits.OnesCount64(parked))
+	if !memFree {
+		return
+	}
+	if below := parked & (uint64(1)<<memTaker - 1); below != parked {
+		lanes = 0
+		for m := below; m != 0; m &= m - 1 {
+			lanes += s.collectors[bits.TrailingZeros64(m)].lanes
+		}
+	}
+	if lanes > 0 {
+		s.meter.AddN(power.CompLSU, lanes, s.en.AGUPerLane)
 	}
 }
 
@@ -87,56 +127,55 @@ func (s *SM) occupancy(ce *collectorEntry, unitWidth int) uint64 {
 	return occ * uint64(ce.occMul)
 }
 
-// dispatch sends a completed collector entry to its execution unit.
-func (s *SM) dispatch(ci int) {
+// dispatch sends a completed collector entry to its execution unit and
+// returns the unit it took, or -1 when the entry has to wait: its unit is
+// busy, or its global load does not fit the MSHR file (which parks it).
+// Nothing is built or timed for an attempt that fails.
+func (s *SM) dispatch(ci int) int {
 	ce := &s.collectors[ci]
 
-	class := ce.class
 	var unit, width int
 	switch {
 	case ce.isMove:
 		unit, width = s.freeALU(), s.cfg.ALUWidth
-	case class == isa.ClassSFU:
+	case ce.class == isa.ClassSFU:
 		unit, width = s.unitSFU(), s.cfg.SFUWidth
-	case class == isa.ClassMem:
+	case ce.class == isa.ClassMem:
 		unit, width = s.unitMem(), s.cfg.MemWidth
 	default:
 		unit, width = s.freeALU(), s.cfg.ALUWidth
 	}
 	if unit < 0 || s.unitBusy[unit] > s.now {
 		s.st.IssueStallUnit++
-		return
+		return -1
+	}
+	isMem := ce.class == isa.ClassMem && !ce.isMove
+	if isMem && !s.generateAddrs(ci, ce) {
+		s.st.IssueStallUnit++
+		return -1
 	}
 
 	occ := s.occupancy(ce, width)
 	extra := uint64(s.arch.ExtraLatency)
-
-	ev := wbEvent{
-		wi: ce.wi, out: ce.out, elig: ce.elig, srfScalar: ce.srfScalar,
-		isMove: ce.isMove, moveReg: ce.moveReg, predUniform: ce.predUniform,
-	}
-
-	if class == isa.ClassMem && !ce.isMove {
-		done, mshrs, ok := s.dispatchMem(ce, occ, extra)
-		if !ok {
-			s.st.IssueStallUnit++
-			return // MSHRs full; retry next cycle
-		}
-		ev.done = done
-		ev.mshrs = mshrs
+	s.events = append(s.events, wbEvent{
+		wi: ce.wi, inst: ce.out.Inst, active: ce.out.Active, dstVec: ce.out.DstVec,
+		elig: ce.elig, isMove: ce.isMove, moveReg: ce.moveReg, predUniform: ce.predUniform,
+	})
+	ev := &s.events[len(s.events)-1]
+	if isMem {
+		ev.done, ev.mshrs = s.dispatchMem(ce, occ, extra)
 	} else {
 		ev.done = s.now + occ + uint64(basePipeDepth) + uint64(ce.latency) + extra
-		s.execEnergy(ce, class)
+		s.execEnergy(ce, ce.class)
 	}
 
 	s.unitBusy[unit] = s.now + occ
-	s.events = append(s.events, ev)
 	if ev.done < s.nextWb {
 		s.nextWb = ev.done
 	}
-	ce.valid = false
 	s.collRelease(ci)
 	s.liveCollectors--
+	return unit
 }
 
 // freeALU returns a free ALU pipeline index, or -1.
@@ -156,7 +195,6 @@ func (s *SM) execEnergy(ce *collectorEntry, class isa.Class) {
 	if ce.isMove || ce.out.Inst == nil {
 		return
 	}
-	lanes := ce.scalarLanes(s.cfg.WarpSize)
 	comp := power.CompExecALU
 	e := s.en.LaneInt
 	switch {
@@ -167,7 +205,7 @@ func (s *SM) execEnergy(ce *collectorEntry, class isa.Class) {
 	case ce.out.Inst.Op == isa.OpIDiv || ce.out.Inst.Op == isa.OpIRem:
 		e = s.en.LaneDiv
 	}
-	s.meter.AddN(comp, lanes, e)
+	s.meter.AddN(comp, ce.lanes, e)
 }
 
 func isFloatOp(op isa.Opcode) bool {
@@ -230,27 +268,19 @@ func (s *SM) fillPut(line uint32, done uint64) {
 	s.fills = append(kept, lineFill{line: line, done: done})
 }
 
-// dispatchMem models the memory pipeline: address generation, coalescing,
-// L1, and the shared L2/DRAM system. It returns the completion cycle and
-// the number of MSHRs held (for loads). Beyond-L1 transactions never touch
-// the shared memory system here: they are appended to s.beyond for Commit
-// to apply. In per-cycle mode a load's returned done is a lower bound that
-// Commit raises once L2/DRAM timing is known; in relaxed mode loads complete
-// on an estimate.
-func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, mshrs int, ok bool) {
-	in := ce.out.Inst
-	t := s.msys.Timing()
-
+// generateAddrs is a memory instruction's dispatch attempt on a free memory
+// unit: address generation, then, for a global load, the MSHR check. It
+// reports whether the access can proceed; a load that does not fit the MSHR
+// file parks collector ci until a writeback releases MSHRs.
+func (s *SM) generateAddrs(ci int, ce *collectorEntry) bool {
 	// Address generation: one AGU lane per active lane; scalar memory
 	// instructions compute a single address (§5.2).
-	agus := ce.scalarLanes(s.cfg.WarpSize)
-	s.meter.AddN(power.CompLSU, agus, s.en.AGUPerLane)
+	s.meter.AddN(power.CompLSU, ce.lanes, s.en.AGUPerLane)
 
+	in := ce.out.Inst
 	if !in.IsGlobalMem() {
-		s.meter.Add(power.CompSharedMem, s.en.SharedAccess)
-		return s.now + occ + uint64(t.SharedLatency) + extra, 0, true
+		return true
 	}
-
 	// The line list is computed once per instruction and cached in the
 	// collector entry; dispatch retries (unit busy, MSHRs full) reuse it, so
 	// a long stall does not re-coalesce the same addresses every cycle.
@@ -258,15 +288,34 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 		ce.lines = mem.CoalesceInto(ce.lines, ce.out.Addrs, ce.out.Active)
 		ce.linesOK = true
 	}
-	txs := ce.lines
-	isLoad := in.IsLoad()
 	// A request larger than the whole MSHR file (possible with wide warps
 	// and fully-diverged gathers) must still make progress: it dispatches
 	// once the file has drained.
-	if isLoad && s.outstanding > 0 && s.outstanding+len(txs) > s.cfg.MaxMSHRs {
-		return 0, 0, false
+	if in.IsLoad() && s.outstanding > 0 && s.outstanding+len(ce.lines) > s.cfg.MaxMSHRs {
+		s.parked |= uint64(1) << ci
+		s.parkedLanes += ce.lanes
+		return false
+	}
+	return true
+}
+
+// dispatchMem models the memory pipeline past address generation and
+// coalescing: L1 and the shared L2/DRAM system. It returns the completion
+// cycle and the number of MSHRs held (for loads). Beyond-L1 transactions
+// never touch the shared memory system here: they are appended to s.beyond
+// for Commit to apply. In per-cycle mode a load's returned done is a lower
+// bound that Commit raises once L2/DRAM timing is known; in relaxed mode
+// loads complete on an estimate.
+func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, mshrs int) {
+	in := ce.out.Inst
+	t := s.msys.Timing()
+	if !in.IsGlobalMem() {
+		s.meter.Add(power.CompSharedMem, s.en.SharedAccess)
+		return s.now + occ + uint64(t.SharedLatency) + extra, 0
 	}
 
+	txs := ce.lines
+	isLoad := in.IsLoad()
 	latest := s.now + occ
 	for _, line := range txs {
 		s.st.L1Accesses++
@@ -288,9 +337,9 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 			} else {
 				s.st.L1Misses++
 				if !s.relaxed {
-					// dispatch appends this instruction's writeback event
-					// at index len(s.events) once dispatchMem succeeds.
-					s.beyond = append(s.beyond, beyondTx{cycle: s.now, line: line, ev: len(s.events)})
+					// Commit raises the completion of this instruction's
+					// writeback event, the one dispatch just appended.
+					s.beyond = append(s.beyond, beyondTx{cycle: s.now, line: line, ev: len(s.events) - 1})
 					continue
 				}
 				// Epoch mode: the shared system is frozen until the
@@ -316,7 +365,7 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 		s.outstanding += len(txs)
 		mshrs = len(txs)
 	}
-	return latest + extra, mshrs, true
+	return latest + extra, mshrs
 }
 
 // Commit applies the SM's deferred accesses to shared chip state: beyond-L1
@@ -393,31 +442,38 @@ func (s *SM) processWritebacks() {
 	// completeEvent consults hasInFlight (via maybeRecycle), which must not
 	// see the event that is currently being retired.
 	done := s.wbScratch[:0]
-	kept := s.events[:0]
+	kept := 0
 	next := uint64(NoEvent)
-	for _, ev := range s.events {
+	for i := range s.events {
+		ev := &s.events[i]
 		if ev.done > s.now {
 			if ev.done < next {
 				next = ev.done
 			}
-			kept = append(kept, ev)
+			if kept != i {
+				s.events[kept] = *ev
+			}
+			kept++
 		} else {
-			done = append(done, ev)
+			done = append(done, *ev)
 		}
 	}
-	s.events = kept
+	s.events = s.events[:kept]
 	s.nextWb = next
 	s.wbScratch = done
-	for _, ev := range done {
-		s.completeEvent(ev)
+	for i := range done {
+		s.completeEvent(&done[i])
 	}
 }
 
-func (s *SM) completeEvent(ev wbEvent) {
+func (s *SM) completeEvent(ev *wbEvent) {
 	wc := &s.warps[ev.wi]
 
 	if ev.mshrs > 0 {
 		s.outstanding -= ev.mshrs
+		// Released MSHRs may fit a parked load: wake every parked
+		// collector to retry in index order this cycle.
+		s.parked, s.parkedLanes = 0, 0
 	}
 
 	if ev.isMove {
@@ -433,15 +489,14 @@ func (s *SM) completeEvent(ev wbEvent) {
 		return
 	}
 
-	in := ev.out.Inst
-	if in != nil {
+	if in := ev.inst; in != nil {
 		if dst, w := in.WritesReg(); w {
 			s.writebackReg(wc, ev, dst)
 			wc.pendRegs &^= 1 << dst
 		}
 		if p, w := in.WritesPred(); w {
 			if s.arch.RVC == RVCByteWise {
-				wc.meta.OnPredWrite(int(p), ev.out.Active, ev.predUniform)
+				wc.meta.OnPredWrite(int(p), ev.active, ev.predUniform)
 			}
 			wc.pendPreds &^= 1 << p
 		}
@@ -464,9 +519,9 @@ func (s *SM) unstall(wi int) {
 
 // writebackReg applies the architecture's register-write energy and
 // metadata update.
-func (s *SM) writebackReg(wc *warpCtx, ev wbEvent, dst uint8) {
-	vec := ev.out.DstVec
-	active := ev.out.Active
+func (s *SM) writebackReg(wc *warpCtx, ev *wbEvent, dst uint8) {
+	vec := ev.dstVec
+	active := ev.active
 	switch {
 	case s.arch.RVC == RVCByteWise:
 		wb := wc.meta.OnWrite(int(dst), vec, active, s.arch.F, ev.elig == core.EligibleFull)

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gscalar/internal/asm"
 	"gscalar/internal/baseline"
@@ -25,15 +26,16 @@ const NoEvent = ^uint64(0)
 
 // collectorEntry is one operand collector: an issued instruction gathering
 // its source operands. class/latency/occMul are copied from the program's
-// per-PC metadata at issue so dispatch never re-decodes the instruction;
-// addrBuf is the collector's resident address scratch — the warp's
-// address-generation stage writes into it via Context.AddrScratch, and it
-// stays valid until dispatch coalesces it. lines is the entry's resident
-// coalesced-transaction buffer: the line list is computed once on the first
-// dispatch attempt (linesOK), so retry cycles — unit busy, MSHRs full — do
-// not re-coalesce the access.
+// per-PC metadata at issue so dispatch never re-decodes the instruction, and
+// lanes (the execution lanes it activates, which is also its AGU lane count)
+// is fixed at issue too. addrBuf is the collector's resident address
+// scratch — the warp's address-generation stage writes into it via
+// Context.AddrScratch, and it stays valid until dispatch coalesces it. lines
+// is the entry's resident coalesced-transaction buffer: the line list is
+// computed once on the first dispatch attempt (linesOK), so retry cycles —
+// unit busy, MSHRs full — do not re-coalesce the access. An entry is live
+// while its bit in SM.collFree is clear.
 type collectorEntry struct {
-	valid       bool
 	linesOK     bool
 	wi          int
 	out         warp.Outcome
@@ -45,22 +47,26 @@ type collectorEntry struct {
 	class       isa.Class
 	latency     uint16
 	occMul      uint8
+	lanes       int
 	reads       []regfile.Access
 	addrBuf     []uint32
 	lines       []uint32
 }
 
 // wbEvent is a scheduled completion (writeback) of a dispatched instruction.
+// It holds only what writeback reads, so compacting the event list copies
+// little.
 type wbEvent struct {
 	done        uint64
 	wi          int
-	out         warp.Outcome
+	inst        *isa.Instruction
+	active      warp.Mask
+	dstVec      []uint32
+	mshrs       int // outstanding-load transactions to release
 	elig        core.Eligibility
-	srfScalar   bool
 	isMove      bool
 	moveReg     uint8
 	predUniform bool
-	mshrs       int // outstanding-load transactions to release
 }
 
 // ctaSlot tracks one resident CTA. arrived counts its live warps currently
@@ -99,6 +105,13 @@ type warpCtx struct {
 	// instruction, so the stall can only clear when one of the warp's own
 	// writebacks completes — which is exactly where it is cleared.
 	scoreStalled bool
+	// ocStarved records that the warp's next instruction passed the
+	// scoreboard and was turned away for want of a free operand collector.
+	// Only the warp's own issue moves its PC or its masks, and writebacks
+	// only clear pending registers, so until it issues the same instruction
+	// would pass the same checks: while no collector is free, tryIssueWarp
+	// counts the stall without decoding it again.
+	ocStarved bool
 	// regVec is w.RegVec bound once at launch, so the divergence oracle
 	// does not allocate a closure per divergent instruction.
 	regVec func(uint8) []uint32
@@ -128,10 +141,19 @@ type SM struct {
 	warps      []warpCtx
 	ctas       []ctaSlot
 	collectors []collectorEntry
-	// collFree tracks free operand collectors as a bitmask (bit i = entry i
-	// free) for the first 64 entries, so allocation is a trailing-zero count
-	// instead of a scan; rarer larger configurations fall back to scanning.
+	// Collector sets are 64-bit masks over collector indices (Config
+	// validation caps the count at 64). collAll has a bit per collector;
+	// collFree marks the free ones, so allocation is a trailing-zero count
+	// and the live set is collAll &^ collFree.
+	collAll  uint64
 	collFree uint64
+	// parked marks live collectors whose global load found the MSHR file
+	// full. The file only drains when a writeback releases MSHRs, so until
+	// then every retry would fail the same way: serveCollectors skips them,
+	// completeEvent wakes them all, and chargeParked bills each cycle what
+	// their attempts would have cost. parkedLanes is the sum of their lanes.
+	parked      uint64
+	parkedLanes int
 	// Unit indices: 0..ALUUnits-1 are ALU pipelines, then MEM, then SFU.
 	unitBusy []uint64
 	events   []wbEvent
@@ -219,11 +241,8 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	for i := range s.collectors {
 		s.collectors[i].addrBuf = make([]uint32, cfg.WarpSize)
 	}
-	if cfg.NumCollectors >= 64 {
-		s.collFree = ^uint64(0)
-	} else {
-		s.collFree = (uint64(1) << cfg.NumCollectors) - 1
-	}
+	s.collAll = (uint64(1) << cfg.NumCollectors) - 1 // all ones at 64
+	s.collFree = s.collAll
 	s.regArena = regfile.NewArena(cfg.MaxWarps * warp.StorageWords(prog.NumRegs, cfg.WarpSize))
 	s.laneAlloc = s.regArena.Alloc
 	s.unitBusy = make([]uint64, cfg.ALUUnits+2)
@@ -513,8 +532,8 @@ func (s *SM) hasInFlight(wi int) bool {
 			return true
 		}
 	}
-	for i := range s.collectors {
-		if s.collectors[i].valid && s.collectors[i].wi == wi {
+	for m := s.collAll &^ s.collFree; m != 0; m &= m - 1 {
+		if s.collectors[bits.TrailingZeros64(m)].wi == wi {
 			return true
 		}
 	}
@@ -549,12 +568,7 @@ func (s *SM) DebugState() string {
 			activeCTAs++
 		}
 	}
-	coll := 0
-	for i := range s.collectors {
-		if s.collectors[i].valid {
-			coll++
-		}
-	}
+	coll := bits.OnesCount64(s.collAll &^ s.collFree)
 	return fmt.Sprintf("sm%d: live=%d valid=%d done=%d barrier=%d drain=%d pending=%d ctas=%d coll=%d events=%d mshr=%d",
 		s.ID, s.liveWarps, validW, doneW, barrierW, drainW, pend, activeCTAs, coll, len(s.events), s.outstanding)
 }

@@ -10,7 +10,7 @@ import (
 	"gscalar/internal/power"
 )
 
-func newTestSM(t *testing.T, src string, lc *kernel.LaunchConfig, gmem *kernel.Memory, arch Arch) (*SM, *power.Meter) {
+func newTestSM(t testing.TB, src string, lc *kernel.LaunchConfig, gmem *kernel.Memory, arch Arch) (*SM, *power.Meter) {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {

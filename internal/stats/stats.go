@@ -49,6 +49,13 @@ type Sim struct {
 	// stalled cycles: the issue stage parks hazard-blocked warps off the
 	// ready list and re-checks them only when a writeback clears the
 	// hazard, so there is no per-cycle re-count to accumulate.
+	//
+	// IssueStallUnit and IssueStallOC count failed attempts, one per
+	// waiting entry per cycle: IssueStallUnit a collector whose dispatch
+	// found its unit busy or the MSHR file full, IssueStallOC a warp turned
+	// away because no operand collector was free. An entry the SM parks
+	// instead of retrying (a collector on a full MSHR file, a warp starved
+	// of collectors) still counts once for each cycle it waits.
 	IssueStallScoreboard uint64
 	IssueStallUnit       uint64
 	IssueStallOC         uint64
