@@ -3,8 +3,9 @@
 # perfbench, the benchmark's own module), an explicit pass over the
 # config-validation / launch-validation / cancellation-determinism suites
 # (fast, and the properties the run-session lifecycle depends on), the
-# differential, trace, telemetry, generator, perf-smoke and serving gates
-# below, the figure golden (expdet), and a race-detector pass over the
+# differential, trace, telemetry, generator, perf-smoke (which also runs
+# each Go benchmark once at its smallest size) and serving gates below, the
+# figure golden (expdet), and a race-detector pass over the
 # packages that run goroutines (the chip loop's worker pool and the
 # experiment prewarm fan-out). The race pass uses -short because the
 # detector slows simulation ~10x; the short subset still drives the phased
@@ -12,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet fmt fmtcheck bench-parallel bench-serve profile
+.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet fmt fmtcheck profile
 
 check: fmtcheck build test vet perfbench valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet race
 
@@ -98,17 +99,6 @@ expdet:
 	sed '$$d' experiments_output.txt | diff -u - "$$tmp/out" && \
 	echo "expdet: -exp all reproduces experiments_output.txt"
 
-# Regenerates BENCH_serve.json: gscalar-serve sweep throughput over the HTTP
-# API, cold (every point simulates) vs warm (every point a store hit).
-bench-serve:
-	$(GO) test -bench ServeThroughput -benchtime 1x -run '^$$' .
-
-# Regenerates BENCH_parallel.json: the serial schedule against the phased
-# and relaxed schedules at several worker counts, one run per row. Repeated
-# end-to-end measurements come from perfbench (BENCHMARK.json).
-bench-parallel:
-	$(GO) test -bench ParallelSpeedup -benchtime 1x -run '^$$' .
-
 # Synthetic-generator gate: the gen-package unit tests (dial parsing and
 # typed errors, canonicalization round-trip, schema sanity, byte-identical
 # builds), the workload-spec grammar tests (ParseSpec + the FuzzParseSpec
@@ -123,12 +113,17 @@ gendet:
 	$(GO) test -race -short ./internal/gen ./internal/workloads
 
 # Perf smoke: fail fast when a workload blows a generous wall-clock ceiling
-# (order-of-magnitude simulator regressions, not benchmarking), and run one
-# batch of each input of the SM layer's benchmark so it stays runnable. To
-# time that layer: go test -run '^$' -bench SMCycle -benchmem ./internal/sm
+# (order-of-magnitude simulator regressions, not benchmarking), and run each
+# benchmark once at its smallest size so it stays runnable: one batch of each
+# input of the SM layer's benchmark, and one round of HS at scale 1 under the
+# five chip-loop schedules, with the schedule benchmark's identity checks.
+# To time them:
+#   go test -run '^$' -bench SMCycle -benchmem ./internal/sm
+#   go test -run '^$' -bench Schedules -benchtime 1x .   (about a minute)
 perfsmoke:
 	$(GO) test -short -run 'TestPerfSmoke' .
 	$(GO) test -run '^$$' -bench SMCycle -benchtime 1x ./internal/sm
+	$(GO) test -short -run '^$$' -bench Schedules -benchtime 1x .
 
 # End-to-end CPU/heap profiling via internal/hostprof: run the LBM stressor
 # under -cpuprofile/-memprofile and print the top-10 hot functions of each.

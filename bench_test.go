@@ -1,214 +1,111 @@
 package gscalar_test
 
-// Simulator-speed benchmarks. The paper's tables and figures are
-// regenerated by gscalar-experiments (-exp NAME), not by go test -bench;
-// perfbench (BENCHMARK.json) is the repeated end-to-end measurement.
+// The schedule benchmark. The paper's tables and figures are regenerated by
+// gscalar-experiments (-exp NAME), not by go test -bench; perfbench
+// (BENCHMARK.json) is the end-to-end speed measurement.
 
 import (
-	"encoding/json"
-	"flag"
-	"math"
-	"os"
+	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"gscalar"
 )
 
-var benchScale = flag.Int("benchscale", 1, "workload scale factor for benches")
-
-// timedRun simulates one workload point and reports the wall-clock seconds
-// it took alongside the Result.
-func timedRun(b *testing.B, abbr string, workers int) (gscalar.Result, float64) {
-	b.Helper()
-	cfg := benchCfg(workers)
-	t0 := time.Now()
-	res, err := runWorkloadVia(b, cfg, gscalar.GScalar, abbr, *benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res, time.Since(t0).Seconds()
+// benchSchedule is one chip-loop schedule BenchmarkSchedules times.
+type benchSchedule struct {
+	name           string
+	workers, epoch int
 }
 
-// benchCfg is the exact configuration a timedRun point simulates; its
-// canonical Hash is recorded in each snapshot row so a BENCH file can be
-// matched unambiguously to the configuration that produced it.
-func benchCfg(workers int) gscalar.Config {
+func (s benchSchedule) config() gscalar.Config {
 	cfg := gscalar.DefaultConfig()
-	cfg.Workers = workers
+	cfg.Workers, cfg.EpochCycles = s.workers, s.epoch
 	return cfg
 }
 
-// parallelSnapshot is one row of BENCH_parallel.json: one parallel loop
-// (phased per-cycle, or relaxed at a given epoch length) at one worker
-// count, measured against the legacy serial loop on the same workload.
-// host_cores matters — on a single-core host no loop can beat the serial
-// one and speedup_vs_serial ~1/overhead is expected; the multi-worker rows
-// exist so a multi-core host's numbers land in review without editing the
-// harness. cycle_delta_pct (relaxed rows only) is the simulated-cycle
-// deviation from the serial oracle; identical_results asserts bit-identity
-// with the loop's own workers=1 run, which holds for every mode — for the
-// relaxed loop worker count is pure execution parallelism and only
-// EpochCycles is a model parameter.
-type parallelSnapshot struct {
-	Workload         string  `json:"workload"`
-	Arch             string  `json:"arch"`
-	ConfigHash       string  `json:"config_hash"`
-	Scale            int     `json:"scale"`
-	HostCores        int     `json:"host_cores"`
-	Mode             string  `json:"mode"`
-	EpochCycles      int     `json:"epoch_cycles,omitempty"`
-	Workers          int     `json:"workers"`
-	Cycles           uint64  `json:"cycles"`
-	SerialSeconds    float64 `json:"serial_seconds"`
-	ParallelSeconds  float64 `json:"parallel_seconds"`
-	SpeedupVsSerial  float64 `json:"speedup_vs_serial"`
-	CycleDeltaPct    float64 `json:"cycle_delta_pct,omitempty"`
-	IdenticalResults bool    `json:"identical_results"`
+// benchSchedules are the schedules compared. Each @2 schedule follows its
+// @1 twin, which it must match bit for bit.
+var benchSchedules = []benchSchedule{
+	{"serial", 0, 0},
+	{"phased@1", 1, 0},
+	{"phased@2", 2, 0},
+	{"relaxed@1", 1, 256},
+	{"relaxed@2", 2, 256},
 }
 
-// parallelBench is the BENCH_parallel.json document: a context note plus the
-// measured rows.
-type parallelBench struct {
-	Note string             `json:"note"`
-	Rows []parallelSnapshot `json:"rows"`
+// BenchmarkSchedules times LBM and HS at scale 4 on gscalar under each
+// schedule for 7 rounds, rotating which schedule runs first each round so
+// that host drift spreads over all of them, and logs one row per schedule:
+// the median [min, max] wall-clock seconds of a Session.RunWorkload, that
+// median over serial's, the config hash and the host's CPU count. A
+// schedule's later rounds must reproduce its first Result, and a schedule
+// must produce the same Result at 1 and at 2 workers. Under -short it runs
+// one round of HS at scale 1, which keeps the identity checks:
+//
+//	go test -run '^$' -bench Schedules -benchtime 1x .
+//
+// Each workload is a sub-benchmark, so that its rows stay within the
+// testing package's ten-line cap on a benchmark's log. It writes no file:
+// rows from a host with fewer idle cores than workers measure contention,
+// not the schedule.
+func BenchmarkSchedules(b *testing.B) {
+	specs, scale, rounds := []string{"LBM", "HS"}, 4, 7
+	if testing.Short() {
+		specs, scale, rounds = []string{"HS"}, 1, 1
+	}
+	for _, spec := range specs {
+		b.Run(fmt.Sprintf("%s×%d", spec, scale), func(b *testing.B) {
+			for range b.N {
+				benchScheduleRows(b, spec, scale, rounds)
+			}
+		})
+	}
 }
 
-// timedRunEpoch is timedRun on the relaxed loop at the given epoch length.
-func timedRunEpoch(b *testing.B, abbr string, workers, epoch int) (gscalar.Result, float64) {
+// benchScheduleRows runs one workload point for the given number of rounds
+// (odd, so the median is a sample) under every schedule and logs the rows.
+func benchScheduleRows(b *testing.B, spec string, scale, rounds int) {
 	b.Helper()
-	cfg := benchCfg(workers)
-	cfg.EpochCycles = epoch
-	t0 := time.Now()
-	res, err := runWorkloadVia(b, cfg, gscalar.GScalar, abbr, *benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res, time.Since(t0).Seconds()
-}
-
-// BenchmarkParallelSpeedup measures, for the three largest workloads (HS,
-// LBM, MG), the legacy serial loop against the phased per-cycle loop and
-// the relaxed epoch loop (epochs 64 and 256) at worker counts 1, 2, 4, 8,
-// checks each loop's worker-count determinism on the way, records the
-// relaxed rows' cycle deviation from the serial oracle, and writes every
-// point to BENCH_parallel.json:
-//
-//	go test -bench ParallelSpeedup -benchtime 1x -run '^$'
-//
-// Each row is one -benchtime 1x run; perfbench (BENCHMARK.json) is the
-// repeated, end-to-end measurement.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	workloads := []string{"HS", "LBM", "MG"}
-	epochs := []int{64, 256}
-	cores := runtime.GOMAXPROCS(0)
-	workerPoints := []int{1, 2, 4, 8}
-
-	var snaps []parallelSnapshot
-	var bestRelaxed float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snaps = snaps[:0]
-		bestRelaxed = 0
-		for _, abbr := range workloads {
-			serial, serialSec := timedRun(b, abbr, 0)
-			row := func(mode string, epoch, workers int, res gscalar.Result, sec float64, hash string) parallelSnapshot {
-				snap := parallelSnapshot{
-					Workload:        abbr,
-					Arch:            gscalar.GScalar.String(),
-					ConfigHash:      hash,
-					Scale:           *benchScale,
-					HostCores:       cores,
-					Mode:            mode,
-					EpochCycles:     epoch,
-					Workers:         workers,
-					Cycles:          res.Cycles,
-					SerialSeconds:   serialSec,
-					ParallelSeconds: sec,
-					SpeedupVsSerial: serialSec / sec,
-				}
-				if mode == "relaxed" {
-					snap.CycleDeltaPct = math.Abs(float64(res.Cycles)-float64(serial.Cycles)) /
-						float64(serial.Cycles) * 100
-				}
-				return snap
+	point := fmt.Sprintf("%s×%d", spec, scale)
+	first := make([]gscalar.Result, len(benchSchedules))
+	secs := make([][]float64, len(benchSchedules))
+	for r := 0; r < rounds; r++ {
+		for k := range benchSchedules {
+			i := (r + k) % len(benchSchedules)
+			s := benchSchedules[i]
+			runtime.GC() // start every timed run from the same heap state
+			t0 := time.Now()
+			res, err := runWorkloadVia(b, s.config(), gscalar.GScalar, spec, scale)
+			secs[i] = append(secs[i], time.Since(t0).Seconds())
+			if err != nil {
+				b.Fatalf("%s %s: %v", point, s.name, err)
 			}
-			// Each loop's workers=1 run is its determinism reference; the
-			// serial loop is a different machine (stores become visible
-			// within the issuing cycle) and serves as the timing oracle.
-			var phasedRef gscalar.Result
-			relaxedRef := map[int]gscalar.Result{}
-			for wi, workers := range workerPoints {
-				par, parSec := timedRun(b, abbr, workers)
-				if wi == 0 {
-					phasedRef = par
-				} else if !reflect.DeepEqual(stripExecMeta(phasedRef), stripExecMeta(par)) {
-					b.Fatalf("%s: phased loop nondeterministic: workers=%d differs from workers=%d",
-						abbr, workers, workerPoints[0])
-				}
-				snap := row("phased", 0, workers, par, parSec, benchCfg(workers).Hash())
-				snap.IdenticalResults = true
-				snaps = append(snaps, snap)
-
-				for _, epoch := range epochs {
-					rel, relSec := timedRunEpoch(b, abbr, workers, epoch)
-					if wi == 0 {
-						relaxedRef[epoch] = rel
-					} else if !reflect.DeepEqual(stripExecMeta(relaxedRef[epoch]), stripExecMeta(rel)) {
-						b.Fatalf("%s: relaxed loop (epoch=%d) nondeterministic: workers=%d differs from workers=%d",
-							abbr, epoch, workers, workerPoints[0])
-					}
-					cfg := benchCfg(workers)
-					cfg.EpochCycles = epoch
-					snap := row("relaxed", epoch, workers, rel, relSec, cfg.Hash())
-					snap.IdenticalResults = true
-					snaps = append(snaps, snap)
-					if snap.SpeedupVsSerial > bestRelaxed {
-						bestRelaxed = snap.SpeedupVsSerial
-					}
-				}
+			res = stripExecMeta(res)
+			if r == 0 {
+				first[i] = res
+			} else if !reflect.DeepEqual(res, first[i]) {
+				b.Fatalf("%s %s: round %d's Result differs from round 0's", point, s.name, r)
 			}
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(bestRelaxed, "best-relaxed-speedup")
-	b.ReportMetric(float64(cores), "cores")
-	doc := parallelBench{
-		Note: "speedup_vs_serial is wall-clock of the legacy serial loop over the row's loop " +
-			"on the same workload. host_cores=1 on this container: every loop shares one core, " +
-			"so all speedups measure coordination overhead only (~1x is the ceiling) — the " +
-			"workers=2/4/8 rows exist so a multi-core host's numbers land by rerunning " +
-			"`make bench-parallel`, where the relaxed loop's once-per-epoch barrier is " +
-			"designed to scale and the phased loop's per-cycle barrier is the contrast. " +
-			"identical_results is bit-identity with the same loop at workers=1 (worker count " +
-			"never changes simulation output in either mode); relaxed rows additionally " +
-			"record cycle_delta_pct, the simulated-cycle deviation from the serial oracle " +
-			"(bounded by the envelope asserted in relaxed_test.go).",
-		Rows: snaps,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (simulated
-// cycles per wall second) on one benchmark — a performance regression
-// guard for the simulator itself.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := gscalar.DefaultConfig()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := runWorkloadVia(b, cfg, gscalar.GScalar, "HS", 1)
-		if err != nil {
-			b.Fatal(err)
+	for i, s := range benchSchedules {
+		if s.workers == 2 && !reflect.DeepEqual(first[i], first[i-1]) {
+			b.Fatalf("%s: %s's Result differs from %s's", point, s.name, benchSchedules[i-1].name)
 		}
-		cycles += res.Cycles
 	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
+	median := func(xs []float64) float64 { return xs[len(xs)/2] }
+	for i := range secs {
+		sort.Float64s(secs[i])
+	}
+	serial := median(secs[0])
+	for i, s := range benchSchedules {
+		xs := secs[i]
+		b.Logf("%s %-9s %.3f s [%.3f, %.3f] over %d rounds, %.2f of serial; config %s; NumCPU %d, GOMAXPROCS %d",
+			point, s.name, median(xs), xs[0], xs[len(xs)-1], len(xs), median(xs)/serial,
+			s.config().Hash(), runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
 }

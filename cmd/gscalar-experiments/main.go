@@ -65,8 +65,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "capture every freshly simulated point's input as a replayable trace (.gstr) in this directory")
 	parallel := flag.Int("parallel", 1, "simulate up to N (arch, workload) points concurrently; output is identical to -parallel 1")
 	workers := flag.Int("workers", 0, "phased-schedule compute workers per simulation (0 = serial schedule, -1 = one per host core)")
-	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed schedule (deterministic, not bit-identical to serial; scales with -workers)")
-	epoch := flag.Int("epoch", 0, "relaxed-schedule epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
+	epoch := flag.Int("epoch", 0, "use the relaxed schedule with this epoch length in simulated cycles (deterministic, not bit-identical to serial; 0 = the per-cycle schedule -workers selects)")
 	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
 	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
 	timeout := flag.Duration("timeout", 0, "stop simulating after this wall-clock duration")
@@ -108,8 +107,6 @@ func main() {
 			}
 		case "workers":
 			cfg.Workers = *workers
-		case "relaxed":
-			cfg.Relaxed = *relaxed
 		case "epoch":
 			cfg.EpochCycles = *epoch
 		}
@@ -221,7 +218,7 @@ func newMetricsSink(metricsDir, format, traceDir string) (*metricsSink, error) {
 func (s *metricsSink) write(arch gscalar.Arch, abbr string, m *gscalar.Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	point := arch.String() + "_" + abbr
+	point := experiments.PointFileName(arch, abbr)
 	record := func(err error) {
 		if err != nil && s.firstErr == nil {
 			s.firstErr = err

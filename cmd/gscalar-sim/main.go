@@ -63,8 +63,7 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "print the per-component power breakdown")
 	all := flag.Bool("all", false, "run every Table 2 benchmark and print a summary table")
 	workers := flag.Int("workers", 0, "phased-schedule compute workers (0 = serial schedule, -1 = one per host core)")
-	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed schedule (deterministic, not bit-identical to serial; scales with -workers)")
-	epoch := flag.Int("epoch", 0, "relaxed-schedule epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
+	epoch := flag.Int("epoch", 0, "use the relaxed schedule with this epoch length in simulated cycles (deterministic, not bit-identical to serial; 0 = the per-cycle schedule -workers selects)")
 	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
 	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
 	timeout := flag.Duration("timeout", 0, "stop simulating after this wall-clock duration; partial statistics are printed")
@@ -128,8 +127,6 @@ func main() {
 			}
 		case "workers":
 			cfg.Workers = *workers
-		case "relaxed":
-			cfg.Relaxed = *relaxed
 		case "epoch":
 			cfg.EpochCycles = *epoch
 		}

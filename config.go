@@ -12,29 +12,19 @@ import (
 // Normalize fills Table 1 defaults into unset fields, Validate enforces the
 // structural invariants every layer below assumes, JSON round-tripping backs
 // the CLIs' -config/-dump-config flags, and Hash provides the canonical
-// content identity that point keys (experiments.PointKey) and benchmark
-// snapshots are built on.
+// content identity that point keys (experiments.PointKey) are built on.
 
-// DefaultEpochCycles is the relaxed loop's epoch length when Relaxed is set
-// without an explicit EpochCycles.
-const DefaultEpochCycles = 64
+// defaultEpochCycles is the epoch length a config carrying the retired
+// Relaxed key without an EpochCycles loads with.
+const defaultEpochCycles = 64
 
 // Normalize fills zero-valued structural fields with their Table 1 defaults
 // (DefaultConfig values), so a sparse configuration — e.g. a JSON file that
-// only overrides NumSMs — denotes "Table 1 with these changes". MaxCycles
-// and Workers keep their zero values: zero is meaningful for both (default
-// bound, serial schedule). The relaxed-mode pair is canonicalized: a
-// positive EpochCycles implies Relaxed, and Relaxed without an epoch length
-// takes DefaultEpochCycles, so the two spellings of the same simulation
-// hash identically.
+// only overrides NumSMs — denotes "Table 1 with these changes". MaxCycles,
+// Workers and EpochCycles keep their zero values: zero is meaningful for
+// each (default bound, serial schedule, per-cycle schedules).
 func (c *Config) Normalize() {
 	d := DefaultConfig()
-	if c.EpochCycles > 0 {
-		c.Relaxed = true
-	}
-	if c.Relaxed && c.EpochCycles == 0 {
-		c.EpochCycles = DefaultEpochCycles
-	}
 	if c.NumSMs == 0 {
 		c.NumSMs = d.NumSMs
 	}
@@ -143,9 +133,6 @@ func (c Config) Validate() error {
 	if c.EpochCycles < 0 {
 		return bad("EpochCycles", "epoch length cannot be negative, got %d", c.EpochCycles)
 	}
-	if c.Relaxed && c.EpochCycles < 1 {
-		return bad("EpochCycles", "relaxed mode needs a positive epoch length (Normalize fills the default), got %d", c.EpochCycles)
-	}
 	return nil
 }
 
@@ -158,21 +145,28 @@ func (c Config) JSON() ([]byte, error) {
 // ConfigFromJSON parses, normalizes, and validates a JSON configuration.
 // Unknown fields are rejected (they are almost always typos that would
 // otherwise silently fall back to defaults); absent fields take their
-// Table 1 defaults via Normalize. The one exception is the retired key
-// DisableIdleSkip, which every config dumped before chip-wide idle skipping
-// was removed carries: it is accepted with either value and ignored, since
-// skipping never changed a simulated result.
+// Table 1 defaults via Normalize. Two retired keys are the exceptions, so
+// that every config dumped by an earlier revision loads to the same
+// simulation. DisableIdleSkip is accepted with either value and ignored,
+// since chip-wide idle skipping never changed a simulated result. Relaxed
+// once selected the relaxed schedule beside EpochCycles; a positive
+// EpochCycles alone selects it now, and "Relaxed": true without an epoch
+// length loads with the epoch length it used to default to.
 func ConfigFromJSON(data []byte) (Config, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var in struct {
 		Config
 		DisableIdleSkip bool // retired
+		Relaxed         bool // retired
 	}
 	if err := dec.Decode(&in); err != nil {
 		return Config{}, fmt.Errorf("gscalar: parsing config JSON: %w", err)
 	}
 	c := in.Config
+	if in.Relaxed && c.EpochCycles == 0 {
+		c.EpochCycles = defaultEpochCycles
+	}
 	c.Normalize()
 	if err := c.Validate(); err != nil {
 		return Config{}, err
@@ -187,8 +181,7 @@ func ConfigFromJSON(data []byte) (Config, error) {
 // fields are added later (a config that does not use a new field keeps its
 // identity). Two configs hash equal iff they denote the same simulation
 // input, which is what point keys (experiments.PointKey, shared by the
-// experiment suite's memo and the sweep server's store) and the BENCH
-// snapshots build on.
+// experiment suite's memo and the sweep server's store) build on.
 func (c Config) Hash() string {
 	blob, err := json.Marshal(c)
 	if err != nil {

@@ -39,7 +39,6 @@ func TestValidateInvalid(t *testing.T) {
 		{"zero L2", func(c *Config) { c.L2Bytes = -1 }, "L2Bytes"},
 		{"zero channels", func(c *Config) { c.MemChannels = -1 }, "MemChannels"},
 		{"negative epoch", func(c *Config) { c.EpochCycles = -64 }, "EpochCycles"},
-		{"relaxed without epoch", func(c *Config) { c.Relaxed = true }, "EpochCycles"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,45 +106,21 @@ func TestNormalizeFillsDefaults(t *testing.T) {
 	}
 }
 
-// TestNormalizeEpochCycles pins the canonicalization of the relaxed-mode
-// pair: a positive EpochCycles implies Relaxed, Relaxed without an epoch
-// length takes DefaultEpochCycles, and the two spellings of the same mode
-// hash identically after Normalize. EpochCycles=0 without Relaxed must stay
-// zero (phased/serial selection is untouched).
+// TestNormalizeEpochCycles pins that Normalize leaves the schedule
+// selection as given: EpochCycles 0 stays on the per-cycle schedules, and a
+// positive epoch length, which alone selects the relaxed schedule, is kept
+// and valid.
 func TestNormalizeEpochCycles(t *testing.T) {
-	c := DefaultConfig()
-	c.EpochCycles = 128
-	c.Normalize()
-	if !c.Relaxed {
-		t.Error("positive EpochCycles did not imply Relaxed")
-	}
-
-	c = DefaultConfig()
-	c.Relaxed = true
-	c.Normalize()
-	if c.EpochCycles != DefaultEpochCycles {
-		t.Errorf("Relaxed without epoch normalized to EpochCycles=%d, want %d",
-			c.EpochCycles, DefaultEpochCycles)
-	}
-	if err := c.Validate(); err != nil {
-		t.Errorf("normalized relaxed config invalid: %v", err)
-	}
-
-	c = DefaultConfig()
-	c.Normalize()
-	if c.Relaxed || c.EpochCycles != 0 {
-		t.Error("Normalize turned on relaxed mode for a default config")
-	}
-
-	implicit := DefaultConfig()
-	implicit.EpochCycles = 128
-	implicit.Normalize()
-	explicit := DefaultConfig()
-	explicit.EpochCycles = 128
-	explicit.Relaxed = true
-	explicit.Normalize()
-	if implicit.Hash() != explicit.Hash() {
-		t.Error("the two spellings of relaxed epoch=128 hash differently after Normalize")
+	for _, epoch := range []int{0, 128} {
+		c := DefaultConfig()
+		c.EpochCycles = epoch
+		c.Normalize()
+		if c.EpochCycles != epoch {
+			t.Errorf("Normalize moved EpochCycles from %d to %d", epoch, c.EpochCycles)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("EpochCycles=%d: %v", epoch, err)
+		}
 	}
 }
 
@@ -153,7 +128,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 4
 	cfg.Workers = 3
-	cfg.Relaxed = true
 	cfg.EpochCycles = 256
 	blob, err := cfg.JSON()
 	if err != nil {
@@ -182,9 +156,10 @@ func TestConfigFromJSONSparse(t *testing.T) {
 
 // TestConfigFromJSONRetiredIdleSkip loads two configs written by
 // gscalar-sim -dump-config while chip-wide idle skipping still had its
-// DisableIdleSkip knob, one with the knob off and one with it on. The
-// retired key is ignored with either value, so both load to Table 1 with
-// its usual hash. Any other unknown key stays an error.
+// DisableIdleSkip knob, one with the knob off and one with it on; both also
+// carry the retired "Relaxed": false. DisableIdleSkip is ignored with
+// either value, so both load to Table 1 with its usual hash. Any other
+// unknown key stays an error.
 func TestConfigFromJSONRetiredIdleSkip(t *testing.T) {
 	for _, name := range []string{"config-idleskip-false.json", "config-idleskip-true.json"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -204,6 +179,37 @@ func TestConfigFromJSONRetiredIdleSkip(t *testing.T) {
 	}
 	if _, err := ConfigFromJSON([]byte(`{"DisableIdleSkip": false, "NumSM": 3}`)); err == nil {
 		t.Error("unknown field accepted next to the retired key")
+	}
+}
+
+// TestConfigFromJSONRetiredRelaxed loads the retired Relaxed key, which
+// once selected the relaxed schedule beside EpochCycles, to the simulation
+// it named: "Relaxed": true without an epoch length takes the epoch length
+// it used to default to, and beside an epoch length the key changes
+// nothing, so each spelling loads to, and hashes as, its EpochCycles alone.
+func TestConfigFromJSONRetiredRelaxed(t *testing.T) {
+	cases := []struct {
+		json  string
+		epoch int
+	}{
+		{`{"Relaxed": true}`, 64},
+		{`{"Relaxed": true, "EpochCycles": 128}`, 128},
+		{`{"Relaxed": false, "EpochCycles": 128}`, 128},
+		{`{"Relaxed": false}`, 0},
+	}
+	for _, tc := range cases {
+		got, err := ConfigFromJSON([]byte(tc.json))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.json, err)
+		}
+		want := DefaultConfig()
+		want.EpochCycles = tc.epoch
+		if got != want {
+			t.Errorf("%s loaded as %+v, want Table 1 with EpochCycles=%d", tc.json, got, tc.epoch)
+		}
+	}
+	if _, err := ConfigFromJSON([]byte(`{"Relaxed": true, "EpochCycles": -1}`)); err == nil {
+		t.Error("negative epoch accepted beside the retired key")
 	}
 }
 
@@ -227,14 +233,14 @@ func TestConfigFromJSONRejects(t *testing.T) {
 // defaultConfigHash is the canonical content hash of the Table 1
 // configuration. It is a compatibility contract: the point keys of the
 // experiment suite's memo and of the result store behind gscalar-serve,
-// BENCH_parallel.json and the perfbench report key on it, so it must change only when a Table 1 value (or the
-// canonicalisation scheme itself) changes — never when Config gains or
-// loses a field whose zero value this config keeps.
+// and the perfbench report key on it, so it must change only when a
+// Table 1 value (or the canonicalisation scheme itself) changes — never
+// when Config gains or loses a field whose zero value this config keeps.
 const defaultConfigHash = "95581456d13790536ceade439ff5847cc92ce9938a169f7753de36b71a204696"
 
 func TestConfigHashGolden(t *testing.T) {
 	if h := DefaultConfig().Hash(); h != defaultConfigHash {
-		t.Errorf("DefaultConfig().Hash() = %s, want %s\n(if a Table 1 value deliberately changed, update the golden constant and regenerate the BENCH snapshots)", h, defaultConfigHash)
+		t.Errorf("DefaultConfig().Hash() = %s, want %s\n(if a Table 1 value deliberately changed, update the golden constant)", h, defaultConfigHash)
 	}
 }
 

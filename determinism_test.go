@@ -8,10 +8,9 @@ import (
 	"gscalar"
 )
 
-// runWorkloadVia simulates one workload through a fresh Session — the
-// supported entry path now that the context-less free functions are
-// deprecated shims. Shared by the determinism, cancellation and benchmark
-// tests of this package.
+// runWorkloadVia simulates one workload through a fresh Session, the
+// library's entry path. Shared by the determinism, cancellation and
+// benchmark tests of this package.
 func runWorkloadVia(t testing.TB, cfg gscalar.Config, arch gscalar.Arch, abbr string, scale int) (gscalar.Result, error) {
 	t.Helper()
 	s, err := gscalar.NewSession(cfg, arch)

@@ -156,20 +156,15 @@ type Config struct {
 	// bit-identical results, so Workers only trades wall-clock time. See
 	// docs/architecture.md, "Parallel execution model".
 	Workers int
-	// Relaxed selects the relaxed schedule: workers advance their SMs up to
-	// EpochCycles simulated cycles between commits instead of one, which is
-	// what lets multi-worker simulation actually scale. Unlike the phased
-	// schedule its results are not bit-identical to the serial one — they
-	// carry a small, measured timing delta (see docs/architecture.md,
-	// "Relaxed epoch-parallel execution") — but a fixed EpochCycles value is
-	// deterministic across repeated runs and every worker count.
-	Relaxed bool
-	// EpochCycles is the relaxed schedule's commit interval in simulated
-	// cycles. 0 with Relaxed set takes DefaultEpochCycles; a positive value
-	// implies Relaxed (Normalize canonicalizes the pair); 0 without Relaxed
-	// keeps the per-cycle schedules selected by Workers. Shorter epochs
-	// track the serial schedule more closely, longer ones synchronize less
-	// often.
+	// EpochCycles, when positive, selects the relaxed schedule: workers
+	// advance their SMs up to EpochCycles simulated cycles between commits
+	// instead of one. Unlike the phased schedule its results are not
+	// bit-identical to the serial one — they carry a small, measured timing
+	// delta (see docs/architecture.md, "Relaxed epoch-parallel execution")
+	// — but a fixed EpochCycles value is deterministic across repeated runs
+	// and every worker count. Shorter epochs track the serial schedule more
+	// closely, longer ones synchronize less often. 0 keeps the per-cycle
+	// schedules selected by Workers.
 	EpochCycles int
 }
 
@@ -200,12 +195,7 @@ func (c Config) toGPU() gpu.Config {
 	g.L2Bytes = c.L2Bytes
 	g.MaxCycles = c.MaxCycles
 	g.Workers = c.Workers
-	if c.Relaxed {
-		g.EpochCycles = c.EpochCycles
-		if g.EpochCycles == 0 {
-			g.EpochCycles = DefaultEpochCycles
-		}
-	}
+	g.EpochCycles = c.EpochCycles
 	g.MemTiming.NumChannels = c.MemChannels
 	g.SM.WarpSize = c.WarpSize
 	g.SM.Schedulers = c.SchedulersPerSM
@@ -314,11 +304,7 @@ func resultFrom(r gpu.Result) Result {
 
 		ExecPowerShare: r.Power.ExecShare(),
 		RFPowerShare:   r.Power.RFShare(),
-		RFDynamicJ: (r.Power.PerComp[power.CompRFArray] +
-			r.Power.PerComp[power.CompRFCrossbar] +
-			r.Power.PerComp[power.CompRFBVR] +
-			r.Power.PerComp[power.CompRFScalarBank] +
-			r.Power.PerComp[power.CompCodec]) * r.Power.Seconds,
+		RFDynamicJ:     r.Power.RFDynamicW() * r.Power.Seconds,
 
 		FracDivergent:       st.FracDivergent(),
 		FracDivergentScalar: st.FracDivergentScalar(),

@@ -25,9 +25,7 @@ func (s *Suite) chip() gpu.Config {
 	g.L2Bytes = c.L2Bytes
 	g.MaxCycles = c.MaxCycles
 	g.Workers = c.Workers
-	if c.Relaxed {
-		g.EpochCycles = c.EpochCycles
-	}
+	g.EpochCycles = c.EpochCycles
 	g.MemTiming.NumChannels = c.MemChannels
 	g.SM.WarpSize = c.WarpSize
 	g.SM.Schedulers = c.SchedulersPerSM

@@ -100,7 +100,7 @@ func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gs
 		}
 		s.Telemetry = r.o.Telemetry
 		if r.o.CaptureDir != "" {
-			s.Capture.Path = filepath.Join(r.o.CaptureDir, pointFileName(arch, abbr)+".gstr")
+			s.Capture.Path = filepath.Join(r.o.CaptureDir, PointFileName(arch, abbr)+".gstr")
 		}
 		res, err := s.RunWorkload(ctx, abbr, r.o.Scale)
 		if err != nil {
@@ -160,10 +160,12 @@ func PointKey(cfg gscalar.Config, scale int, arch gscalar.Arch, abbr string) str
 	return store.Key(canonicalHash(cfg), scale, arch.String(), abbr)
 }
 
-// pointFileName renders an (arch, workload-spec) pair as a safe file-name
-// stem: path separators and the trace-spec colon are flattened, so a
-// re-captured "trace:/dir/f.gstr" spec still lands in CaptureDir.
-func pointFileName(arch gscalar.Arch, abbr string) string {
+// PointFileName renders an (arch, workload-spec) pair as a safe file-name
+// stem: path separators and the trace-spec colon are flattened, so a file
+// named for a "trace:/dir/f.gstr" point still lands in the directory it is
+// written to. Every per-point file — a captured trace, a telemetry export —
+// is named with it.
+func PointFileName(arch gscalar.Arch, abbr string) string {
 	clean := strings.NewReplacer("/", "_", "\\", "_", ":", "_").Replace(abbr)
 	return arch.String() + "_" + clean
 }

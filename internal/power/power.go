@@ -114,13 +114,6 @@ func (m *Meter) TotalDynamic() float64 {
 	return t
 }
 
-// RFDynamic returns the register-file dynamic energy aggregate used by
-// Figure 12: arrays + crossbar + BVR/EBR + scalar bank + codec.
-func (m *Meter) RFDynamic() float64 {
-	return m.pJ[CompRFArray] + m.pJ[CompRFCrossbar] + m.pJ[CompRFBVR] +
-		m.pJ[CompRFScalarBank] + m.pJ[CompCodec]
-}
-
 // Breakdown is a finished power report for one simulation.
 type Breakdown struct {
 	Seconds   float64
@@ -161,16 +154,27 @@ func (b Breakdown) ExecShare() float64 {
 	return b.Share(CompExecALU) + b.Share(CompExecSFU)
 }
 
+// rfDynamic lists the components of the register-file dynamic aggregate
+// Figure 12 measures: arrays + crossbar + BVR/EBR + scalar bank + codec.
+// The sums over it add in this order, which the pinned Results depend on.
+var rfDynamic = [...]Component{CompRFArray, CompRFCrossbar, CompRFBVR, CompRFScalarBank, CompCodec}
+
 // RFDynamicW returns the register-file aggregate dynamic power in watts.
 func (b Breakdown) RFDynamicW() float64 {
-	return b.PerComp[CompRFArray] + b.PerComp[CompRFCrossbar] + b.PerComp[CompRFBVR] +
-		b.PerComp[CompRFScalarBank] + b.PerComp[CompCodec]
+	var w float64
+	for _, c := range rfDynamic {
+		w += b.PerComp[c]
+	}
+	return w
 }
 
 // RFShare returns the register-file aggregate share of average power.
 func (b Breakdown) RFShare() float64 {
-	return b.Share(CompRFArray) + b.Share(CompRFCrossbar) + b.Share(CompRFBVR) +
-		b.Share(CompRFScalarBank) + b.Share(CompCodec)
+	var s float64
+	for _, c := range rfDynamic {
+		s += b.Share(c)
+	}
+	return s
 }
 
 // String renders the breakdown as a table sorted by power.

@@ -17,9 +17,6 @@ func TestMeterAccumulation(t *testing.T) {
 	m.Add(CompRFCrossbar, 10)
 	m.Add(CompRFBVR, 5)
 	m.Add(CompCodec, 5)
-	if got := m.RFDynamic(); got != 60 {
-		t.Fatalf("RF dynamic = %v", got)
-	}
 	if got := m.TotalDynamic(); got != 310 {
 		t.Fatalf("total dynamic = %v", got)
 	}
@@ -41,6 +38,26 @@ func TestFinishPowerMath(t *testing.T) {
 	}
 	if math.Abs(b.Share(CompExecALU)-1.0/51) > 1e-9 {
 		t.Fatalf("share = %v", b.Share(CompExecALU))
+	}
+}
+
+// TestBreakdownRFDynamic pins the register-file aggregate of Figure 12:
+// arrays, crossbar, BVR/EBR, scalar bank and codec, and nothing else.
+func TestBreakdownRFDynamic(t *testing.T) {
+	var m Meter
+	// Over 1e9 cycles at 1 GHz, 1e12 pJ is 1 W.
+	m.Add(CompRFArray, 40e12)
+	m.Add(CompRFCrossbar, 10e12)
+	m.Add(CompRFBVR, 5e12)
+	m.Add(CompRFScalarBank, 2e12)
+	m.Add(CompCodec, 3e12)
+	m.Add(CompExecALU, 100e12)
+	b := m.Finish(1e9, 1e9, 40)
+	if got := b.RFDynamicW(); math.Abs(got-60) > 1e-9 {
+		t.Fatalf("RF dynamic = %v W, want 60", got)
+	}
+	if got := b.RFShare(); math.Abs(got-60.0/200) > 1e-12 {
+		t.Fatalf("RF share = %v, want 0.3", got)
 	}
 }
 

@@ -189,14 +189,16 @@ func TestSubmitRunsAndStores(t *testing.T) {
 }
 
 // TestSweepGridExpansion submits a 2-arch x 2-workload grid and expects four
-// points, four simulations, and four store entries.
+// points, four simulations, and four store entries; then it resubmits the
+// grid, which must simulate nothing.
 func TestSweepGridExpansion(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir(), Options{Workers: 2})
-	id := submit(t, ts.URL, map[string]any{
+	grid := map[string]any{
 		"config":    tinyConfig(),
 		"archs":     []string{"baseline", "gscalar"},
 		"workloads": []string{"HW", "HS"},
-	})
+	}
+	id := submit(t, ts.URL, grid)
 	v := waitState(t, ts.URL, id, "done")
 	if v.Counts["done"] != 4 {
 		t.Fatalf("grid counts: %v", v.Counts)
@@ -204,13 +206,24 @@ func TestSweepGridExpansion(t *testing.T) {
 	if got := s.Stats(); got.Simulations != 4 || got.StoreEntries != 4 {
 		t.Fatalf("after grid: %+v", got)
 	}
-	rr := getResults(t, ts.URL, id)
-	seen := map[string]bool{}
-	for _, r := range rr.Results {
-		seen[r.Arch+"/"+r.Workload] = true
+	cold := map[string][]byte{}
+	for _, r := range getResults(t, ts.URL, id).Results {
+		cold[r.Arch+"/"+r.Workload] = r.Result
 	}
-	if len(seen) != 4 {
-		t.Fatalf("grid cells: %v", seen)
+	if len(cold) != 4 {
+		t.Fatalf("grid cells: %v", cold)
+	}
+
+	id = submit(t, ts.URL, grid)
+	waitState(t, ts.URL, id, "done")
+	if got := s.Stats(); got.Simulations != 4 || got.StoreHits != 4 {
+		t.Fatalf("after warm resubmission: %+v", got)
+	}
+	for _, r := range getResults(t, ts.URL, id).Results {
+		if !r.Cached || !bytes.Equal(r.Result, cold[r.Arch+"/"+r.Workload]) {
+			t.Errorf("%s/%s: warm point cached=%v; want a store hit with the cold Result bytes",
+				r.Arch, r.Workload, r.Cached)
+		}
 	}
 }
 
@@ -409,8 +422,9 @@ func TestDrainPersistsAndResumes(t *testing.T) {
 
 // TestResumePendingWithRetiredConfigKey restarts over a pending.json whose
 // configs carry DisableIdleSkip, the key every drained config had before
-// chip-wide idle skipping was removed. Both points resume, and since the key
-// is ignored they denote one simulation and one store entry.
+// chip-wide idle skipping was removed, and the retired "Relaxed": false.
+// Both points resume, and since DisableIdleSkip is ignored they denote one
+// simulation and one store entry.
 func TestResumePendingWithRetiredConfigKey(t *testing.T) {
 	dir := t.TempDir()
 	cfg := `{"NumSMs": 2, "CoreClockHz": 1400000000, "WarpSize": 32, "SchedulersPerSM": 2,

@@ -9,7 +9,7 @@ import (
 
 // TestResultJSONGolden pins the Result JSON encoding byte-for-byte. The
 // snake_case field names are a stability contract for downstream tooling
-// (dashboards, BENCH diffing, the telemetry exporters): renaming a field is
+// (dashboards, result diffing, the telemetry exporters): renaming a field is
 // a breaking change and must show up here.
 func TestResultJSONGolden(t *testing.T) {
 	res := gscalar.Result{
