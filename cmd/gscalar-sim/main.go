@@ -192,7 +192,7 @@ func main() {
 	if isCancel(err) {
 		fmt.Fprintf(os.Stderr, "gscalar-sim: %v — printing partial statistics\n", err)
 	}
-	printResult(workload, arch, *scale, cfg, res, *breakdown)
+	printResult(os.Stdout, workload, arch, *scale, cfg, res, *breakdown)
 	// A cancelled run still flushes the partial series collected so far.
 	if m := s.Metrics(); m != nil {
 		if werr := writeTelemetry(gscalar.MetricsSet{m}, *metricsOut, *metricsFormat, *chromeTrace); werr != nil {
@@ -256,28 +256,28 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func printResult(bench string, arch gscalar.Arch, scale int, cfg gscalar.Config, res gscalar.Result, breakdown bool) {
-	fmt.Printf("%s on %s (scale %d, %d SMs)\n", bench, arch, scale, cfg.NumSMs)
-	fmt.Printf("  cycles           %d\n", res.Cycles)
-	fmt.Printf("  warp insts       %d (+%d injected moves, %.2f%%)\n",
+func printResult(w io.Writer, bench string, arch gscalar.Arch, scale int, cfg gscalar.Config, res gscalar.Result, breakdown bool) {
+	fmt.Fprintf(w, "%s on %s (scale %d, %d SMs)\n", bench, arch, scale, cfg.NumSMs)
+	fmt.Fprintf(w, "  cycles           %d\n", res.Cycles)
+	fmt.Fprintf(w, "  warp insts       %d (+%d injected moves, %.2f%%)\n",
 		res.WarpInsts, uint64(res.MoveOverhead*float64(res.WarpInsts)), 100*res.MoveOverhead)
-	fmt.Printf("  IPC              %.3f\n", res.IPC)
-	fmt.Printf("  power            %.1f W (exec %.1f%%, RF %.1f%%)\n",
+	fmt.Fprintf(w, "  IPC              %.3f\n", res.IPC)
+	fmt.Fprintf(w, "  power            %.1f W (exec %.1f%%, RF %.1f%%)\n",
 		res.PowerW, 100*res.ExecPowerShare, 100*res.RFPowerShare)
-	fmt.Printf("  IPC/W            %.4f\n", res.IPCPerW)
-	fmt.Printf("  energy           %.4f J (RF dynamic %.4f J)\n", res.EnergyJ, res.RFDynamicJ)
-	fmt.Printf("  divergent        %.1f%% (value-scalar %.1f%%)\n",
+	fmt.Fprintf(w, "  IPC/W            %.4f\n", res.IPCPerW)
+	fmt.Fprintf(w, "  energy           %s (RF dynamic %s)\n", joules(res.EnergyJ), joules(res.RFDynamicJ))
+	fmt.Fprintf(w, "  divergent        %.1f%% (value-scalar %.1f%%)\n",
 		100*res.FracDivergent, 100*res.FracDivergentScalar)
 	e := res.Eligibility
-	fmt.Printf("  scalar eligible  %.1f%% (ALU %.1f%%, SFU %.1f%%, mem %.1f%%, half %.1f%%, divergent %.1f%%)\n",
+	fmt.Fprintf(w, "  scalar eligible  %.1f%% (ALU %.1f%%, SFU %.1f%%, mem %.1f%%, half %.1f%%, divergent %.1f%%)\n",
 		100*e.Total(), 100*e.ALU, 100*e.SFU, 100*e.Mem, 100*e.Half, 100*e.Divergent)
 	d := res.RFAccess
-	fmt.Printf("  RF reads         scalar %.1f%%, 3B %.1f%%, 2B %.1f%%, 1B %.1f%%, none %.1f%%, divergent %.1f%%\n",
+	fmt.Fprintf(w, "  RF reads         scalar %.1f%%, 3B %.1f%%, 2B %.1f%%, 1B %.1f%%, none %.1f%%, divergent %.1f%%\n",
 		100*d.Scalar, 100*d.B3, 100*d.B2, 100*d.B1, 100*d.None, 100*d.Divergent)
-	fmt.Printf("  compression      %.2fx\n", res.CompressionRatio)
-	fmt.Printf("  L1 miss rate     %.1f%%; DRAM transactions %d\n", 100*res.L1MissRate, res.DRAMTransactions)
+	fmt.Fprintf(w, "  compression      %.2fx\n", res.CompressionRatio)
+	fmt.Fprintf(w, "  L1 miss rate     %.1f%%; DRAM transactions %d\n", 100*res.L1MissRate, res.DRAMTransactions)
 	if breakdown {
-		fmt.Println("  power by component:")
+		fmt.Fprintln(w, "  power by component:")
 		type kv struct {
 			name string
 			w    float64
@@ -291,9 +291,24 @@ func printResult(bench string, arch gscalar.Arch, scale int, cfg gscalar.Config,
 			if c.w < 0.005 {
 				continue
 			}
-			fmt.Printf("    %-14s %7.2f W (%4.1f%%)\n", c.name, c.w, 100*c.w/res.PowerW)
+			fmt.Fprintf(w, "    %-14s %7.2f W (%4.1f%%)\n", c.name, c.w, 100*c.w/res.PowerW)
 		}
 	}
+}
+
+// joules renders an energy to four significant digits in the largest of J,
+// mJ and µJ that keeps it at or above one (nJ below that): a scale-1 run
+// spends tens to hundreds of microjoules.
+func joules(j float64) string {
+	for _, u := range []struct {
+		name  string
+		scale float64
+	}{{"J", 1}, {"mJ", 1e-3}, {"µJ", 1e-6}} {
+		if j >= u.scale {
+			return fmt.Sprintf("%.4g %s", j/u.scale, u.name)
+		}
+	}
+	return fmt.Sprintf("%.4g nJ", j/1e-9)
 }
 
 // runAll prints a one-line summary per benchmark, running every workload

@@ -98,6 +98,10 @@ func (c Config) Validate() error {
 	if c.MaxWarpsPerSM < 1 {
 		return bad("MaxWarpsPerSM", "need at least 1 resident warp, got %d", c.MaxWarpsPerSM)
 	}
+	if perSched := (c.MaxWarpsPerSM + c.SchedulersPerSM - 1) / c.SchedulersPerSM; perSched > 64 {
+		return bad("MaxWarpsPerSM", "%d warps over %d schedulers puts %d on one scheduler, at most 64 (a scheduler's warp sets are 64-bit masks)",
+			c.MaxWarpsPerSM, c.SchedulersPerSM, perSched)
+	}
 	if c.MaxCTAsPerSM < 1 {
 		return bad("MaxCTAsPerSM", "need at least 1 resident CTA, got %d", c.MaxCTAsPerSM)
 	}

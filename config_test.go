@@ -28,6 +28,7 @@ func TestValidateInvalid(t *testing.T) {
 		{"warp size over 64", func(c *Config) { c.WarpSize = 128 }, "WarpSize"},
 		{"zero schedulers", func(c *Config) { c.SchedulersPerSM = 0 }, "SchedulersPerSM"},
 		{"zero warps", func(c *Config) { c.MaxWarpsPerSM = 0 }, "MaxWarpsPerSM"},
+		{"warps per scheduler over 64", func(c *Config) { c.MaxWarpsPerSM = 129 }, "MaxWarpsPerSM"},
 		{"zero CTAs", func(c *Config) { c.MaxCTAsPerSM = 0 }, "MaxCTAsPerSM"},
 		{"zero banks", func(c *Config) { c.RegFileBanks = 0 }, "RegFileBanks"},
 		{"zero collectors", func(c *Config) { c.CollectorsPerSM = 0 }, "CollectorsPerSM"},
@@ -64,13 +65,19 @@ func TestValidateInvalid(t *testing.T) {
 
 // TestValidateAcceptsSweepConfigs pins that the configurations the existing
 // sweeps construct — warp size 64 with halved resident warps (Fig 10) and
-// non-divisor SIMT widths (the §5.3 width sweep) — stay valid.
+// non-divisor SIMT widths (the §5.3 width sweep) — stay valid, as does a
+// full 64 warps on each scheduler.
 func TestValidateAcceptsSweepConfigs(t *testing.T) {
 	ws64 := DefaultConfig()
 	ws64.WarpSize = 64
 	ws64.MaxWarpsPerSM = 24
 	if err := ws64.Validate(); err != nil {
 		t.Errorf("warp-size-64 sweep config rejected: %v", err)
+	}
+	wide := DefaultConfig()
+	wide.MaxWarpsPerSM = 128
+	if err := wide.Validate(); err != nil {
+		t.Errorf("64 warps per scheduler rejected: %v", err)
 	}
 	for _, w := range []int{8, 16, 24, 32} {
 		cfg := DefaultConfig()

@@ -48,25 +48,31 @@ func Groups(width int) int {
 // 7(a): inactive lanes receive a value from an active lane, so they never
 // break the comparison chain.
 func SameMSBBytes(vec []uint32, mask warp.Mask) uint8 {
+	_, diff := maskDiff(vec, mask)
+	return sameBytes(diff)
+}
+
+// maskDiff returns the first lane of vec selected by mask (0 when none is)
+// and the OR of its XOR with every selected lane: one pass yields both a
+// group's base value and its difference word.
+func maskDiff(vec []uint32, mask warp.Mask) (base, diff uint32) {
 	m := mask
 	if len(vec) < 64 {
 		m &= 1<<uint(len(vec)) - 1
 	}
 	if m == 0 {
-		return 4
+		return 0, 0
 	}
-	base := vec[bits.TrailingZeros64(m)]
-	var diff uint32
+	base = vec[bits.TrailingZeros64(m)]
 	for m &= m - 1; m != 0; m &= m - 1 {
 		diff |= base ^ vec[bits.TrailingZeros64(m)]
 	}
-	if diff == 0 {
-		return 4
-	}
-	// The number of identical MSBs is the whole leading-zero bytes of the
-	// accumulated difference.
-	return uint8(bits.LeadingZeros32(diff) >> 3)
+	return base, diff
 }
+
+// sameBytes returns the number of identical MSBs a difference word leaves:
+// its whole leading-zero bytes, 4 when it is zero.
+func sameBytes(diff uint32) uint8 { return uint8(bits.LeadingZeros32(diff) >> 3) }
 
 // IsScalar reports whether all lanes of vec selected by mask hold the same
 // value.

@@ -78,8 +78,9 @@ type WarpRegs struct {
 	preds  []PredMeta
 }
 
-// NewWarpRegs allocates metadata for a warp of the given width. All
-// registers start uncompressed (enc = 0).
+// NewWarpRegs allocates metadata for a warp of the given width whose
+// populated lanes, all below width, are live. All registers start
+// uncompressed (enc = 0).
 func NewWarpRegs(numRegs, numPreds, width int, live warp.Mask) *WarpRegs {
 	g := Groups(width)
 	wr := &WarpRegs{
@@ -104,20 +105,6 @@ func (wr *WarpRegs) Pred(p int) PredMeta { return wr.preds[p] }
 
 // Groups returns the number of 16-lane groups per register.
 func (wr *WarpRegs) Groups() int { return wr.groups }
-
-// groupMask returns the live lanes of group g.
-func (wr *WarpRegs) groupMask(g int) warp.Mask {
-	lo := g * GroupSize
-	hi := lo + GroupSize
-	if hi > wr.Width {
-		hi = wr.Width
-	}
-	var m warp.Mask
-	for lane := lo; lane < hi; lane++ {
-		m |= 1 << lane
-	}
-	return m & wr.Live
-}
 
 // Writeback describes what one register writeback did to the register file,
 // for the timing and energy models.
@@ -177,29 +164,37 @@ func (wr *WarpRegs) OnWrite(reg int, vec []uint32, active warp.Mask, f Features,
 	// Non-divergent write: compress.
 	m.D = false
 	m.DMask = 0
-	m.Enc = SameMSBBytes(vec, wr.Live)
 	m.Base = BaseValue(vec, wr.Live)
-	m.FS = m.Enc == 4
 	deltas := 0 // delta byte-planes stored, in array units
 	if f.HalfCompression {
-		for g := 0; g < wr.groups; g++ {
-			gm := wr.groupMask(g)
-			if gm == 0 {
-				m.GEnc[g] = 4
-				m.GBase[g] = 0
-				continue
-			}
-			m.GEnc[g] = SameMSBBytes(vec, gm)
-			m.GBase[g] = BaseValue(vec, gm)
-			deltas += WordBytes - int(m.GEnc[g])
+		// One pass per group. The warp's difference word is the groups'
+		// OR'd with each group base XOR the warp base: a lane's XOR with
+		// the warp base is its XOR with its group base XOR that base's
+		// with the warp base, and each group base is one of the lanes.
+		live := wr.Live
+		if len(vec) < 64 {
+			live &= 1<<uint(len(vec)) - 1
 		}
+		var diff uint32
+		for g := 0; g < wr.groups; g++ {
+			gm := live & (warp.Mask(1<<GroupSize-1) << (g * GroupSize))
+			base, d := maskDiff(vec, gm)
+			m.GEnc[g], m.GBase[g] = sameBytes(d), base
+			deltas += WordBytes - int(m.GEnc[g])
+			if gm != 0 {
+				diff |= d | (base ^ m.Base)
+			}
+		}
+		m.Enc = sameBytes(diff)
 	} else {
+		m.Enc = SameMSBBytes(vec, wr.Live)
 		for g := 0; g < wr.groups; g++ {
 			m.GEnc[g] = m.Enc
 			m.GBase[g] = m.Base
 		}
 		deltas = (WordBytes - int(m.Enc)) * wr.groups
 	}
+	m.FS = m.Enc == 4
 
 	wb.Enc = m.Enc
 	wb.BVREBRWritten = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"gscalar/internal/warp"
@@ -228,5 +229,80 @@ func TestTailWarpGroupMask(t *testing.T) {
 	wb := wr.OnWrite(1, uniformVec(3), warp.FullMask(20), gsFeatures(), false)
 	if wb.Enc != 4 || wb.ArraysWritten != 0 {
 		t.Fatalf("tail-warp scalar write = %+v", wb)
+	}
+}
+
+// threePassEncode is the definition OnWrite's fused non-divergent encoding
+// must match: the warp's enc and base over the live lanes, then each
+// group's over its live lanes, with each group mask built lane by lane.
+func threePassEncode(vec []uint32, live warp.Mask, width int) (enc uint8, base uint32, genc []uint8, gbase []uint32) {
+	enc, base = SameMSBBytes(vec, live), BaseValue(vec, live)
+	for g := 0; g < Groups(width); g++ {
+		var gm warp.Mask
+		for lane := g * GroupSize; lane < (g+1)*GroupSize && lane < width; lane++ {
+			gm |= 1 << lane
+		}
+		gm &= live
+		if gm == 0 {
+			genc, gbase = append(genc, 4), append(gbase, 0)
+			continue
+		}
+		genc, gbase = append(genc, SameMSBBytes(vec, gm)), append(gbase, BaseValue(vec, gm))
+	}
+	return enc, base, genc, gbase
+}
+
+// TestOnWriteMatchesThreePass checks the fused encoding against the
+// three-pass definition on random vectors whose lanes share a random number
+// of MSBs within and across groups, under full, prefix (tail-warp) and
+// scattered live masks, at every warp width the sweeps use.
+func TestOnWriteMatchesThreePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vary := func() uint32 { // a random value differing in 0..4 low bytes
+		return rng.Uint32() & uint32(uint64(1)<<(8*rng.Intn(5))-1)
+	}
+	for _, width := range []int{8, 16, 32, 48, 64} {
+		full := warp.FullMask(width)
+		for trial := 0; trial < 2000; trial++ {
+			var live warp.Mask
+			switch trial % 3 {
+			case 0:
+				live = full
+			case 1:
+				live = warp.FullMask(1 + rng.Intn(width))
+			default:
+				live = rng.Uint64() & full
+			}
+			vec := make([]uint32, width)
+			base := rng.Uint32()
+			for g := 0; g < Groups(width); g++ {
+				gbase, lanes := base^vary(), vary
+				if rng.Intn(2) == 0 {
+					lanes = func() uint32 { return 0 } // a scalar group
+				}
+				for lane := g * GroupSize; lane < (g+1)*GroupSize && lane < width; lane++ {
+					vec[lane] = gbase ^ lanes()
+				}
+			}
+			wr := NewWarpRegs(1, 1, width, live)
+			wb := wr.OnWrite(0, vec, live, gsFeatures(), false)
+			enc, b, genc, gbase := threePassEncode(vec, live, width)
+			m := wr.Meta(0)
+			deltas := 0
+			for g := range genc {
+				deltas += WordBytes - int(genc[g])
+				if m.GEnc[g] != genc[g] || m.GBase[g] != gbase[g] {
+					t.Fatalf("width %d live %#x group %d: enc/base %d/%#x, want %d/%#x (vec %#x)",
+						width, live, g, m.GEnc[g], m.GBase[g], genc[g], gbase[g], vec)
+				}
+			}
+			if m.Enc != enc || m.Base != b || m.FS != (enc == 4) || m.D || wb.Enc != enc {
+				t.Fatalf("width %d live %#x: enc/base/FS %d/%#x/%v, want %d/%#x (vec %#x)",
+					width, live, m.Enc, m.Base, m.FS, enc, b, vec)
+			}
+			if wb.ArraysWritten != deltas || wb.CompressedBits != deltas*GroupSize*8+len(genc)*38 {
+				t.Fatalf("width %d live %#x: writeback %+v, want %d delta arrays", width, live, wb, deltas)
+			}
+		}
 	}
 }

@@ -45,31 +45,33 @@ A:
 `
 
 // cycleInputs are the steady states the cycle gate and BenchmarkSMCycle
-// run: ipc issues most cycles, stall waits most cycles.
+// run: ipc issues most cycles, stall waits most cycles. In both,
+// collectors park on busy units.
 var cycleInputs = []struct {
 	name  string
 	src   string
 	ctas  int  // 128-thread CTAs, four warps each
-	parks bool // collectors must park while measuring
+	parks bool // collectors must park on the MSHR file while measuring
 }{
 	{"ipc", loopSrc, 4, false},
 	{"stall", gatherSrc, 8, true},
 }
 
 // warmupCycles steps a fresh SM past the growth of its reusable scratch
-// slices (writeback, candidate, coalesce buffers), its fill list, and the
-// backing memory pages.
+// slices (writeback and coalesce buffers), its fill list, and the backing
+// memory pages.
 const warmupCycles = 3000
 
-// warmSM launches ctas 128-thread CTAs of src on one G-Scalar SM and steps
-// it through the warm-up. It returns the SM and the next cycle to step.
-func warmSM(tb testing.TB, src string, ctas int) (*SM, uint64) {
+// warmSM launches ctas 128-thread CTAs of src on one G-Scalar SM of config
+// cfg and steps it through the warm-up. It returns the SM and the next
+// cycle to step.
+func warmSM(tb testing.TB, cfg Config, src string, ctas int) (*SM, uint64) {
 	tb.Helper()
 	const threads = 128
 	gmem := kernel.NewMemory()
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: ctas, Y: 1}, Block: kernel.Dim{X: threads, Y: 1}}
 	lc.Params[0] = gmem.Alloc(ctas * threads * 128) // one line per thread
-	s, _ := newTestSM(tb, src, lc, gmem, GScalar())
+	s, _ := newTestSM(tb, cfg, src, lc, gmem, GScalar())
 	for cta := 0; cta < ctas; cta++ {
 		if !s.CanTakeCTA() {
 			tb.Fatalf("SM refused CTA %d", cta)
@@ -93,27 +95,28 @@ func warmSM(tb testing.TB, src string, ctas int) (*SM, uint64) {
 // TestCycleSteadyStateZeroAlloc pins down the hot-path property the
 // event-driven rework relies on: once warm, SM.Cycle performs zero heap
 // allocations per cycle, and neither does the Commit that follows it, on
-// the issuing path and on the stalled path (parked collectors, starved
-// warps). A regression here silently turns the simulator's inner loop back
+// the issuing path (collectors parked on busy units) and on the stalled
+// path (collectors parked on the MSHR file, starved warps). A regression here silently turns the simulator's inner loop back
 // into a GC benchmark. testing.AllocsPerRun integer-divides by the run
 // count, so the gate measures a single run of a whole batch of cycles: one
 // allocation anywhere in the batch shows.
 func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 	for _, in := range cycleInputs {
 		t.Run(in.name, func(t *testing.T) {
-			s, cycle := warmSM(t, in.src, in.ctas)
+			s, cycle := warmSM(t, DefaultConfig(), in.src, in.ctas)
 
 			// The last call of f is the measured one; before, after and
 			// parked describe it.
 			const batch = 1000
 			var before, after uint64
-			var parked bool
+			var parked, unitParked bool
 			allocs := testing.AllocsPerRun(1, func() {
-				before, parked = s.Stats().WarpInsts, false
+				before, parked, unitParked = s.Stats().WarpInsts, false, false
 				for end := cycle + batch; cycle < end; cycle++ {
 					s.Cycle(cycle)
 					s.Commit()
 					parked = parked || s.parked != 0
+					unitParked = unitParked || s.unitParked != [numUnitClasses]uint64{}
 				}
 				after = s.Stats().WarpInsts
 			})
@@ -125,6 +128,9 @@ func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 			}
 			if in.parks && !parked {
 				t.Fatal("no collector parked while measuring; the gate did not exercise the stalled path")
+			}
+			if !unitParked {
+				t.Fatal("no collector parked on a busy unit while measuring; the gate did not exercise unit parking")
 			}
 			if err := s.Err(); err != nil {
 				t.Fatal(err)
@@ -144,12 +150,12 @@ func BenchmarkSMCycle(b *testing.B) {
 	const batch = 1000
 	for _, in := range cycleInputs {
 		b.Run(in.name, func(b *testing.B) {
-			s, cycle := warmSM(b, in.src, in.ctas)
+			s, cycle := warmSM(b, DefaultConfig(), in.src, in.ctas)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !s.Busy() {
 					b.StopTimer()
-					s, cycle = warmSM(b, in.src, in.ctas)
+					s, cycle = warmSM(b, DefaultConfig(), in.src, in.ctas)
 					b.StartTimer()
 				}
 				for end := cycle + batch; cycle < end; cycle++ {

@@ -122,7 +122,7 @@ const (
 type Config struct {
 	WarpSize      int // threads per warp
 	Schedulers    int // warp schedulers per SM
-	MaxWarps      int // resident warps per SM
+	MaxWarps      int // resident warps per SM, at most 64 per scheduler (a scheduler's warp sets are 64-bit masks)
 	MaxCTAs       int // resident CTAs per SM
 	NumBanks      int // register-file banks
 	NumCollectors int // operand collectors, at most 64 (collector sets are 64-bit masks)

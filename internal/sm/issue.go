@@ -22,18 +22,22 @@ func (s *SM) issue() {
 }
 
 // issueFrom tries to issue one instruction from scheduler sched's warps.
-// GTO walks the scheduler's pre-sorted age list (schedWarps); LRR walks the
-// warp slots in rotation order starting after the last issued one. Both
-// visit candidates in exactly the order the previous sort-per-cycle
-// implementation produced. The age list is snapshotted into a reusable
-// scratch buffer first because tryIssueWarp can retire warps (Peek
-// exhaustion), which edits the list mid-walk.
+// GTO retries the warp that issued last, then walks the scheduler's age
+// list; LRR walks the warp slots in rotation order starting after the last
+// issued one. A warp that is not ready fails its attempt without side
+// effects, so no attempt is made while the scheduler has no ready warp, and
+// GTO's walk visits only ready positions. While no collector is free, a
+// starved warp's attempt only counts an IssueStallOC (the collector set
+// cannot change before a warp issues), so the walk skips starved positions
+// too and counts the ones it would have tried before the first warp that
+// issues. An attempt can retire the warp it tries, which shifts the
+// positions after it, so the walk runs over the positions it started with.
 func (s *SM) issueFrom(sched int) {
-	last := s.lastIssued[sched]
-	if s.cfg.Sched == SchedGTO && last >= 0 && s.tryIssueWarp(sched, last) {
-		// Greedy: stick with the last warp while it can issue.
+	sc := &s.scheds[sched]
+	if sc.ready == 0 {
 		return
 	}
+	last := sc.last
 	if s.cfg.Sched == SchedLRR {
 		n := len(s.warps)
 		for d := 0; d < n; d++ {
@@ -47,16 +51,35 @@ func (s *SM) issueFrom(sched int) {
 		}
 		return
 	}
-	cands := append(s.candScratch[:0], s.schedWarps[sched]...)
-	s.candScratch = cands[:0]
-	for _, wi := range cands {
-		if wi == last {
-			continue
-		}
-		if s.tryIssueWarp(sched, wi) {
-			return
+	if last >= 0 && s.tryIssueWarp(sched, last) {
+		// Greedy: stick with the last warp while it can issue.
+		return
+	}
+	cands, starved := sc.ready, uint64(0)
+	if s.collFree == 0 {
+		starved = cands & sc.starved
+		cands &^= starved
+	}
+	if last >= 0 {
+		if lw := &s.warps[last]; lw.valid && !lw.done {
+			// The greedy attempt above was last's turn.
+			cands &^= uint64(1) << lw.pos
+			starved &^= uint64(1) << lw.pos
 		}
 	}
+	retired := 0
+	for m := cands; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		wi := sc.warps[p-retired]
+		if s.tryIssueWarp(sched, wi) {
+			starved &= uint64(1)<<p - 1
+			break
+		}
+		if s.warps[wi].done {
+			retired++
+		}
+	}
+	s.st.IssueStallOC += uint64(bits.OnesCount64(starved))
 }
 
 // tryIssueWarp attempts to issue the next instruction of warp slot wi.
@@ -70,7 +93,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 			s.st.IssueStallOC++
 			return false
 		}
-		wc.ocStarved = false
+		s.setStarved(wi, false)
 	}
 	if wc.w.Status() != warp.StatusReady {
 		return false
@@ -100,7 +123,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	if !isCtrl {
 		if s.collFree == 0 {
 			s.st.IssueStallOC++
-			wc.ocStarved = true
+			s.setStarved(wi, true)
 			return false
 		}
 		free = bits.TrailingZeros64(s.collFree)
@@ -120,7 +143,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 				s.st.MovesElided++
 			} else {
 				s.injectMove(free, wi, m.DstReg)
-				s.lastIssued[sched] = wi
+				s.scheds[sched].last = wi
 				return true
 			}
 		}
@@ -185,7 +208,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	}
 	if isCtrl {
 		// Branches, barriers, exits complete in the front end.
-		s.lastIssued[sched] = wi
+		s.scheds[sched].last = wi
 		return true
 	}
 
@@ -211,7 +234,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	if m.WritesPred {
 		wc.pendPreds |= 1 << m.DstPred
 	}
-	s.lastIssued[sched] = wi
+	s.scheds[sched].last = wi
 	return true
 }
 

@@ -21,12 +21,21 @@ import (
 func (s *SM) serveCollectors() {
 	s.rf.NewCycle()
 
-	// Snapshot the parked set first: a collector that parks during the walk
-	// has paid for this cycle through its own attempt.
+	// Wake the unit classes whose first unit frees this cycle: their
+	// collectors retry in collector-index order with the rest. Snapshot
+	// both parked sets first: a collector that parks during the walk has
+	// paid for this cycle through its own attempt.
+	var unitParked uint64
+	for c := range s.unitParked {
+		if s.unitWake[c] <= s.now {
+			s.unitParked[c] = 0
+		}
+		unitParked |= s.unitParked[c]
+	}
 	parked, parkedLanes := s.parked, s.parkedLanes
 	memFree := s.unitBusy[s.unitMem()] <= s.now
 	memTaker := len(s.collectors) // the collector that took the memory unit, if any
-	for m := s.collAll &^ s.collFree &^ parked; m != 0; m &= m - 1 {
+	for m := s.collAll &^ s.collFree &^ parked &^ unitParked; m != 0; m &= m - 1 {
 		ci := bits.TrailingZeros64(m)
 		ce := &s.collectors[ci]
 		remaining := ce.reads[:0]
@@ -45,6 +54,8 @@ func (s *SM) serveCollectors() {
 			memTaker = ci
 		}
 	}
+	// A unit-parked collector's attempt fails before address generation.
+	s.st.IssueStallUnit += uint64(bits.OnesCount64(unitParked))
 	if parked != 0 {
 		s.chargeParked(parked, parkedLanes, memFree, memTaker)
 	}
@@ -114,6 +125,19 @@ func (ce *collectorEntry) scalarLanes(width int) int {
 	return warp.PopCount(ce.out.Active)
 }
 
+// unitClass returns the class of unit the entry dispatches to.
+func (ce *collectorEntry) unitClass() int {
+	switch {
+	case ce.isMove:
+		return unitALU
+	case ce.class == isa.ClassSFU:
+		return unitSFU
+	case ce.class == isa.ClassMem:
+		return unitMEM
+	}
+	return unitALU
+}
+
 // occupancy returns how many cycles the instruction holds its unit's
 // dispatch port: a warp is fed over ceil(warpSize/width) cycles, and
 // unpipelined iterative divides block longer (the multiplier is decoded
@@ -128,28 +152,29 @@ func (s *SM) occupancy(ce *collectorEntry, unitWidth int) uint64 {
 }
 
 // dispatch sends a completed collector entry to its execution unit and
-// returns the unit it took, or -1 when the entry has to wait: its unit is
-// busy, or its global load does not fit the MSHR file (which parks it).
-// Nothing is built or timed for an attempt that fails.
+// returns the unit it took, or -1 when the entry has to wait: every unit of
+// its class is busy, or its global load does not fit the MSHR file. Either
+// way it parks. Nothing is built or timed for an attempt that fails.
 func (s *SM) dispatch(ci int) int {
 	ce := &s.collectors[ci]
 
-	var unit, width int
-	switch {
-	case ce.isMove:
-		unit, width = s.freeALU(), s.cfg.ALUWidth
-	case ce.class == isa.ClassSFU:
-		unit, width = s.unitSFU(), s.cfg.SFUWidth
-	case ce.class == isa.ClassMem:
-		unit, width = s.unitMem(), s.cfg.MemWidth
-	default:
-		unit, width = s.freeALU(), s.cfg.ALUWidth
+	kind := ce.unitClass()
+	lo, hi, width := s.units(kind)
+	unit, wake := -1, uint64(NoEvent)
+	for u := lo; u < hi; u++ {
+		if s.unitBusy[u] <= s.now {
+			unit = u
+			break
+		}
+		wake = min(wake, s.unitBusy[u])
 	}
-	if unit < 0 || s.unitBusy[unit] > s.now {
+	if unit < 0 {
 		s.st.IssueStallUnit++
+		s.unitParked[kind] |= uint64(1) << ci
+		s.unitWake[kind] = wake
 		return -1
 	}
-	isMem := ce.class == isa.ClassMem && !ce.isMove
+	isMem := kind == unitMEM
 	if isMem && !s.generateAddrs(ci, ce) {
 		s.st.IssueStallUnit++
 		return -1
@@ -176,16 +201,6 @@ func (s *SM) dispatch(ci int) int {
 	s.collRelease(ci)
 	s.liveCollectors--
 	return unit
-}
-
-// freeALU returns a free ALU pipeline index, or -1.
-func (s *SM) freeALU() int {
-	for u := 0; u < s.cfg.ALUUnits; u++ {
-		if s.unitBusy[u] <= s.now {
-			return u
-		}
-	}
-	return -1
 }
 
 // execEnergy deposits the execution-lane energy of a non-memory

@@ -97,8 +97,9 @@ type warpCtx struct {
 	// still in flight; the slot is recycled once they drain.
 	freeWhenDrained bool
 	// ready mirrors "this warp might issue": valid, not done, not at a
-	// barrier, not scoreboard-stalled. The SM counts ready warps so the
-	// issue stage can be skipped entirely on stall-only cycles.
+	// barrier, not scoreboard-stalled. A warp that is not ready fails its
+	// issue attempt without side effects, so the issue stage visits only
+	// ready warps, and skips itself entirely on stall-only cycles.
 	ready bool
 	// scoreStalled records a scoreboard (RAW/WAW) stall. A warp's hazard
 	// state depends only on its own pending registers and its static next
@@ -109,13 +110,39 @@ type warpCtx struct {
 	// scoreboard and was turned away for want of a free operand collector.
 	// Only the warp's own issue moves its PC or its masks, and writebacks
 	// only clear pending registers, so until it issues the same instruction
-	// would pass the same checks: while no collector is free, tryIssueWarp
-	// counts the stall without decoding it again.
+	// would pass the same checks: while no collector is free, the issue
+	// stage counts the stall without decoding it again.
 	ocStarved bool
+	// pos is the warp's position in its scheduler's age list while it is
+	// valid and not done; ready and ocStarved are mirrored at that bit of
+	// the scheduler's masks.
+	pos int
 	// regVec is w.RegVec bound once at launch, so the divergence oracle
 	// does not allocate a closure per divergent instruction.
 	regVec func(uint8) []uint32
 }
+
+// scheduler is one warp scheduler's issue state. warps lists its valid,
+// not-done warp slots in ascending warp GlobalID order, the GTO age order,
+// so the issue stage walks a pre-sorted list instead of sorting per cycle.
+// ready and starved are masks over positions in warps that mirror each
+// warp's ready and ocStarved flags (Config validation caps a scheduler's
+// warps at 64); launch and retirement shift them with the list. last is the
+// warp slot that issued last, or -1.
+type scheduler struct {
+	warps   []int
+	ready   uint64
+	starved uint64
+	last    int
+}
+
+// Unit classes: the kinds of execution unit a collector dispatches to.
+const (
+	unitALU        = iota // the ALU pipelines, which also run §3.3's moves
+	unitMEM               // the memory pipeline
+	unitSFU               // the special-function pipeline
+	numUnitClasses        // array length
+)
 
 // lineFill tracks one in-flight L1 line fill (see SM.fills).
 type lineFill struct {
@@ -154,6 +181,14 @@ type SM struct {
 	// their attempts would have cost. parkedLanes is the sum of their lanes.
 	parked      uint64
 	parkedLanes int
+	// unitParked[c] marks live collectors, operands gathered, that found
+	// every unit of class c busy. Only a dispatch sets unitBusy, and nothing
+	// dispatches to a class while all its units are busy, so every retry
+	// before unitWake[c], the class's earliest unitBusy, would fail the
+	// same way: serveCollectors skips them, charges each one IssueStallUnit
+	// per cycle, and wakes the whole class at unitWake[c].
+	unitParked [numUnitClasses]uint64
+	unitWake   [numUnitClasses]uint64
 	// Unit indices: 0..ALUUnits-1 are ALU pipelines, then MEM, then SFU.
 	unitBusy []uint64
 	events   []wbEvent
@@ -186,10 +221,9 @@ type SM struct {
 	// merging) instead of observing an instant hit. It is a small linear
 	// slice (bounded by the MSHR count once landed fills are pruned), which
 	// beats a map both in scan cost and in iteration determinism.
-	fills      []lineFill
-	lastIssued []int
-	liveWarps  int
-	now        uint64
+	fills     []lineFill
+	liveWarps int
+	now       uint64
 
 	// Incremental occupancy counters: each pipeline stage is skipped when
 	// its counter says it has no work, which is what makes stall-heavy
@@ -201,13 +235,9 @@ type SM struct {
 	// nextWb caches min(events[i].done) (NoEvent when none) so writeback
 	// processing — and NextEventCycle — needs no scan.
 
-	wbScratch   []wbEvent // processWritebacks reuse
-	candScratch []int     // issueFrom candidate snapshot reuse
+	wbScratch []wbEvent // processWritebacks reuse
 
-	// schedWarps[sched] lists the valid, not-done warp slots of scheduler
-	// sched in ascending warp GlobalID order — the GTO age order — so the
-	// issue stage walks a pre-sorted list instead of sorting per cycle.
-	schedWarps [][]int
+	scheds []scheduler
 
 	rf *regfile.File // per-cycle bank/port arbitration
 
@@ -246,11 +276,10 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	s.regArena = regfile.NewArena(cfg.MaxWarps * warp.StorageWords(prog.NumRegs, cfg.WarpSize))
 	s.laneAlloc = s.regArena.Alloc
 	s.unitBusy = make([]uint64, cfg.ALUUnits+2)
-	s.lastIssued = make([]int, cfg.Schedulers)
-	for i := range s.lastIssued {
-		s.lastIssued[i] = -1
+	s.scheds = make([]scheduler, cfg.Schedulers)
+	for i := range s.scheds {
+		s.scheds[i].last = -1
 	}
-	s.schedWarps = make([][]int, cfg.Schedulers)
 	s.rf = regfile.New(cfg.NumBanks)
 	if arch.CompilerMoveElision && arch.RVC == RVCByteWise {
 		s.deadOnWrite = asm.DeadOnWrite(prog)
@@ -311,7 +340,18 @@ func (s *SM) Retired() uint64 { return s.st.WarpInsts }
 func (s *SM) Err() error { return s.err }
 
 func (s *SM) unitMem() int { return s.cfg.ALUUnits }
-func (s *SM) unitSFU() int { return s.cfg.ALUUnits + 1 }
+
+// units returns the unit indices [lo, hi) of class c and their lane width.
+func (s *SM) units(c int) (lo, hi, width int) {
+	a := s.cfg.ALUUnits
+	switch c {
+	case unitMEM:
+		return a, a + 1, s.cfg.MemWidth
+	case unitSFU:
+		return a + 1, a + 2, s.cfg.SFUWidth
+	}
+	return 0, a, s.cfg.ALUWidth
+}
 
 // warpsPerCTA returns warps needed per CTA for the current launch.
 func (s *SM) warpsPerCTA() int {
@@ -456,6 +496,7 @@ func (s *SM) markReady(wi int) {
 	}
 	wc.ready = true
 	s.readyWarps++
+	s.scheds[wi%s.cfg.Schedulers].ready |= uint64(1) << wc.pos
 }
 
 // markUnready clears a warp's ready flag and maintains the ready count.
@@ -464,35 +505,73 @@ func (s *SM) markUnready(wi int) {
 	if wc.ready {
 		wc.ready = false
 		s.readyWarps--
+		s.scheds[wi%s.cfg.Schedulers].ready &^= uint64(1) << wc.pos
+	}
+}
+
+// setStarved sets or clears a warp's ocStarved flag and its scheduler's
+// mirror bit.
+func (s *SM) setStarved(wi int, starved bool) {
+	wc := &s.warps[wi]
+	wc.ocStarved = starved
+	sc := &s.scheds[wi%s.cfg.Schedulers]
+	if starved {
+		sc.starved |= uint64(1) << wc.pos
+	} else {
+		sc.starved &^= uint64(1) << wc.pos
 	}
 }
 
 // schedInsert adds warp slot wi to its scheduler's issue list, keeping the
-// list in ascending GlobalID (age) order.
+// list in ascending GlobalID (age) order, and opens its bit in the masks.
 func (s *SM) schedInsert(wi int) {
-	sched := wi % s.cfg.Schedulers
-	list := s.schedWarps[sched]
-	gid := s.warps[wi].w.GlobalID
-	pos := len(list)
-	for pos > 0 && s.warps[list[pos-1]].w.GlobalID > gid {
+	sc := &s.scheds[wi%s.cfg.Schedulers]
+	wc := &s.warps[wi]
+	pos := len(sc.warps)
+	for pos > 0 && s.warps[sc.warps[pos-1]].w.GlobalID > wc.w.GlobalID {
 		pos--
 	}
-	list = append(list, 0)
-	copy(list[pos+1:], list[pos:])
-	list[pos] = wi
-	s.schedWarps[sched] = list
+	sc.warps = append(sc.warps, 0)
+	copy(sc.warps[pos+1:], sc.warps[pos:])
+	sc.warps[pos] = wi
+	sc.ready = insertBit(sc.ready, pos, wc.ready)
+	sc.starved = insertBit(sc.starved, pos, wc.ocStarved)
+	s.renumber(sc, pos)
 }
 
-// schedRemove drops warp slot wi from its scheduler's issue list.
+// schedRemove drops warp slot wi from its scheduler's issue list and closes
+// its bit in the masks.
 func (s *SM) schedRemove(wi int) {
-	sched := wi % s.cfg.Schedulers
-	list := s.schedWarps[sched]
-	for i, v := range list {
-		if v == wi {
-			s.schedWarps[sched] = append(list[:i], list[i+1:]...)
-			return
-		}
+	sc := &s.scheds[wi%s.cfg.Schedulers]
+	pos := s.warps[wi].pos
+	sc.warps = append(sc.warps[:pos], sc.warps[pos+1:]...)
+	sc.ready = removeBit(sc.ready, pos)
+	sc.starved = removeBit(sc.starved, pos)
+	s.renumber(sc, pos)
+}
+
+// renumber records the positions of sc's warps from position from on.
+func (s *SM) renumber(sc *scheduler, from int) {
+	for p := from; p < len(sc.warps); p++ {
+		s.warps[sc.warps[p]].pos = p
 	}
+}
+
+// insertBit opens bit p of m, moving the bits at and above it up by one,
+// and sets it to v.
+func insertBit(m uint64, p int, v bool) uint64 {
+	low := uint64(1)<<p - 1
+	m = m&low | (m&^low)<<1
+	if v {
+		m |= uint64(1) << p
+	}
+	return m
+}
+
+// removeBit closes bit p of m, moving the bits above it down by one.
+func removeBit(m uint64, p int) uint64 {
+	low := uint64(1)<<p - 1
+	return m&low | (m>>1)&^low
 }
 
 // retireWarp marks a warp finished and releases its CTA when empty. Warp

@@ -10,7 +10,7 @@ import (
 	"gscalar/internal/power"
 )
 
-func newTestSM(t testing.TB, src string, lc *kernel.LaunchConfig, gmem *kernel.Memory, arch Arch) (*SM, *power.Meter) {
+func newTestSM(t testing.TB, cfg Config, src string, lc *kernel.LaunchConfig, gmem *kernel.Memory, arch Arch) (*SM, *power.Meter) {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
@@ -18,7 +18,7 @@ func newTestSM(t testing.TB, src string, lc *kernel.LaunchConfig, gmem *kernel.M
 	}
 	var meter power.Meter
 	msys := mem.NewSystem(mem.DefaultTiming(), 768<<10)
-	s := New(0, DefaultConfig(), arch, power.DefaultEnergies(), prog, lc, gmem, msys, &meter)
+	s := New(0, cfg, arch, power.DefaultEnergies(), prog, lc, gmem, msys, &meter)
 	return s, &meter
 }
 
@@ -57,7 +57,7 @@ func TestSMDirectDrive(t *testing.T) {
 	out := gmem.Alloc(4 * 64 * 4)
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 4, Y: 1}, Block: kernel.Dim{X: 64, Y: 1}}
 	lc.Params[0] = out
-	s, meter := newTestSM(t, tinySrc, lc, gmem, GScalar())
+	s, meter := newTestSM(t, DefaultConfig(), tinySrc, lc, gmem, GScalar())
 
 	cycles := drive(t, s, 4, 100_000)
 	if cycles == 0 {
@@ -80,7 +80,7 @@ func TestSMCanTakeCTALimits(t *testing.T) {
 	gmem := kernel.NewMemory()
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 100, Y: 1}, Block: kernel.Dim{X: 256, Y: 1}}
 	lc.Params[0] = gmem.Alloc(1024)
-	s, _ := newTestSM(t, tinySrc, lc, gmem, Baseline())
+	s, _ := newTestSM(t, DefaultConfig(), tinySrc, lc, gmem, Baseline())
 
 	launched := 0
 	for s.CanTakeCTA() {
@@ -101,7 +101,7 @@ func TestSMDebugState(t *testing.T) {
 	gmem := kernel.NewMemory()
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 1, Y: 1}, Block: kernel.Dim{X: 32, Y: 1}}
 	lc.Params[0] = gmem.Alloc(256)
-	s, _ := newTestSM(t, tinySrc, lc, gmem, Baseline())
+	s, _ := newTestSM(t, DefaultConfig(), tinySrc, lc, gmem, Baseline())
 	s.LaunchCTA(0)
 	st := s.DebugState()
 	for _, want := range []string{"sm0", "live=1", "ctas=1"} {
@@ -116,7 +116,7 @@ func TestSMStatsAccumulateAcrossCTAs(t *testing.T) {
 	out := gmem.Alloc(64 * 32 * 4)
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 64, Y: 1}, Block: kernel.Dim{X: 32, Y: 1}}
 	lc.Params[0] = out
-	s, _ := newTestSM(t, tinySrc, lc, gmem, GScalar())
+	s, _ := newTestSM(t, DefaultConfig(), tinySrc, lc, gmem, GScalar())
 	drive(t, s, 64, 500_000)
 	if got := s.Stats().WarpInsts; got != 64*6 {
 		t.Errorf("warp insts = %d, want %d", got, 64*6)

@@ -244,8 +244,10 @@ func (s *Session) RunSequence(ctx context.Context, mem *Memory, seq []KernelLaun
 // point so thread counts stay constant while warps widen; each point derives
 // a per-warp-size session from this one (same architecture, observer, and
 // telemetry options, with MaxWarpsPerSM rescaled to keep resident-thread
-// capacity constant). Cancelling ctx aborts the sweep at the in-flight
-// point's next lifecycle checkpoint.
+// capacity constant). Warp size 8 needs 192 warps, 96 per Table 1
+// scheduler, which Config.Validate rejects (at most 64 per scheduler).
+// Cancelling ctx aborts the sweep at the in-flight point's next lifecycle
+// checkpoint.
 func (s *Session) WarpSizeSweep(ctx context.Context, abbr string, warpSizes []int, scale int) ([]WarpSizeSweepResult, error) {
 	src, err := resolveWorkload(abbr)
 	if err != nil {

@@ -42,9 +42,10 @@ var stallGoldenSchedules = []struct {
 	{"relaxed", 2, 256},
 }
 
-// stallGoldenWorkloads are memory-stalled kernels: MV and a low-occupancy
-// uncoalesced generated kernel keep the MSHR file full on G-Scalar, and LBM
-// does on the baseline.
+// stallGoldenWorkloads are memory-stalled kernels and high-IPC ones: MV and
+// a low-occupancy uncoalesced generated kernel keep the MSHR file full on
+// G-Scalar, and LBM does on the baseline; HS on G-Scalar and MM on the
+// baseline keep collectors waiting on busy execution units instead.
 var stallGoldenWorkloads = []struct {
 	spec string
 	arch gscalar.Arch
@@ -52,6 +53,8 @@ var stallGoldenWorkloads = []struct {
 	{"MV", gscalar.GScalar},
 	{"gen:mem=0.45,coal=0,occ=0.25,seed=1", gscalar.GScalar},
 	{"LBM", gscalar.Baseline},
+	{"HS", gscalar.GScalar},
+	{"MM", gscalar.Baseline},
 }
 
 func runStallGoldenPoint(t *testing.T, spec string, arch gscalar.Arch, workers, epoch int) stallGoldenPoint {
@@ -93,15 +96,15 @@ func runStallGoldenPoint(t *testing.T, spec string, arch gscalar.Arch, workers, 
 	return p
 }
 
-// TestStallAccountingGolden pins memory-stalled runs under every schedule:
-// cycles, instructions, the issue-stall counters, LSU energy and the
-// Result bytes. A change to how the SM waits on busy units, full MSHR files
+// TestStallAccountingGolden pins memory-stalled and unit-bound runs under
+// every schedule: cycles, instructions, the issue-stall counters, LSU
+// energy and the Result bytes. A change to how the SM waits on busy units, full MSHR files
 // or a full collector set must leave every one of them unchanged.
 // Regenerate with `go test -run TestStallAccountingGolden
 // -update-stall-golden .` only for a deliberate change to the model.
 func TestStallAccountingGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine full-chip simulations")
+		t.Skip("fifteen full-chip simulations")
 	}
 	var got []stallGoldenPoint
 	for _, w := range stallGoldenWorkloads {
