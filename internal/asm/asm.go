@@ -128,16 +128,6 @@ func Assemble(src string) (*kernel.Program, error) {
 	return p, nil
 }
 
-// MustAssemble is Assemble but panics on error; intended for compiled-in
-// workload sources, which are validated by tests.
-func MustAssemble(src string) *kernel.Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func stripComment(s string) string {
 	for _, marker := range []string{"//", "#", ";"} {
 		if i := strings.Index(s, marker); i >= 0 {

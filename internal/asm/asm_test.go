@@ -209,12 +209,3 @@ END:
 		}
 	}
 }
-
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustAssemble("frob")
-}

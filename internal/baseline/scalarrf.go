@@ -65,17 +65,3 @@ func (s *ScalarRF) Detect(in *isa.Instruction, active warp.Mask) bool {
 	}
 	return true
 }
-
-// ScalarReads returns how many of the instruction's register sources hit
-// the scalar bank (each costs one scalar-bank cycle — the single-bank
-// serialization point).
-func (s *ScalarRF) ScalarReads(in *isa.Instruction) int {
-	n := 0
-	for i := uint8(0); i < in.NSrc; i++ {
-		src := in.Srcs[i]
-		if src.Kind == isa.OpdReg && s.scalar[src.Reg] {
-			n++
-		}
-	}
-	return n
-}

@@ -58,10 +58,10 @@ func (c *chip) step(i int) {
 //     An epoch that would open on a chip of quiescent SMs opens instead at
 //     their earliest next event (nextEventCycle).
 //
-// The per-cycle schedules step every cycle; a quiescent SM's Cycle is four
-// comparisons. The commit order is fixed and a step reads only shared state
-// frozen at the last commit, so no schedule's result depends on the worker
-// count.
+// The per-cycle schedules step every cycle; a quiescent SM's Cycle is a
+// comparison per stage and per warp scheduler. The commit order is fixed
+// and a step reads only shared state frozen at the last commit, so no
+// schedule's result depends on the worker count.
 func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory, meter *power.Meter) (rawResult, error) {
 	mode, interval := modeSerial, uint64(1)
 	switch {

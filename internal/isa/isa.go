@@ -386,29 +386,6 @@ func (in *Instruction) WritesPred() (uint8, bool) {
 	return 0, false
 }
 
-// SourceRegs appends the vector-register indices read by the instruction to
-// buf and returns the extended slice. It includes the address register of
-// loads/stores and the data register of stores.
-func (in *Instruction) SourceRegs(buf []uint8) []uint8 {
-	for i := uint8(0); i < in.NSrc; i++ {
-		if in.Srcs[i].Kind == OpdReg {
-			buf = append(buf, in.Srcs[i].Reg)
-		}
-	}
-	return buf
-}
-
-// HasVectorSources reports whether the instruction reads at least one vector
-// register.
-func (in *Instruction) HasVectorSources() bool {
-	for i := uint8(0); i < in.NSrc; i++ {
-		if in.Srcs[i].Kind == OpdReg {
-			return true
-		}
-	}
-	return false
-}
-
 // HasNonUniformNonRegSource reports whether any non-register source varies
 // per lane (e.g. %tid.x). Such an instruction can never be scalar-eligible
 // even if all its register sources hold scalar values. Predicate sources

@@ -88,23 +88,6 @@ func TestInstructionHelpers(t *testing.T) {
 	}
 }
 
-func TestSourceRegs(t *testing.T) {
-	in := Instruction{Op: OpIMad, Dst: Reg(1), NSrc: 3}
-	in.Srcs[0], in.Srcs[1], in.Srcs[2] = Reg(2), Imm(5), Reg(7)
-	got := in.SourceRegs(nil)
-	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
-		t.Fatalf("source regs = %v", got)
-	}
-	if !in.HasVectorSources() {
-		t.Error("HasVectorSources broken")
-	}
-	imm := Instruction{Op: OpMov, Dst: Reg(1), NSrc: 1}
-	imm.Srcs[0] = Imm(1)
-	if imm.HasVectorSources() {
-		t.Error("imm-only should have no vector sources")
-	}
-}
-
 func TestLatencies(t *testing.T) {
 	if Latency(OpIDiv) <= Latency(OpIMul) {
 		t.Error("divide should be slower than multiply")

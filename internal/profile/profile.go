@@ -7,7 +7,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gscalar/internal/asm"
@@ -75,19 +74,6 @@ func Run(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, maxI
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	return p, nil
-}
-
-// Hot returns the n most-executed PCs, descending.
-func (p *Profile) Hot(n int) []int {
-	idx := make([]int, len(p.PCs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return p.PCs[idx[a]].Execs > p.PCs[idx[b]].Execs })
-	if n > len(idx) {
-		n = len(idx)
-	}
-	return idx[:n]
 }
 
 // Listing renders an annotated assembly listing: execution count, average

@@ -52,12 +52,22 @@ type submitRequest struct {
 	Scales    []int           `json:"scales,omitempty"`
 }
 
+// maxSubmitBytes caps a submit body, so one request cannot make the daemon
+// buffer a JSON value of any size. A grid over every builtin, architecture
+// and a few scales is a few hundred bytes.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("parsing request body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("parsing request body: %w", err))
 		return
 	}
 	specs, err := req.grid()

@@ -498,6 +498,26 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit sends submit bodies on either side of the 1 MiB cap:
+// the larger one is refused with 413 before it is parsed in full, the
+// smaller one is parsed and fails validation as usual.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), Options{Workers: 1})
+	over := map[string]any{"arch": "gscalar", "workload": strings.Repeat("A", maxSubmitBytes)}
+	resp, body := postJSON(t, ts.URL+"/api/v1/jobs", over)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over the cap: status %d, body %.200s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "too large") {
+		t.Fatalf("over the cap: error %.200s does not say the body is too large", body)
+	}
+	under := map[string]any{"arch": "turbo", "workload": strings.Repeat("A", maxSubmitBytes-100)}
+	resp, body = postJSON(t, ts.URL+"/api/v1/jobs", under)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown arch") {
+		t.Fatalf("under the cap: status %d, body %.200s", resp.StatusCode, body)
+	}
+}
+
 // TestStatsAndHealth smoke-tests the operational endpoints.
 func TestStatsAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), Options{Workers: 1})

@@ -57,6 +57,12 @@ var cycleInputs = []struct {
 	{"stall", gatherSrc, 8, true},
 }
 
+// policies are the warp-scheduling policies the cycle gates run under.
+var policies = []struct {
+	name  string
+	sched SchedPolicy
+}{{"gto", SchedGTO}, {"lrr", SchedLRR}}
+
 // warmupCycles steps a fresh SM past the growth of its reusable scratch
 // slices (writeback and coalesce buffers), its fill list, and the backing
 // memory pages.
@@ -96,78 +102,92 @@ func warmSM(tb testing.TB, cfg Config, src string, ctas int) (*SM, uint64) {
 // event-driven rework relies on: once warm, SM.Cycle performs zero heap
 // allocations per cycle, and neither does the Commit that follows it, on
 // the issuing path (collectors parked on busy units) and on the stalled
-// path (collectors parked on the MSHR file, starved warps). A regression here silently turns the simulator's inner loop back
-// into a GC benchmark. testing.AllocsPerRun integer-divides by the run
-// count, so the gate measures a single run of a whole batch of cycles: one
-// allocation anywhere in the batch shows.
+// path (collectors parked on the MSHR file, starved warps), under both
+// scheduling policies. A regression here silently turns the simulator's
+// inner loop back into a GC benchmark. testing.AllocsPerRun integer-divides
+// by the run count, so the gate measures a single run of a whole batch of
+// cycles: one allocation anywhere in the batch shows.
 func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 	for _, in := range cycleInputs {
 		t.Run(in.name, func(t *testing.T) {
-			s, cycle := warmSM(t, DefaultConfig(), in.src, in.ctas)
+			for _, pol := range policies {
+				t.Run(pol.name, func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Sched = pol.sched
+					s, cycle := warmSM(t, cfg, in.src, in.ctas)
 
-			// The last call of f is the measured one; before, after and
-			// parked describe it.
-			const batch = 1000
-			var before, after uint64
-			var parked, unitParked bool
-			allocs := testing.AllocsPerRun(1, func() {
-				before, parked, unitParked = s.Stats().WarpInsts, false, false
-				for end := cycle + batch; cycle < end; cycle++ {
-					s.Cycle(cycle)
-					s.Commit()
-					parked = parked || s.parked != 0
-					unitParked = unitParked || s.unitParked != [numUnitClasses]uint64{}
-				}
-				after = s.Stats().WarpInsts
-			})
-			if allocs != 0 {
-				t.Errorf("SM.Cycle+Commit allocates %.0f objects per %d cycles in steady state, want 0", allocs, batch)
-			}
-			if after == before {
-				t.Fatal("no warp instruction issued while measuring; the gate did not exercise the issue path")
-			}
-			if in.parks && !parked {
-				t.Fatal("no collector parked while measuring; the gate did not exercise the stalled path")
-			}
-			if !unitParked {
-				t.Fatal("no collector parked on a busy unit while measuring; the gate did not exercise unit parking")
-			}
-			if err := s.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if !s.Busy() {
-				t.Fatal("kernel drained during measurement; lengthen the loop")
+					// The last call of f is the measured one; before, after
+					// and parked describe it.
+					const batch = 1000
+					var before, after uint64
+					var parked, unitParked bool
+					allocs := testing.AllocsPerRun(1, func() {
+						before, parked, unitParked = s.Stats().WarpInsts, false, false
+						for end := cycle + batch; cycle < end; cycle++ {
+							s.Cycle(cycle)
+							s.Commit()
+							parked = parked || s.parked != 0
+							unitParked = unitParked || s.unitParked != [numUnitClasses]uint64{}
+						}
+						after = s.Stats().WarpInsts
+					})
+					if allocs != 0 {
+						t.Errorf("SM.Cycle+Commit allocates %.0f objects per %d cycles in steady state, want 0", allocs, batch)
+					}
+					if after == before {
+						t.Fatal("no warp instruction issued while measuring; the gate did not exercise the issue path")
+					}
+					if in.parks && !parked {
+						t.Fatal("no collector parked while measuring; the gate did not exercise the stalled path")
+					}
+					if !unitParked {
+						t.Fatal("no collector parked on a busy unit while measuring; the gate did not exercise unit parking")
+					}
+					if err := s.Err(); err != nil {
+						t.Fatal(err)
+					}
+					if !s.Busy() {
+						t.Fatal("kernel drained during measurement; lengthen the loop")
+					}
+				})
 			}
 		})
 	}
 }
 
 // BenchmarkSMCycle is the SM layer's own benchmark: the host cost of one
-// warmed SM's Cycle+Commit, reported as ns/cycle. Each op is a batch of
-// cycles; an SM whose kernel drains is replaced, off the clock, by a fresh
-// warmed one. Run it with -benchmem: allocs/op must stay 0 on both inputs.
+// warmed SM's Cycle+Commit under each scheduling policy, reported as
+// ns/cycle. Each op is a batch of cycles; an SM whose kernel drains is
+// replaced, off the clock, by a fresh warmed one. Run it with -benchmem:
+// allocs/op must stay 0 on every input.
 func BenchmarkSMCycle(b *testing.B) {
 	const batch = 1000
 	for _, in := range cycleInputs {
 		b.Run(in.name, func(b *testing.B) {
-			s, cycle := warmSM(b, DefaultConfig(), in.src, in.ctas)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !s.Busy() {
+			for _, pol := range policies {
+				b.Run(pol.name, func(b *testing.B) {
+					cfg := DefaultConfig()
+					cfg.Sched = pol.sched
+					s, cycle := warmSM(b, cfg, in.src, in.ctas)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if !s.Busy() {
+							b.StopTimer()
+							s, cycle = warmSM(b, cfg, in.src, in.ctas)
+							b.StartTimer()
+						}
+						for end := cycle + batch; cycle < end; cycle++ {
+							s.Cycle(cycle)
+							s.Commit()
+						}
+					}
 					b.StopTimer()
-					s, cycle = warmSM(b, DefaultConfig(), in.src, in.ctas)
-					b.StartTimer()
-				}
-				for end := cycle + batch; cycle < end; cycle++ {
-					s.Cycle(cycle)
-					s.Commit()
-				}
+					if err := s.Err(); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/cycle")
+				})
 			}
-			b.StopTimer()
-			if err := s.Err(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/cycle")
 		})
 	}
 }

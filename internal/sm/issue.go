@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gscalar/internal/core"
 	"gscalar/internal/isa"
@@ -11,92 +12,88 @@ import (
 	"gscalar/internal/warp"
 )
 
-// issue runs each warp scheduler: greedy-then-oldest (GTO) selection, one
-// instruction per scheduler per cycle. The front end can therefore issue up
-// to Schedulers instructions per cycle, matching §4.1's observation that it
-// bounds the benefit of extra scalar pipelines.
+// issue runs each warp scheduler that has a ready warp, one instruction per
+// scheduler per cycle. The front end can therefore issue up to Schedulers
+// instructions per cycle, matching §4.1's observation that it bounds the
+// benefit of extra scalar pipelines.
 func (s *SM) issue() {
-	for sched := 0; sched < s.cfg.Schedulers; sched++ {
-		s.issueFrom(sched)
+	for i := range s.scheds {
+		if sc := &s.scheds[i]; sc.ready != 0 {
+			s.issueFrom(sc)
+		}
 	}
 }
 
-// issueFrom tries to issue one instruction from scheduler sched's warps.
-// GTO retries the warp that issued last, then walks the scheduler's age
-// list; LRR walks the warp slots in rotation order starting after the last
-// issued one. A warp that is not ready fails its attempt without side
-// effects, so no attempt is made while the scheduler has no ready warp, and
-// GTO's walk visits only ready positions. While no collector is free, a
-// starved warp's attempt only counts an IssueStallOC (the collector set
-// cannot change before a warp issues), so the walk skips starved positions
-// too and counts the ones it would have tried before the first warp that
-// issues. An attempt can retire the warp it tries, which shifts the
-// positions after it, so the walk runs over the positions it started with.
-func (s *SM) issueFrom(sched int) {
-	sc := &s.scheds[sched]
-	if sc.ready == 0 {
-		return
-	}
-	last := sc.last
+// issueFrom tries to issue one instruction from scheduler sc's warps. It
+// walks the ready positions of the scheduler's list once, from a start
+// position round to the one before it. Greedy-then-oldest (GTO) first
+// retries the warp that issued last, then walks its age-ordered list from
+// position 0. Loose round-robin (LRR) walks its slot-ordered list from the
+// first slot after the one that issued last, which is the order in which a
+// rotation over all warp slots would reach the ready ones: a warp that is
+// not ready fails its attempt without side effects, so the walk skips it.
+// While no collector is free, a starved warp's attempt only counts an
+// IssueStallOC (the collector set cannot change before a warp issues), so
+// the walk skips starved positions too and counts the ones it would have
+// tried before the first warp that issues. The masks are rotated so that
+// walk order is bit order. An attempt can retire the warp it tries, which
+// shifts the positions after it down by one, so the walk runs over the
+// positions it started with and subtracts from each the retirements below
+// it.
+func (s *SM) issueFrom(sc *scheduler) {
+	last, start := sc.last, 0
+	var tried uint64 // the position of GTO's greedy attempt
 	if s.cfg.Sched == SchedLRR {
-		n := len(s.warps)
-		for d := 0; d < n; d++ {
-			wi := (last + 1 + d) % n
-			if wi%s.cfg.Schedulers != sched {
-				continue
-			}
-			if s.tryIssueWarp(sched, wi) {
-				return
-			}
+		start, _ = slices.BinarySearch(sc.warps, last+1)
+	} else if last >= 0 {
+		if s.tryIssueWarp(sc, last) {
+			// Greedy: stick with the last warp while it can issue.
+			return
 		}
-		return
+		if lw := &s.warps[last]; lw.valid && !lw.done {
+			tried = uint64(1) << lw.pos
+		}
 	}
-	if last >= 0 && s.tryIssueWarp(sched, last) {
-		// Greedy: stick with the last warp while it can issue.
-		return
-	}
-	cands, starved := sc.ready, uint64(0)
+	cands, starved := sc.ready&^tried, uint64(0)
 	if s.collFree == 0 {
 		starved = cands & sc.starved
 		cands &^= starved
 	}
-	if last >= 0 {
-		if lw := &s.warps[last]; lw.valid && !lw.done {
-			// The greedy attempt above was last's turn.
-			cands &^= uint64(1) << lw.pos
-			starved &^= uint64(1) << lw.pos
-		}
-	}
-	retired := 0
+	cands = bits.RotateLeft64(cands, -start)
+	starved = bits.RotateLeft64(starved, -start)
+	var gone uint64 // positions whose warps retired during the walk
 	for m := cands; m != 0; m &= m - 1 {
-		p := bits.TrailingZeros64(m)
-		wi := sc.warps[p-retired]
-		if s.tryIssueWarp(sched, wi) {
-			starved &= uint64(1)<<p - 1
+		r := bits.TrailingZeros64(m)
+		p := (r + start) & 63
+		wi := sc.warps[p-bits.OnesCount64(gone&(uint64(1)<<p-1))]
+		if s.tryIssueWarp(sc, wi) {
+			starved &= uint64(1)<<r - 1
 			break
 		}
 		if s.warps[wi].done {
-			retired++
+			gone |= uint64(1) << p
 		}
 	}
 	s.st.IssueStallOC += uint64(bits.OnesCount64(starved))
 }
 
-// tryIssueWarp attempts to issue the next instruction of warp slot wi.
-func (s *SM) tryIssueWarp(sched, wi int) bool {
+// tryIssueWarp attempts to issue the next instruction of warp slot wi, one
+// of scheduler sc's.
+func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 	wc := &s.warps[wi]
-	if !wc.valid || wc.done || wc.scoreStalled {
+	if !wc.valid || wc.done {
 		return false
 	}
-	if wc.ocStarved {
+	bit := uint64(1) << wc.pos
+	if sc.ready&bit == 0 {
+		return false
+	}
+	if sc.starved&bit != 0 {
 		if s.collFree == 0 {
 			s.st.IssueStallOC++
 			return false
 		}
-		s.setStarved(wi, false)
-	}
-	if wc.w.Status() != warp.StatusReady {
-		return false
+		sc.starved &^= bit
 	}
 	pc, in, active, ok := wc.w.Peek(&wc.ctx)
 	if !ok {
@@ -107,12 +104,11 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	// Scoreboard: no bypassing — sources, destination and guard must not be
 	// pending (RAW/WAW). The stall state can only change when one of this
 	// warp's own writebacks lands, so the warp leaves the ready set until
-	// completeEvent clears the flag (IssueStallScoreboard therefore counts
-	// stall episodes, not stalled warp-cycles).
+	// completeEvent sets its bit again (IssueStallScoreboard therefore
+	// counts stall episodes, not stalled warp-cycles).
 	if s.hazard(wc, in) {
 		s.st.IssueStallScoreboard++
-		wc.scoreStalled = true
-		s.markUnready(wi)
+		sc.ready &^= bit
 		return false
 	}
 
@@ -123,7 +119,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	if !isCtrl {
 		if s.collFree == 0 {
 			s.st.IssueStallOC++
-			s.setStarved(wi, true)
+			sc.starved |= bit
 			return false
 		}
 		free = bits.TrailingZeros64(s.collFree)
@@ -143,7 +139,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 				s.st.MovesElided++
 			} else {
 				s.injectMove(free, wi, m.DstReg)
-				s.scheds[sched].last = wi
+				sc.last = wi
 				return true
 			}
 		}
@@ -203,12 +199,12 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 		s.retireWarp(wi)
 	} else if out.AtBarrier {
 		s.ctas[wc.ctaSlot].arrived++
-		s.markUnready(wi)
+		sc.ready &^= bit
 		s.barrierCheck = true
 	}
 	if isCtrl {
 		// Branches, barriers, exits complete in the front end.
-		s.scheds[sched].last = wi
+		sc.last = wi
 		return true
 	}
 
@@ -226,7 +222,6 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	}
 	ce.lanes = ce.scalarLanes(s.cfg.WarpSize)
 	s.collClaim(free)
-	s.liveCollectors++
 	s.planReads(ce, wc, in, out)
 	if m.WritesReg {
 		wc.pendRegs |= 1 << m.DstReg
@@ -234,7 +229,7 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 	if m.WritesPred {
 		wc.pendPreds |= 1 << m.DstPred
 	}
-	s.scheds[sched].last = wi
+	sc.last = wi
 	return true
 }
 
@@ -291,7 +286,6 @@ func (s *SM) injectMove(free, wi int, reg uint8) {
 	ce.out.DstReg = int(reg)
 	ce.out.Active = wc.w.LiveMask
 	s.collClaim(free)
-	s.liveCollectors++
 
 	rc := wc.meta.OnRead(int(reg), wc.w.LiveMask, s.arch.F, false)
 	ce.reads = append(ce.reads,

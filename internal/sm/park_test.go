@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"gscalar/internal/kernel"
 	"gscalar/internal/power"
 	"gscalar/internal/warp"
 )
@@ -48,18 +49,19 @@ func TestParkedEntriesWouldFail(t *testing.T) {
 					cycle, ci, s.outstanding, len(ce.lines))
 			}
 		}
-		for wi := range s.warps {
-			wc := &s.warps[wi]
-			if !wc.valid || wc.done || !wc.ocStarved {
-				continue
-			}
-			sawStarved = true
-			if wc.scoreStalled || wc.w.Status() != warp.StatusReady {
-				t.Fatalf("cycle %d: starved warp %d is not ready", cycle, wi)
-			}
-			pc, in, _, ok := wc.w.Peek(&wc.ctx)
-			if !ok || s.hazard(wc, in) || s.prog.Meta(pc).FrontEnd {
-				t.Fatalf("cycle %d: starved warp %d would not reach the collector check", cycle, wi)
+		for _, sc := range s.scheds {
+			for m := sc.starved; m != 0; m &= m - 1 {
+				sawStarved = true
+				p := bits.TrailingZeros64(m)
+				wi := sc.warps[p]
+				wc := &s.warps[wi]
+				if sc.ready>>p&1 == 0 || wc.w.Status() != warp.StatusReady {
+					t.Fatalf("cycle %d: starved warp %d is not ready", cycle, wi)
+				}
+				pc, in, _, ok := wc.w.Peek(&wc.ctx)
+				if !ok || s.hazard(wc, in) || s.prog.Meta(pc).FrontEnd {
+					t.Fatalf("cycle %d: starved warp %d would not reach the collector check", cycle, wi)
+				}
 			}
 		}
 	}
@@ -73,19 +75,15 @@ func TestParkedEntriesWouldFail(t *testing.T) {
 
 // TestIssueAndUnitParkInvariants checks, after every cycle of both steady
 // states under both scheduling policies (the ipc kernel until it drains),
-// what the issue walk and unit parking rely on: each scheduler's ready and
-// starved masks mirror the flags of the warp at each position of its age
-// list, and the recorded positions are those of the list; every
+// what the issue walk and unit parking rely on: the scheduler lists and
+// masks agree with the warps' own state (checkSchedMasks); every
 // unit-parked collector is live, has no pending reads and finds every unit
 // of its class busy; and no collector is parked on a unit and on the MSHR
 // file at once. Unit-parked collectors must occur, or the test checks
 // nothing.
 func TestIssueAndUnitParkInvariants(t *testing.T) {
 	for _, in := range cycleInputs {
-		for _, pol := range []struct {
-			name  string
-			sched SchedPolicy
-		}{{"gto", SchedGTO}, {"lrr", SchedLRR}} {
+		for _, pol := range policies {
 			t.Run(in.name+"/"+pol.name, func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Sched = pol.sched
@@ -109,35 +107,150 @@ func TestIssueAndUnitParkInvariants(t *testing.T) {
 	}
 }
 
-// checkSchedMasks fails t unless every scheduler's masks and positions
-// mirror its warps.
+// refillSrc gives each two-warp CTA a trip count that falls with its id
+// (64 - 8·(ctaid mod 8) iterations, each ending at a barrier), so CTAs
+// finish out of launch order and later ones take the freed slots below
+// older warps: slot order and age order part, as they do in a streaming
+// launch.
+const refillSrc = `
+	mov r1, %ctaid.x
+	and r1, r1, 7
+	shl r1, r1, 3
+	mov r2, 64
+	isub r2, r2, r1
+A:
+	isub r2, r2, 1
+	bar
+	isetp.gt p0, r2, 0
+	@p0 bra A
+	exit
+`
+
+// TestSchedListsUnderRefill streams 64 two-warp CTAs through an SM under
+// both policies and checks the scheduler lists and masks after every cycle
+// while warps wait at barriers and slots are recycled. The slot and age
+// orders of some list must part, or the test cannot tell them apart.
+func TestSchedListsUnderRefill(t *testing.T) {
+	const ctas = 64
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Sched = pol.sched
+			lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: ctas, Y: 1}, Block: kernel.Dim{X: 64, Y: 1}}
+			s, _ := newTestSM(t, cfg, refillSrc, lc, kernel.NewMemory(), GScalar())
+			parted, next := false, 0
+			for cycle := uint64(0); next < ctas || s.Busy(); cycle++ {
+				if cycle == 1_000_000 {
+					t.Fatalf("SM did not drain: %s", s.DebugState())
+				}
+				for next < ctas && s.CanTakeCTA() {
+					s.LaunchCTA(next)
+					next++
+				}
+				s.Cycle(cycle)
+				s.Commit()
+				if err := s.Err(); err != nil {
+					t.Fatal(err)
+				}
+				checkSchedMasks(t, s, cycle)
+				for _, sc := range s.scheds {
+					for p := 1; p < len(sc.warps); p++ {
+						a, b := sc.warps[p-1], sc.warps[p]
+						parted = parted || (a < b) != (s.warps[a].w.GlobalID < s.warps[b].w.GlobalID)
+					}
+				}
+			}
+			if !parted {
+				t.Fatal("no list's slot order parted from its age order; the test checked nothing")
+			}
+		})
+	}
+}
+
+// TestFailingWarpsRetireInOneWalk starts every warp on a shared-memory load
+// past the end of a launch with no shared memory. Each attempt fails,
+// retires its warp and passes the turn on, so the first cycle retires every
+// warp, under both policies. A walk that lost track of the positions a
+// retirement shifts would skip warps or index past its list.
+func TestFailingWarpsRetireInOneWalk(t *testing.T) {
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Sched = pol.sched
+			lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 6, Y: 1}, Block: kernel.Dim{X: 256, Y: 1}}
+			s, _ := newTestSM(t, cfg, "lds r2, [r1]\nexit\n", lc, kernel.NewMemory(), GScalar())
+			for cta := 0; s.CanTakeCTA(); cta++ {
+				s.LaunchCTA(cta)
+			}
+			if n := s.LiveWarps(); n != cfg.MaxWarps {
+				t.Fatalf("%d warps launched, want %d", n, cfg.MaxWarps)
+			}
+			s.Cycle(0)
+			if s.Err() == nil {
+				t.Fatal("the out-of-range load did not fail")
+			}
+			if n := s.LiveWarps(); n != 0 {
+				t.Fatalf("%d warps still live after the failing cycle, want 0", n)
+			}
+		})
+	}
+}
+
+// checkSchedMasks fails t unless every scheduler's list and masks agree
+// with the warps' own state: the list holds exactly the scheduler's valid,
+// not-done warps, at their recorded positions, in GlobalID order under GTO
+// and in slot order under LRR; a ready warp is not at a barrier; a listed
+// warp that is neither ready nor at a barrier has a scoreboard hazard on
+// its next instruction, so leaving it out of the walk skips no attempt that
+// could issue; and every starved warp is ready.
 func checkSchedMasks(t *testing.T, s *SM, cycle uint64) {
 	t.Helper()
-	listed, ready := 0, 0
-	for sched := range s.scheds {
-		sc := &s.scheds[sched]
-		listed += len(sc.warps)
-		ready += bits.OnesCount64(sc.ready)
-		if extra := (sc.ready | sc.starved) >> len(sc.warps); extra != 0 {
-			t.Fatalf("cycle %d: scheduler %d has mask bits past its %d warps", cycle, sched, len(sc.warps))
+	live := make([]int, len(s.scheds))
+	for wi := range s.warps {
+		wc := &s.warps[wi]
+		if !wc.valid || wc.done {
+			continue
 		}
-		for p, wi := range sc.warps {
-			wc := &s.warps[wi]
-			switch {
-			case wi%s.cfg.Schedulers != sched || !wc.valid || wc.done:
-				t.Fatalf("cycle %d: scheduler %d lists warp slot %d, which is not its live warp", cycle, sched, wi)
-			case wc.pos != p:
-				t.Fatalf("cycle %d: warp %d recorded at position %d, listed at %d", cycle, wi, wc.pos, p)
-			case (sc.ready>>p&1 == 1) != wc.ready:
-				t.Fatalf("cycle %d: scheduler %d ready bit %d disagrees with warp %d (ready %v)", cycle, sched, p, wi, wc.ready)
-			case (sc.starved>>p&1 == 1) != wc.ocStarved:
-				t.Fatalf("cycle %d: scheduler %d starved bit %d disagrees with warp %d (starved %v)", cycle, sched, p, wi, wc.ocStarved)
-			}
+		sched := wi % s.cfg.Schedulers
+		live[sched]++
+		if list := s.scheds[sched].warps; wc.pos >= len(list) || list[wc.pos] != wi {
+			t.Fatalf("cycle %d: live warp %d is not at its recorded position %d of scheduler %d", cycle, wi, wc.pos, sched)
 		}
 	}
-	if listed != s.liveWarps || ready != s.readyWarps {
-		t.Fatalf("cycle %d: schedulers list %d warps (%d ready), SM counts %d (%d ready)",
-			cycle, listed, ready, s.liveWarps, s.readyWarps)
+	for sched := range s.scheds {
+		sc := &s.scheds[sched]
+		if len(sc.warps) != live[sched] {
+			t.Fatalf("cycle %d: scheduler %d lists %d warps, has %d live", cycle, sched, len(sc.warps), live[sched])
+		}
+		if extra := sc.ready >> len(sc.warps); extra != 0 {
+			t.Fatalf("cycle %d: scheduler %d has ready bits past its %d warps", cycle, sched, len(sc.warps))
+		}
+		if sc.starved&^sc.ready != 0 {
+			t.Fatalf("cycle %d: scheduler %d has starved positions %#x that are not ready", cycle, sched, sc.starved&^sc.ready)
+		}
+		prev := -1
+		for p, wi := range sc.warps {
+			wc := &s.warps[wi]
+			key := wi
+			if s.cfg.Sched == SchedGTO {
+				key = wc.w.GlobalID
+			}
+			if key <= prev {
+				t.Fatalf("cycle %d: scheduler %d lists warp %d at position %d out of walk order", cycle, sched, wi, p)
+			}
+			prev = key
+			status := wc.w.Status()
+			switch {
+			case sc.ready>>p&1 == 1:
+				if status != warp.StatusReady {
+					t.Fatalf("cycle %d: ready warp %d has status %d", cycle, wi, status)
+				}
+			case status != warp.StatusBarrier:
+				if _, in, _, ok := wc.w.Peek(&wc.ctx); !ok || !s.hazard(wc, in) {
+					t.Fatalf("cycle %d: warp %d is neither ready nor at a barrier, and its next instruction has no hazard", cycle, wi)
+				}
+			}
+		}
 	}
 }
 

@@ -199,7 +199,6 @@ func (s *SM) dispatch(ci int) int {
 		s.nextWb = ev.done
 	}
 	s.collRelease(ci)
-	s.liveCollectors--
 	return unit
 }
 
@@ -499,7 +498,7 @@ func (s *SM) completeEvent(ev *wbEvent) {
 		s.meter.Add(power.CompRFBVR, s.en.RFBVRAccess)
 		wc.meta.DecompressInPlace(int(ev.moveReg))
 		wc.pendRegs &^= 1 << ev.moveReg
-		s.unstall(ev.wi)
+		s.markReady(ev.wi)
 		s.maybeRecycle(ev.wi)
 		return
 	}
@@ -516,20 +515,8 @@ func (s *SM) completeEvent(ev *wbEvent) {
 			wc.pendPreds &^= 1 << p
 		}
 	}
-	s.unstall(ev.wi)
+	s.markReady(ev.wi)
 	s.maybeRecycle(ev.wi)
-}
-
-// unstall clears a warp's scoreboard stall after one of its writebacks
-// lands. The next issue attempt re-evaluates the hazard, so clearing
-// conservatively (the stall may persist on another pending register) is
-// exactly equivalent to the previous re-check-every-cycle behaviour.
-func (s *SM) unstall(wi int) {
-	wc := &s.warps[wi]
-	if wc.scoreStalled {
-		wc.scoreStalled = false
-		s.markReady(wi)
-	}
 }
 
 // writebackReg applies the architecture's register-write energy and

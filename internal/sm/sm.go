@@ -96,39 +96,35 @@ type warpCtx struct {
 	// freeWhenDrained marks a slot whose CTA finished while writebacks were
 	// still in flight; the slot is recycled once they drain.
 	freeWhenDrained bool
-	// ready mirrors "this warp might issue": valid, not done, not at a
-	// barrier, not scoreboard-stalled. A warp that is not ready fails its
-	// issue attempt without side effects, so the issue stage visits only
-	// ready warps, and skips itself entirely on stall-only cycles.
-	ready bool
-	// scoreStalled records a scoreboard (RAW/WAW) stall. A warp's hazard
-	// state depends only on its own pending registers and its static next
-	// instruction, so the stall can only clear when one of the warp's own
-	// writebacks completes — which is exactly where it is cleared.
-	scoreStalled bool
-	// ocStarved records that the warp's next instruction passed the
-	// scoreboard and was turned away for want of a free operand collector.
-	// Only the warp's own issue moves its PC or its masks, and writebacks
-	// only clear pending registers, so until it issues the same instruction
-	// would pass the same checks: while no collector is free, the issue
-	// stage counts the stall without decoding it again.
-	ocStarved bool
-	// pos is the warp's position in its scheduler's age list while it is
-	// valid and not done; ready and ocStarved are mirrored at that bit of
-	// the scheduler's masks.
+	// pos is the warp's position in its scheduler's list while it is valid
+	// and not done; that bit of the scheduler's masks is its issue state.
 	pos int
 	// regVec is w.RegVec bound once at launch, so the divergence oracle
 	// does not allocate a closure per divergent instruction.
 	regVec func(uint8) []uint32
 }
 
-// scheduler is one warp scheduler's issue state. warps lists its valid,
-// not-done warp slots in ascending warp GlobalID order, the GTO age order,
-// so the issue stage walks a pre-sorted list instead of sorting per cycle.
-// ready and starved are masks over positions in warps that mirror each
-// warp's ready and ocStarved flags (Config validation caps a scheduler's
-// warps at 64); launch and retirement shift them with the list. last is the
-// warp slot that issued last, or -1.
+// scheduler is one warp scheduler's issue state, and the only record of
+// which of its warps might issue. warps lists its valid, not-done warp slots
+// in the order the issue walk visits them: ascending GlobalID (the age
+// order) under GTO, ascending slot under LRR. ready and starved are masks
+// over positions in warps (Config validation caps a scheduler's warps at
+// 64), which launch and retirement shift with the list:
+//   - ready: the warp might issue. A warp leaves it at a barrier arrival and
+//     on a scoreboard (RAW/WAW) hazard. The hazard depends only on the warp's
+//     pending registers and its next instruction, so it can only clear when
+//     one of the warp's own writebacks lands; each writeback, and barrier
+//     release, sets the bit again, and the next attempt re-checks. A warp
+//     that is not ready fails its attempt without side effects, so the issue
+//     walk visits only ready positions.
+//   - starved: the warp's next instruction passed the scoreboard and was
+//     turned away for want of a free operand collector. Only the warp's own
+//     issue moves its PC or its masks, and writebacks only clear pending
+//     registers, so until it issues the same instruction would pass the
+//     same checks: while no collector is free, the walk counts the stall
+//     without decoding it again. Starved warps are ready.
+//
+// last is the warp slot that issued last, or -1.
 type scheduler struct {
 	warps   []int
 	ready   uint64
@@ -221,19 +217,13 @@ type SM struct {
 	// merging) instead of observing an instant hit. It is a small linear
 	// slice (bounded by the MSHR count once landed fills are pruned), which
 	// beats a map both in scan cost and in iteration determinism.
-	fills     []lineFill
-	liveWarps int
-	now       uint64
+	fills []lineFill
+	now   uint64
 
-	// Incremental occupancy counters: each pipeline stage is skipped when
-	// its counter says it has no work, which is what makes stall-heavy
-	// cycles cheap and lets NextEventCycle recognise quiescence in O(1).
-	liveCollectors int  // valid operand-collector entries
-	readyWarps     int  // warps with ready set
-	barrierCheck   bool // a barrier arrival/retire may have released a CTA
-	nextWb         uint64
+	barrierCheck bool // a barrier arrival/retire may have released a CTA
 	// nextWb caches min(events[i].done) (NoEvent when none) so writeback
 	// processing — and NextEventCycle — needs no scan.
+	nextWb uint64
 
 	wbScratch []wbEvent // processWritebacks reuse
 
@@ -441,17 +431,14 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 			wc.bdi = baseline.NewBDIRegFile(s.prog.NumRegs, s.cfg.WarpSize)
 		}
 		wc.regVec = w.RegVec
-		wc.ready = true
-		s.readyWarps++
 		s.schedInsert(wi)
 		cs.warpSlots = append(cs.warpSlots, wi)
-		s.liveWarps++
 	}
 }
 
 // Busy reports whether the SM still has work.
 func (s *SM) Busy() bool {
-	return s.liveWarps > 0 || len(s.events) > 0
+	return s.LiveWarps() > 0 || len(s.events) > 0
 }
 
 // NextEventCycle reports the earliest future cycle at which this SM's
@@ -465,11 +452,11 @@ func (s *SM) Busy() bool {
 // fully idle, in which case it returns NoEvent and places no constraint on
 // the skip target.
 func (s *SM) NextEventCycle() (uint64, bool) {
-	if s.err != nil || s.readyWarps > 0 || s.liveCollectors > 0 {
+	if s.err != nil || s.readyWarps() > 0 || s.collFree != s.collAll {
 		return 0, false
 	}
 	if len(s.events) == 0 {
-		if s.liveWarps > 0 {
+		if s.LiveWarps() > 0 {
 			// Live warps but no ready work and no pending writebacks: a
 			// barrier deadlock. Refuse to skip so the loop's MaxCycles
 			// bound trips exactly as it would cycle by cycle.
@@ -486,57 +473,40 @@ func (s *SM) fail(err error) {
 	}
 }
 
-// markReady flags a warp as issuable and maintains the ready count. Warps
-// that are done or parked at a barrier stay unready; barrier release is the
-// one place a barrier warp becomes ready again.
+// markReady sets a warp's ready bit, at a writeback (which may have
+// cleared its scoreboard hazard) and at barrier release. Warps that are done
+// or parked at a barrier stay unready; barrier release is the one place a
+// barrier warp becomes ready again.
 func (s *SM) markReady(wi int) {
 	wc := &s.warps[wi]
-	if wc.ready || !wc.valid || wc.done || wc.w.Status() != warp.StatusReady {
-		return
-	}
-	wc.ready = true
-	s.readyWarps++
-	s.scheds[wi%s.cfg.Schedulers].ready |= uint64(1) << wc.pos
-}
-
-// markUnready clears a warp's ready flag and maintains the ready count.
-func (s *SM) markUnready(wi int) {
-	wc := &s.warps[wi]
-	if wc.ready {
-		wc.ready = false
-		s.readyWarps--
-		s.scheds[wi%s.cfg.Schedulers].ready &^= uint64(1) << wc.pos
+	if wc.valid && !wc.done && wc.w.Status() == warp.StatusReady {
+		s.scheds[wi%s.cfg.Schedulers].ready |= uint64(1) << wc.pos
 	}
 }
 
-// setStarved sets or clears a warp's ocStarved flag and its scheduler's
-// mirror bit.
-func (s *SM) setStarved(wi int, starved bool) {
-	wc := &s.warps[wi]
-	wc.ocStarved = starved
-	sc := &s.scheds[wi%s.cfg.Schedulers]
-	if starved {
-		sc.starved |= uint64(1) << wc.pos
-	} else {
-		sc.starved &^= uint64(1) << wc.pos
-	}
-}
-
-// schedInsert adds warp slot wi to its scheduler's issue list, keeping the
-// list in ascending GlobalID (age) order, and opens its bit in the masks.
+// schedInsert adds warp slot wi to its scheduler's list in walk order
+// (walkKey), ready and not starved.
 func (s *SM) schedInsert(wi int) {
 	sc := &s.scheds[wi%s.cfg.Schedulers]
-	wc := &s.warps[wi]
 	pos := len(sc.warps)
-	for pos > 0 && s.warps[sc.warps[pos-1]].w.GlobalID > wc.w.GlobalID {
+	for pos > 0 && s.walkKey(sc.warps[pos-1]) > s.walkKey(wi) {
 		pos--
 	}
 	sc.warps = append(sc.warps, 0)
 	copy(sc.warps[pos+1:], sc.warps[pos:])
 	sc.warps[pos] = wi
-	sc.ready = insertBit(sc.ready, pos, wc.ready)
-	sc.starved = insertBit(sc.starved, pos, wc.ocStarved)
+	sc.ready = insertBit(sc.ready, pos) | uint64(1)<<pos
+	sc.starved = insertBit(sc.starved, pos)
 	s.renumber(sc, pos)
+}
+
+// walkKey orders a scheduler's list: by GlobalID (age) under GTO, by warp
+// slot under LRR.
+func (s *SM) walkKey(wi int) int {
+	if s.cfg.Sched == SchedLRR {
+		return wi
+	}
+	return s.warps[wi].w.GlobalID
 }
 
 // schedRemove drops warp slot wi from its scheduler's issue list and closes
@@ -557,15 +527,11 @@ func (s *SM) renumber(sc *scheduler, from int) {
 	}
 }
 
-// insertBit opens bit p of m, moving the bits at and above it up by one,
-// and sets it to v.
-func insertBit(m uint64, p int, v bool) uint64 {
+// insertBit opens a clear bit p in m, moving the bits at and above it up by
+// one.
+func insertBit(m uint64, p int) uint64 {
 	low := uint64(1)<<p - 1
-	m = m&low | (m&^low)<<1
-	if v {
-		m |= uint64(1) << p
-	}
-	return m
+	return m&low | (m&^low)<<1
 }
 
 // removeBit closes bit p of m, moving the bits above it down by one.
@@ -583,9 +549,7 @@ func (s *SM) retireWarp(wi int) {
 		return
 	}
 	wc.done = true
-	s.markUnready(wi)
 	s.schedRemove(wi)
-	s.liveWarps--
 	cs := &s.ctas[wc.ctaSlot]
 	cs.liveWarps--
 	if cs.liveWarps == 0 {
@@ -649,25 +613,25 @@ func (s *SM) DebugState() string {
 	}
 	coll := bits.OnesCount64(s.collAll &^ s.collFree)
 	return fmt.Sprintf("sm%d: live=%d valid=%d done=%d barrier=%d drain=%d pending=%d ctas=%d coll=%d events=%d mshr=%d",
-		s.ID, s.liveWarps, validW, doneW, barrierW, drainW, pend, activeCTAs, coll, len(s.events), s.outstanding)
+		s.ID, s.LiveWarps(), validW, doneW, barrierW, drainW, pend, activeCTAs, coll, len(s.events), s.outstanding)
 }
 
 // Cycle advances the SM by one core clock at time now. Each stage runs only
-// when its occupancy counter says it has work, so a fully stalled cycle
-// costs four comparisons and mutates no state at all, which is why the
-// per-cycle schedules simply step every cycle. In per-cycle mode the caller
-// must Commit after every Cycle, before the next one.
+// when it has work: a writeback is due, a collector is live, a scheduler's
+// ready mask is not empty, a barrier may have been reached. So a fully
+// stalled cycle costs a comparison per stage and per scheduler and mutates
+// no state at all, which is why the per-cycle schedules simply step every
+// cycle. In per-cycle mode the caller must Commit after every Cycle, before
+// the next one.
 func (s *SM) Cycle(now uint64) {
 	s.now = now
 	if len(s.events) > 0 && now >= s.nextWb {
 		s.processWritebacks()
 	}
-	if s.liveCollectors > 0 {
+	if s.collFree != s.collAll {
 		s.serveCollectors()
 	}
-	if s.readyWarps > 0 {
-		s.issue()
-	}
+	s.issue()
 	if s.barrierCheck {
 		s.releaseBarriers()
 	}

@@ -1,19 +1,38 @@
 package sm
 
 import (
+	"math/bits"
+
 	"gscalar/internal/core"
 	"gscalar/internal/isa"
 	"gscalar/internal/telemetry"
 )
 
-// LiveWarps returns the number of resident, unfinished warps. Like Retired,
-// it is a plain counter read safe between cycles (serially, or after the
-// chip loop's worker barrier) for progress and telemetry sampling.
-func (s *SM) LiveWarps() int { return s.liveWarps }
+// LiveWarps returns the number of resident, unfinished warps: the length of
+// the scheduler lists. Like Retired, it is a plain read safe between cycles
+// (serially, or after the chip loop's worker barrier) for progress and
+// telemetry sampling.
+func (s *SM) LiveWarps() int {
+	n := 0
+	for i := range s.scheds {
+		n += len(s.scheds[i].warps)
+	}
+	return n
+}
+
+// readyWarps returns the number of warps that might issue: the bits of the
+// scheduler ready masks.
+func (s *SM) readyWarps() int {
+	n := 0
+	for i := range s.scheds {
+		n += bits.OnesCount64(s.scheds[i].ready)
+	}
+	return n
+}
 
 // RegisterTelemetry registers this SM's counters and gauges, keyed by its id.
-// Every source is a plain field the simulation already maintains — no
-// telemetry work happens on the hot path; the registry reads the values at
+// Every source is state the simulation already maintains — no telemetry
+// work happens on the hot path; the registry reads the values at
 // checkpoint samples and finalization only.
 func (s *SM) RegisterTelemetry(reg *telemetry.Registry) {
 	id := s.ID
@@ -45,7 +64,7 @@ func (s *SM) RegisterTelemetry(reg *telemetry.Registry) {
 	for c := core.AccessClass(0); c < core.NumAccessClasses; c++ {
 		reg.Counter("sm.rf_reads_"+c.String(), id, &st.RFReads[c])
 	}
-	reg.Gauge("sm.live_warps", id, func() float64 { return float64(s.liveWarps) })
-	reg.Gauge("sm.ready_warps", id, func() float64 { return float64(s.readyWarps) })
+	reg.Gauge("sm.live_warps", id, func() float64 { return float64(s.LiveWarps()) })
+	reg.Gauge("sm.ready_warps", id, func() float64 { return float64(s.readyWarps()) })
 	s.rf.RegisterTelemetry(reg, id)
 }

@@ -121,16 +121,6 @@ func (g *genSource) Build(scale int) (*Instance, error) {
 	return &Instance{Prog: prog, Launch: lc, Mem: mem}, nil
 }
 
-// GenParamsOf returns the dial vector behind src when it is a generated
-// workload.
-func GenParamsOf(src Source) (gen.Params, bool) {
-	gs, ok := src.(*genSource)
-	if !ok {
-		return gen.Params{}, false
-	}
-	return gs.p, true
-}
-
 // traceCache memoizes successful trace decodes per path, together with the
 // file's stat at the time it was read. An entry is reused only while the
 // path still names that same file with the same size and modification time,

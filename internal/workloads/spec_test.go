@@ -77,9 +77,6 @@ func TestResolveGen(t *testing.T) {
 	if a.Key() != "gen:div=0.3,seed=7" {
 		t.Errorf("key = %q", a.Key())
 	}
-	if _, ok := GenParamsOf(a); !ok {
-		t.Error("GenParamsOf failed on a gen source")
-	}
 	inst, err := a.Build(1)
 	if err != nil {
 		t.Fatal(err)
