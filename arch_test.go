@@ -65,6 +65,12 @@ func TestArchSemantics(t *testing.T) {
 			t.Errorf("%v compression ratio = %v", a, res[a].CompressionRatio)
 		}
 	}
+	// Only the byte-wise register file injects §3.3's decompressing moves.
+	for _, a := range []Arch{Baseline, ALUScalar, WarpedCompression} {
+		if res[a].MoveOverhead != 0 {
+			t.Errorf("%v move overhead = %v, want 0", a, res[a].MoveOverhead)
+		}
+	}
 	// Only compressing architectures pay the +3-cycle pipeline.
 	if res[ALUScalar].Cycles >= res[GScalar].Cycles+res[GScalar].Cycles/2 {
 		t.Errorf("suspicious cycle counts: alu %d vs gscalar %d",

@@ -182,7 +182,11 @@ func main() {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				fail(err)
 			}
-			if err := os.WriteFile(filepath.Join(*csvDir, e.Name+".csv"), []byte(csv), 0o644); err != nil {
+			err := store.AtomicWrite(filepath.Join(*csvDir, e.Name+".csv"), func(w io.Writer) error {
+				_, err := io.WriteString(w, csv)
+				return err
+			})
+			if err != nil {
 				fail(err)
 			}
 		}

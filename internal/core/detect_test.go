@@ -68,7 +68,7 @@ func TestDetectClassGating(t *testing.T) {
 	}
 
 	// The prior-work feature set (ALU only) rejects SFU and memory.
-	alu := Features{Compression: true, ScalarALU: true}
+	alu := Features{ScalarALU: true}
 	if e := wr.Detect(sfu, full, alu); e != NotEligible {
 		t.Errorf("SFU under ALU-only = %v", e)
 	}

@@ -4,10 +4,10 @@ import (
 	"gscalar/internal/warp"
 )
 
-// Features selects which of the paper's mechanisms are active. The
-// architecture presets in the public package map onto these.
+// Features selects which of the paper's mechanisms are active on top of
+// byte-wise register value compression (§3), which every WarpRegs models.
+// The architecture presets in the public package map onto these.
 type Features struct {
-	Compression     bool // byte-wise register value compression (§3)
 	HalfCompression bool // per-16-lane-group compression (§3.2 end, §4.3)
 	ScalarALU       bool // scalar execution of non-divergent ALU instructions
 	ScalarSFU       bool // … of special-function instructions (§4.1)
@@ -19,19 +19,15 @@ type Features struct {
 // GScalarFeatures returns the full G-Scalar feature set.
 func GScalarFeatures() Features {
 	return Features{
-		Compression: true, HalfCompression: true,
+		HalfCompression: true, HalfScalar: true, DivergentScalar: true,
 		ScalarALU: true, ScalarSFU: true, ScalarMem: true,
-		HalfScalar: true, DivergentScalar: true,
 	}
 }
 
 // GScalarNoDivFeatures returns G-Scalar without divergent and half-warp
 // scalar execution (Figure 11's "G-Scalar w/o divergent" bar).
 func GScalarNoDivFeatures() Features {
-	return Features{
-		Compression: true, HalfCompression: true,
-		ScalarALU: true, ScalarSFU: true, ScalarMem: true,
-	}
+	return Features{HalfCompression: true, ScalarALU: true, ScalarSFU: true, ScalarMem: true}
 }
 
 // RegMeta is the compression metadata of one vector register: the encoding
@@ -50,14 +46,19 @@ type RegMeta struct {
 	Enc uint8
 	// Base is the warp-level base value (valid when !D).
 	Base uint32
-	// GEnc/GBase are the per-group encoding and base (valid when !D and
-	// half-compression is enabled; they power half-warp scalar execution).
-	GEnc  []uint8
-	GBase []uint32
+	// GEnc/GBase are the per-group encoding and base of the warp's first
+	// Groups() groups (valid when !D and half-compression is enabled; they
+	// power half-warp scalar execution).
+	GEnc  [maxGroups]uint8
+	GBase [maxGroups]uint32
 	// FS ("full scalar", Figure 7(c)) indicates all groups hold the same
 	// scalar: equivalent to Enc == 4.
 	FS bool
 }
+
+// maxGroups is the group count of a 64-lane warp, the widest a 64-bit lane
+// mask allows.
+const maxGroups = 64 / GroupSize
 
 // PredMeta tracks uniformity of a predicate register, mirroring the
 // register mechanism: a predicate written by an instruction whose sources
@@ -78,23 +79,17 @@ type WarpRegs struct {
 	preds  []PredMeta
 }
 
-// NewWarpRegs allocates metadata for a warp of the given width whose
-// populated lanes, all below width, are live. All registers start
+// NewWarpRegs allocates metadata for a warp of the given width, at most 64,
+// whose populated lanes, all below width, are live. All registers start
 // uncompressed (enc = 0).
 func NewWarpRegs(numRegs, numPreds, width int, live warp.Mask) *WarpRegs {
-	g := Groups(width)
-	wr := &WarpRegs{
+	return &WarpRegs{
 		Width:  width,
 		Live:   live,
-		groups: g,
+		groups: Groups(width),
 		regs:   make([]RegMeta, numRegs),
 		preds:  make([]PredMeta, numPreds),
 	}
-	for i := range wr.regs {
-		wr.regs[i].GEnc = make([]uint8, g)
-		wr.regs[i].GBase = make([]uint32, g)
-	}
-	return wr
 }
 
 // Meta returns the metadata of register r (read-only use).
@@ -112,11 +107,9 @@ type Writeback struct {
 	Divergent bool
 	Enc       uint8 // warp-level enc after the write (broadcast enc when divergent)
 	// ArraysWritten is the number of 128-bit SRAM arrays activated for the
-	// write in the byte-plane-reordered register file.
+	// write in the byte-plane-reordered register file. The small BVR/EBR
+	// array is written every time: enc bits are always generated.
 	ArraysWritten int
-	// BVREBRWritten reports whether the small BVR/EBR array was written
-	// (always true when compression is on: enc bits are always generated).
-	BVREBRWritten bool
 	// CompressedBits / OriginalBits feed the compression-ratio statistic.
 	CompressedBits int
 	OriginalBits   int
@@ -131,15 +124,6 @@ func (wr *WarpRegs) OnWrite(reg int, vec []uint32, active warp.Mask, f Features,
 	m := &wr.regs[reg]
 	wb := Writeback{OriginalBits: wr.Width * WordBits}
 
-	if !f.Compression {
-		// Baseline register file: word-interleaved arrays; a partial write
-		// activates only the arrays containing active lanes (§3.3).
-		wb.Divergent = active != wr.Live
-		wb.ArraysWritten = baselineArraysTouched(active, wr.Width, wr.Live)
-		wb.CompressedBits = wb.OriginalBits
-		return wb
-	}
-
 	if active != wr.Live {
 		// Divergent write (§3.3): never compressed; all arrays activated
 		// (each byte of a 4-byte value is spread across the byte-plane
@@ -150,13 +134,10 @@ func (wr *WarpRegs) OnWrite(reg int, vec []uint32, active warp.Mask, f Features,
 		m.DMask = active
 		m.Enc = same
 		m.FS = false
-		for g := range m.GEnc {
-			m.GEnc[g] = 0
-		}
+		m.GEnc = [maxGroups]uint8{}
 		wb.Divergent = true
 		wb.Enc = same
 		wb.ArraysWritten = totalArrays(wr.Width)
-		wb.BVREBRWritten = true
 		wb.CompressedBits = wb.OriginalBits
 		return wb
 	}
@@ -197,7 +178,6 @@ func (wr *WarpRegs) OnWrite(reg int, vec []uint32, active warp.Mask, f Features,
 	m.FS = m.Enc == 4
 
 	wb.Enc = m.Enc
-	wb.BVREBRWritten = true
 	if scalarExec {
 		// Scalar execution writes its single result to the BVR and sets
 		// enc=1111; no SRAM array is touched (§4.1).
@@ -217,11 +197,9 @@ func (wr *WarpRegs) OnPredWrite(p int, active warp.Mask, uniform bool) {
 
 // ReadCost describes the register-file cost of reading one source register.
 type ReadCost struct {
-	// ArraysRead is the number of 128-bit SRAM arrays activated.
+	// ArraysRead is the number of 128-bit SRAM arrays activated. The small
+	// BVR/EBR array is read every time: enc bits gate array activation.
 	ArraysRead int
-	// BVREBRRead reports whether the small BVR/EBR array was accessed
-	// (always, with compression on: enc bits gate array activation).
-	BVREBRRead bool
 	// CrossbarBytes is the number of bytes sent through the crossbar
 	// (compressed reads skip the base bytes, §3.2).
 	CrossbarBytes int
@@ -286,15 +264,7 @@ func (wr *WarpRegs) OnRead(reg int, active warp.Mask, f Features, divergentReade
 	m := &wr.regs[reg]
 	full := totalArrays(wr.Width)
 
-	if !f.Compression {
-		return ReadCost{
-			ArraysRead:    full,
-			CrossbarBytes: wr.Width * WordBytes,
-			Class:         AccessNone,
-		}
-	}
-
-	rc := ReadCost{BVREBRRead: true}
+	var rc ReadCost
 	switch {
 	case divergentReader:
 		rc.Class = AccessDivergent
@@ -334,9 +304,6 @@ func (wr *WarpRegs) OnRead(reg int, active warp.Mask, f Features, divergentReade
 // register is currently stored compressed, so a partial per-lane update
 // cannot be applied in place.
 func (wr *WarpRegs) NeedsDecompressMove(reg int, f Features) bool {
-	if !f.Compression {
-		return false
-	}
 	m := &wr.regs[reg]
 	if m.D {
 		return false // already stored uncompressed
@@ -360,33 +327,10 @@ func (wr *WarpRegs) DecompressInPlace(reg int) {
 	m.DMask = 0
 	m.Enc = 0
 	m.FS = false
-	for g := range m.GEnc {
-		m.GEnc[g] = 0
-	}
+	m.GEnc = [maxGroups]uint8{}
 }
 
 // totalArrays returns the number of 128-bit arrays holding one vector
 // register: 4 byte-planes per 16-lane group (8 arrays for a 32-wide warp,
 // matching the paper's 8×128-bit bank).
 func totalArrays(width int) int { return Groups(width) * WordBytes }
-
-// baselineArraysTouched models the baseline word-interleaved register file,
-// where each 128-bit array holds four adjacent 4-byte lanes: a partial
-// write activates the arrays containing at least one active lane.
-func baselineArraysTouched(active warp.Mask, width int, live warp.Mask) int {
-	if active == live {
-		return totalArrays(width)
-	}
-	const lanesPerArray = 4
-	n := 0
-	for lo := 0; lo < width; lo += lanesPerArray {
-		var gm warp.Mask
-		for lane := lo; lane < lo+lanesPerArray && lane < width; lane++ {
-			gm |= 1 << lane
-		}
-		if active&gm != 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -30,7 +30,7 @@ func gsFeatures() Features { return GScalarFeatures() }
 func TestOnWriteScalar(t *testing.T) {
 	wr := newWR()
 	wb := wr.OnWrite(1, uniformVec(0xABCD), warp.FullMask(32), gsFeatures(), false)
-	if wb.Divergent || wb.Enc != 4 || wb.ArraysWritten != 0 || !wb.BVREBRWritten {
+	if wb.Divergent || wb.Enc != 4 || wb.ArraysWritten != 0 {
 		t.Fatalf("wb = %+v", wb)
 	}
 	m := wr.Meta(1)
@@ -72,31 +72,12 @@ func TestOnWriteDivergent(t *testing.T) {
 	}
 }
 
-func TestOnWriteBaselineArrays(t *testing.T) {
-	wr := newWR()
-	// Baseline (no compression): full write touches all 8 arrays.
-	wb := wr.OnWrite(4, nil, warp.FullMask(32), Features{}, false)
-	if wb.ArraysWritten != 8 {
-		t.Fatalf("full arrays = %d, want 8", wb.ArraysWritten)
-	}
-	// Partial write to lanes 0..3 touches one 4-lane array.
-	wb = wr.OnWrite(4, nil, 0xF, Features{}, false)
-	if wb.ArraysWritten != 1 {
-		t.Fatalf("partial arrays = %d, want 1", wb.ArraysWritten)
-	}
-	// Lanes 0 and 31 touch two arrays.
-	wb = wr.OnWrite(4, nil, 1|1<<31, Features{}, false)
-	if wb.ArraysWritten != 2 {
-		t.Fatalf("spread arrays = %d, want 2", wb.ArraysWritten)
-	}
-}
-
 func TestOnReadCompressed(t *testing.T) {
 	wr := newWR()
 	f := gsFeatures()
 	wr.OnWrite(1, uniformVec(9), warp.FullMask(32), f, false)
 	rc := wr.OnRead(1, warp.FullMask(32), f, false)
-	if rc.ArraysRead != 0 || !rc.BVREBRRead || rc.Class != AccessScalar {
+	if rc.ArraysRead != 0 || rc.Class != AccessScalar {
 		t.Fatalf("scalar read = %+v", rc)
 	}
 	if rc.CrossbarBytes != 0 {
@@ -125,14 +106,6 @@ func TestOnReadDivergentRegister(t *testing.T) {
 	rc = wr.OnRead(5, 0xFF, f, true)
 	if rc.Class != AccessDivergent {
 		t.Fatalf("divergent reader class = %v", rc.Class)
-	}
-}
-
-func TestOnReadBaseline(t *testing.T) {
-	wr := newWR()
-	rc := wr.OnRead(1, warp.FullMask(32), Features{}, false)
-	if rc.ArraysRead != 8 || rc.BVREBRRead || rc.CrossbarBytes != 128 {
-		t.Fatalf("baseline read = %+v", rc)
 	}
 }
 
@@ -203,10 +176,6 @@ func TestNeedsDecompressMove(t *testing.T) {
 	wr.OnWrite(3, vec, warp.FullMask(32), f, false)
 	if wr.NeedsDecompressMove(3, f) {
 		t.Error("uncompressed register should not need a move")
-	}
-	// Baseline never injects moves.
-	if wr.NeedsDecompressMove(1, Features{}) {
-		t.Error("baseline should never need moves")
 	}
 }
 

@@ -43,11 +43,11 @@ type Options struct {
 	CaptureDir string
 }
 
-// Defaults fills unset fields.
+// defaults fills unset fields. Config is normalized like every other
+// config: a sparse one denotes Table 1 with its set fields changed, and the
+// zero Config is Table 1.
 func (o Options) defaults() Options {
-	if o.Config.NumSMs == 0 {
-		o.Config = gscalar.DefaultConfig()
-	}
+	o.Config.Normalize()
 	if o.Scale < 1 {
 		o.Scale = 1
 	}

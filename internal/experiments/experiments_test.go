@@ -130,6 +130,56 @@ func TestConfigKeyInvalidation(t *testing.T) {
 	}
 }
 
+// TestSparseOptionsConfig checks that a suite keeps the fields a sparse
+// Options.Config sets and fills the rest from Table 1: the point keys it
+// simulates and the Table 1 it prints both follow the normalized config.
+func TestSparseOptionsConfig(t *testing.T) {
+	// table1 renders the suite's Table 1 and returns the value column of
+	// each row, by parameter.
+	table1 := func(s *Suite) map[string]string {
+		exps, err := Select("table1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _, err := exps[0].Render(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[string]string{}
+		for _, line := range strings.Split(text, "\n") {
+			if cols := strings.SplitN(line, "  ", 2); len(cols) == 2 {
+				if f := strings.Fields(cols[1]); len(f) > 0 {
+					rows[cols[0]] = f[0]
+				}
+			}
+		}
+		return rows
+	}
+	if got, want := NewSuite(Options{}).r.o.Config, gscalar.DefaultConfig(); got != want {
+		t.Errorf("zero config became %+v, want Table 1 %+v", got, want)
+	}
+
+	s := NewSuite(Options{Config: gscalar.Config{MemChannels: 2}})
+	want := gscalar.DefaultConfig()
+	want.MemChannels = 2
+	if s.r.o.Config != want {
+		t.Errorf("{MemChannels: 2} became %+v, want %+v", s.r.o.Config, want)
+	}
+	if PointKey(s.r.o.Config, 1, gscalar.GScalar, "HW") == PointKey(gscalar.DefaultConfig(), 1, gscalar.GScalar, "HW") {
+		t.Error("{MemChannels: 2} keys its points as Table 1's")
+	}
+	if got := table1(s)["memory channels"]; got != "2" {
+		t.Errorf("Table 1 of {MemChannels: 2} prints %q memory channels, want 2", got)
+	}
+
+	rows := table1(NewSuite(Options{Config: gscalar.Config{NumSMs: 2}}))
+	for param, want := range map[string]string{"# of SMs": "2", "SM frequency": "1.4", "memory channels": "6"} {
+		if rows[param] != want {
+			t.Errorf("Table 1 of {NumSMs: 2}: %s = %q, want %q (rows %v)", param, rows[param], want, rows)
+		}
+	}
+}
+
 func TestSuiteFig12Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")

@@ -19,39 +19,3 @@ func TestArbitrationZeroAlloc(t *testing.T) {
 		t.Errorf("arbitration allocates %.2f objects/cycle, want 0", allocs)
 	}
 }
-
-// TestArenaRecycleZeroAlloc checks that a warm arena recycles freed chunks
-// without touching the heap — the property that keeps mid-run CTA launches
-// allocation-free.
-func TestArenaRecycleZeroAlloc(t *testing.T) {
-	const words = 34 * 32
-	a := NewArena(words * 4)
-	// Warm: populate the free list growth.
-	s := a.Alloc(words)
-	a.Free(s)
-	allocs := testing.AllocsPerRun(1000, func() {
-		c := a.Alloc(words)
-		a.Free(c)
-	})
-	if allocs != 0 {
-		t.Errorf("arena recycle allocates %.2f objects/launch, want 0", allocs)
-	}
-}
-
-// TestArenaZeroesRecycledChunks checks a recycled chunk comes back zeroed —
-// new warps must see cleared registers exactly as a fresh allocation would
-// provide.
-func TestArenaZeroesRecycledChunks(t *testing.T) {
-	a := NewArena(64)
-	s := a.Alloc(16)
-	for i := range s {
-		s[i] = 0xDEADBEEF
-	}
-	a.Free(s)
-	r := a.Alloc(16)
-	for i, v := range r {
-		if v != 0 {
-			t.Fatalf("recycled chunk word %d = %#x, want 0", i, v)
-		}
-	}
-}

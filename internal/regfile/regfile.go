@@ -10,6 +10,7 @@ import (
 	"gscalar/internal/core"
 	"gscalar/internal/power"
 	"gscalar/internal/telemetry"
+	"gscalar/internal/warp"
 )
 
 // Port identifies which structure a register access uses.
@@ -108,21 +109,20 @@ type Access struct {
 }
 
 // ReadAccess composes the access for a byte-wise-compressed register read.
+// The BVR/EBR entry is read every time: its enc bits gate which arrays
+// activate.
 func ReadAccess(reg uint8, warpGlobalID int, banks int, rc core.ReadCost, en power.Energies) Access {
 	a := Access{
-		Bank:      BankOf(reg, warpGlobalID, banks),
-		ArrayPJ:   float64(rc.ArraysRead) * en.RFArrayAccess,
-		XbarBytes: rc.CrossbarBytes,
+		Port:       PortMain,
+		Bank:       BankOf(reg, warpGlobalID, banks),
+		ArrayPJ:    float64(rc.ArraysRead) * en.RFArrayAccess,
+		BVRPJ:      en.RFBVRAccess,
+		XbarBytes:  rc.CrossbarBytes,
+		Decompress: rc.Decompress,
 	}
 	if rc.ArraysRead == 0 {
 		a.Port = PortBVR
-	} else {
-		a.Port = PortMain
 	}
-	if rc.BVREBRRead {
-		a.BVRPJ = en.RFBVRAccess
-	}
-	a.Decompress = rc.Decompress
 	return a
 }
 
@@ -136,6 +136,26 @@ func BaselineReadAccess(reg uint8, warpGlobalID, banks, warpSize int, en power.E
 		ArrayPJ:   float64(arrays) * en.RFArrayAccess,
 		XbarBytes: warpSize * core.WordBytes,
 	}
+}
+
+// BaselineWriteArrays returns the number of 128-bit arrays a register write
+// activates in the unmodified register file. Its arrays are word-
+// interleaved, each holding four adjacent 4-byte lanes, so a full write
+// (active == live) activates every array and a partial write (§3.3) the
+// arrays holding at least one active lane. The cost depends only on the
+// mask, not on the values.
+func BaselineWriteArrays(active, live warp.Mask, warpSize int) int {
+	if active == live {
+		return core.Groups(warpSize) * core.WordBytes
+	}
+	const lanesPerArray = 4
+	n := 0
+	for lo := 0; lo < warpSize; lo += lanesPerArray {
+		if active&(warp.FullMask(min(lanesPerArray, warpSize-lo))<<lo) != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // BDIReadAccess composes a Warped-Compression (BDI) register read: arrays

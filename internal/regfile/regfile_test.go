@@ -115,3 +115,19 @@ func TestScalarReadsCheaperInvariant(t *testing.T) {
 		}
 	}
 }
+
+func TestBaselineWriteArrays(t *testing.T) {
+	full := warp.FullMask(32)
+	// A full write touches all 8 arrays.
+	if n := BaselineWriteArrays(full, full, 32); n != 8 {
+		t.Fatalf("full arrays = %d, want 8", n)
+	}
+	// A partial write to lanes 0..3 touches one 4-lane array.
+	if n := BaselineWriteArrays(0xF, full, 32); n != 1 {
+		t.Fatalf("partial arrays = %d, want 1", n)
+	}
+	// Lanes 0 and 31 touch two arrays.
+	if n := BaselineWriteArrays(1|1<<31, full, 32); n != 2 {
+		t.Fatalf("spread arrays = %d, want 2", n)
+	}
+}

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -369,11 +370,32 @@ func (s *Server) enqueueLocked(j *job, idx int) bool {
 	}
 }
 
+// PanicError is the error of a point whose build or run panicked: a
+// simulator bug, or an input the simulator could not reject. The panic is
+// confined to its point; the daemon and every other point carry on.
+type PanicError struct {
+	Value any    // the value the point panicked with
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("serve: point panicked: %v\n%s", e.Value, e.Stack)
+}
+
 // simulate runs one fresh simulation of p as the flight leader for p.key
 // and returns the entry for Store.Do to store. On cancellation it records
 // the partial prefix on p (never in the store) and returns the context
-// error.
-func (s *Server) simulate(ctx context.Context, p *pointState) (store.Entry, error) {
+// error. A panic in the point's build or run fails the point with a
+// *PanicError, which Store.Do hands to every waiter that joined the flight.
+func (s *Server) simulate(ctx context.Context, p *pointState) (e store.Entry, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.mu.Lock()
+			delete(s.progress, p.key)
+			s.mu.Unlock()
+			e, err = store.Entry{}, &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
 	if hook := s.testBeforeRun; hook != nil {
 		hook(p.spec)
 	}
@@ -417,7 +439,7 @@ func (s *Server) simulate(ctx context.Context, p *pointState) (store.Entry, erro
 	if err != nil {
 		return store.Entry{}, err
 	}
-	e := store.Entry{
+	e = store.Entry{
 		ConfigHash: key[:strings.IndexByte(key, '|')],
 		Arch:       p.spec.Arch.String(),
 		Workload:   p.spec.Workload,

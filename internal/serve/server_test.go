@@ -336,6 +336,55 @@ func TestCancelMidJob(t *testing.T) {
 	}
 }
 
+// TestPanickingPointFailsAlone runs a two-point job whose first point
+// panics mid-run: that point fails with the panic value and its stack and
+// leaves no progress snapshot or store entry behind, the second point
+// completes, and the daemon still serves a later submission.
+func TestPanickingPointFailsAlone(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir(), Options{Workers: 1, ObserverStride: 64})
+	s.testOnProgress = func(key string) {
+		if strings.HasSuffix(key, "/HW") {
+			panic("injected fault in HW")
+		}
+	}
+	id := submit(t, ts.URL, map[string]any{
+		"config": tinyConfig(), "arch": "gscalar", "workloads": []string{"HW", "HS"},
+	})
+	v := waitState(t, ts.URL, id, "failed")
+	if v.Counts["done"] != 1 || v.Counts["failed"] != 1 {
+		t.Fatalf("counts: %v, want one done and one failed point", v.Counts)
+	}
+	for _, p := range v.Points {
+		want := "done"
+		if p.Workload == "HW" {
+			want = "failed"
+			for _, frag := range []string{"injected fault in HW", "goroutine", "(*Server).simulate"} {
+				if !strings.Contains(p.Error, frag) {
+					t.Errorf("panicked point's error does not contain %q:\n%s", frag, p.Error)
+				}
+			}
+			if s.st.Contains(p.Key) {
+				t.Error("the store holds the panicked point")
+			}
+		}
+		if p.Status != want {
+			t.Errorf("%s: status %q, want %q", p.Workload, p.Status, want)
+		}
+	}
+	s.mu.Lock()
+	left := len(s.progress)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d progress snapshots left after the job ended", left)
+	}
+
+	id = submit(t, ts.URL, map[string]any{"config": tinyConfig(), "arch": "baseline", "workload": "HS"})
+	waitState(t, ts.URL, id, "done")
+	if n, err := s.Drain(); err != nil || n != 0 {
+		t.Fatalf("drain: %d pending, err %v", n, err)
+	}
+}
+
 // TestDrainPersistsAndResumes drains a server mid-sweep and restarts over
 // the same store directory: completed points are re-served from disk,
 // unfinished points resume, and no point simulates twice across the two

@@ -191,3 +191,49 @@ func BenchmarkSMCycle(b *testing.B) {
 		})
 	}
 }
+
+// TestLaunchAllocsIndependentOfRegisters gates what a CTA launch allocates
+// per warp: on a fresh SM of each register-file kind, launching one
+// 128-thread CTA allocates as many objects for a kernel whose highest
+// register is r1 as for one that writes r31, so nothing is allocated per
+// register.
+func TestLaunchAllocsIndependentOfRegisters(t *testing.T) {
+	const r1Src = `
+		mov r1, %tid.x
+		exit
+	`
+	const r31Src = `
+		mov r31, %tid.x
+		exit
+	`
+	const runs = 10
+	launchAllocs := func(t *testing.T, src string, arch Arch) float64 {
+		lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 1, Y: 1}, Block: kernel.Dim{X: 128, Y: 1}}
+		sms := make([]*SM, runs+1) // AllocsPerRun makes one warm-up run
+		for i := range sms {
+			sms[i], _ = newTestSM(t, DefaultConfig(), src, lc, kernel.NewMemory(), arch)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			sms[next].LaunchCTA(0)
+			next++
+		})
+	}
+	for _, a := range []struct {
+		name string
+		arch Arch
+	}{
+		{"baseline", Baseline()},
+		{"alu-scalar", PriorScalarRF()},
+		{"warped-compression", WarpedCompression()},
+		{"gscalar", GScalar()},
+	} {
+		t.Run(a.name, func(t *testing.T) {
+			r1, r31 := launchAllocs(t, r1Src, a.arch), launchAllocs(t, r31Src, a.arch)
+			if r1 != r31 {
+				t.Errorf("one CTA launch allocates %.0f objects for a kernel using r1 and %.0f for one writing r31, want equal", r1, r31)
+			}
+			t.Logf("%.0f objects per launch", r1)
+		})
+	}
+}

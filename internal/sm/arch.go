@@ -71,7 +71,7 @@ func WarpedCompression() Arch {
 func RVCOnly() Arch {
 	return Arch{
 		RVC:          RVCByteWise,
-		F:            core.Features{Compression: true, HalfCompression: true},
+		F:            core.Features{HalfCompression: true},
 		ExtraLatency: power.ExtraPipelineCycles,
 	}
 }

@@ -23,7 +23,7 @@ func TestArchPresets(t *testing.T) {
 		t.Errorf("WC latency = %d", w.ExtraLatency)
 	}
 	r := RVCOnly()
-	if r.RVC != RVCByteWise || r.Scalar != ScalarNone || !r.F.Compression || !r.F.HalfCompression {
+	if r.RVC != RVCByteWise || r.Scalar != ScalarNone || !r.F.HalfCompression {
 		t.Errorf("rvc-only = %+v", r)
 	}
 	if r.F.ScalarALU || r.F.DivergentScalar {
@@ -34,7 +34,7 @@ func TestArchPresets(t *testing.T) {
 		t.Errorf("gscalar = %+v", g)
 	}
 	f := g.F
-	if !(f.Compression && f.HalfCompression && f.ScalarALU && f.ScalarSFU &&
+	if !(f.HalfCompression && f.ScalarALU && f.ScalarSFU &&
 		f.ScalarMem && f.HalfScalar && f.DivergentScalar) {
 		t.Errorf("gscalar features = %+v", f)
 	}
@@ -51,6 +51,16 @@ func TestArchPresets(t *testing.T) {
 	}
 	if ca.F != GScalar().F {
 		t.Error("compiler-assist must otherwise match G-Scalar")
+	}
+	// G-Scalar's detection reads the byte-wise compression metadata, which
+	// the SM builds only for the byte-wise register file.
+	for name, p := range map[string]Arch{
+		"baseline": b, "prior scalar RF": a, "warped compression": w, "rvc-only": r,
+		"gscalar": g, "gscalar-nodiv": nd, "compiler-assist": ca,
+	} {
+		if p.Scalar == ScalarGS && p.RVC != RVCByteWise {
+			t.Errorf("%s: G-Scalar execution without the byte-wise register file (%+v)", name, p)
+		}
 	}
 }
 

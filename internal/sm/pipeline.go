@@ -529,9 +529,7 @@ func (s *SM) writebackReg(wc *warpCtx, ev *wbEvent, dst uint8) {
 		wb := wc.meta.OnWrite(int(dst), vec, active, s.arch.F, ev.elig == core.EligibleFull)
 		s.meter.AddN(power.CompRFArray, wb.ArraysWritten, s.en.RFArrayAccess)
 		s.meter.AddN(power.CompRFCrossbar, wb.ArraysWritten*16, s.en.RFCrossbarByte)
-		if wb.BVREBRWritten {
-			s.meter.Add(power.CompRFBVR, s.en.RFBVRAccess)
-		}
+		s.meter.Add(power.CompRFBVR, s.en.RFBVRAccess)
 		s.meter.Add(power.CompCodec, s.en.CompressorUse)
 		s.st.CompressedBits += uint64(wb.CompressedBits)
 		s.st.OriginalBits += uint64(wb.OriginalBits)
@@ -550,21 +548,19 @@ func (s *SM) writebackReg(wc *warpCtx, ev *wbEvent, dst uint8) {
 		if wc.srf.IsScalarReg(int(dst)) {
 			s.meter.Add(power.CompRFScalarBank, s.en.RFScalarBankAccess)
 		} else {
-			s.baselineWrite(wc, int(dst), active)
+			s.baselineWrite(wc, active)
 		}
 
 	default:
-		s.baselineWrite(wc, int(dst), active)
+		s.baselineWrite(wc, active)
 	}
 }
 
-// baselineWrite accounts a write to the unmodified register file: the
-// word-interleaved arrays containing active lanes are activated. The cost
-// depends only on the active mask, not the values.
-func (s *SM) baselineWrite(wc *warpCtx, dst int, active warp.Mask) {
-	wb := wc.meta.OnWrite(dst, nil, active, core.Features{}, false)
-	s.meter.AddN(power.CompRFArray, wb.ArraysWritten, s.en.RFArrayAccess)
-	s.meter.AddN(power.CompRFCrossbar, wb.ArraysWritten*16, s.en.RFCrossbarByte)
+// baselineWrite accounts a write to the unmodified register file.
+func (s *SM) baselineWrite(wc *warpCtx, active warp.Mask) {
+	arrays := regfile.BaselineWriteArrays(active, wc.w.LiveMask, s.cfg.WarpSize)
+	s.meter.AddN(power.CompRFArray, arrays, s.en.RFArrayAccess)
+	s.meter.AddN(power.CompRFCrossbar, arrays*16, s.en.RFCrossbarByte)
 }
 
 // maybeRecycle frees a warp slot whose CTA finished while this event was in
@@ -572,7 +568,6 @@ func (s *SM) baselineWrite(wc *warpCtx, dst int, active warp.Mask) {
 func (s *SM) maybeRecycle(wi int) {
 	wc := &s.warps[wi]
 	if wc.freeWhenDrained && !s.hasInFlight(wi) {
-		s.regArena.Free(wc.w.Storage())
 		wc.valid = false
 		wc.freeWhenDrained = false
 	}

@@ -81,7 +81,10 @@ type ctaSlot struct {
 	arrived   int
 }
 
-// warpCtx bundles a warp with its per-architecture register state.
+// warpCtx bundles a warp with its per-architecture register state: the
+// compression metadata (meta) of the byte-wise register file, the prior
+// scalar-RF comparator's scalar tracking (srf) or the BDI comparator's
+// compressed sizes (bdi), nil unless the architecture has that register file.
 type warpCtx struct {
 	valid     bool
 	done      bool
@@ -94,7 +97,8 @@ type warpCtx struct {
 	pendPreds uint8
 	ctaSlot   int
 	// freeWhenDrained marks a slot whose CTA finished while writebacks were
-	// still in flight; the slot is recycled once they drain.
+	// still in flight; the slot index is reused only once they drain, since
+	// events and collectors name their warp by slot.
 	freeWhenDrained bool
 	// pos is the warp's position in its scheduler's list while it is valid
 	// and not done; that bit of the scheduler's masks is its issue state.
@@ -188,12 +192,6 @@ type SM struct {
 	// Unit indices: 0..ALUUnits-1 are ALU pipelines, then MEM, then SFU.
 	unitBusy []uint64
 	events   []wbEvent
-	// regArena backs every resident warp's lane storage (registers + thread
-	// coordinates) in one flat per-SM slice; chunks are recycled when warp
-	// slots are released, so mid-run CTA launches allocate nothing. laneAlloc
-	// is regArena.Alloc bound once so launches do not allocate a closure.
-	regArena  *regfile.Arena
-	laneAlloc func(words int) []uint32
 
 	// Cycle never touches shared chip state: global stores land in storeBuf
 	// and beyond-L1 transactions are deferred into beyond, and Commit
@@ -263,8 +261,6 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	}
 	s.collAll = (uint64(1) << cfg.NumCollectors) - 1 // all ones at 64
 	s.collFree = s.collAll
-	s.regArena = regfile.NewArena(cfg.MaxWarps * warp.StorageWords(prog.NumRegs, cfg.WarpSize))
-	s.laneAlloc = s.regArena.Alloc
 	s.unitBusy = make([]uint64, cfg.ALUUnits+2)
 	s.scheds = make([]scheduler, cfg.Schedulers)
 	for i := range s.scheds {
@@ -393,7 +389,7 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 		return
 	}
 	wpc := s.warpsPerCTA()
-	ws := warp.BuildCTAStored(s.prog, s.launch, ctaLinear, s.cfg.WarpSize, ctaLinear*wpc, s.laneAlloc)
+	ws := warp.BuildCTA(s.prog, s.launch, ctaLinear, s.cfg.WarpSize, ctaLinear*wpc)
 	shared := make([]uint32, (s.launch.SharedBytes+3)/4)
 	cs := &s.ctas[slot]
 	*cs = ctaSlot{active: true, ctaID: ctaLinear, shared: shared, liveWarps: len(ws)}
@@ -423,8 +419,9 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 			},
 			ctaSlot: slot,
 		}
-		wc.meta = core.NewWarpRegs(s.prog.NumRegs, 8, s.cfg.WarpSize, w.LiveMask)
 		switch {
+		case s.arch.RVC == RVCByteWise:
+			wc.meta = core.NewWarpRegs(s.prog.NumRegs, warp.NumPreds, s.cfg.WarpSize, w.LiveMask)
 		case s.arch.Scalar == ScalarPriorRF:
 			wc.srf = baseline.NewScalarRF(s.prog.NumRegs, s.cfg.WarpSize, w.LiveMask)
 		case s.arch.RVC == RVCBDI:
@@ -557,7 +554,6 @@ func (s *SM) retireWarp(wi int) {
 			if s.hasInFlight(slot) {
 				s.warps[slot].freeWhenDrained = true
 			} else {
-				s.regArena.Free(s.warps[slot].w.Storage())
 				s.warps[slot].valid = false
 			}
 		}

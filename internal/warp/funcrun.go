@@ -9,13 +9,6 @@ import (
 // BuildCTA constructs the warps of one CTA, with thread coordinates and CTA
 // coordinates filled in. ctaLinear is the CTA's linear index in the grid.
 func BuildCTA(prog *kernel.Program, lc *kernel.LaunchConfig, ctaLinear, warpWidth, globalWarpBase int) []*Warp {
-	return BuildCTAStored(prog, lc, ctaLinear, warpWidth, globalWarpBase, nil)
-}
-
-// BuildCTAStored is BuildCTA with lane storage drawn from alloc (e.g. a
-// regfile arena's Alloc): each warp receives one StorageWords-sized zeroed
-// chunk. A nil alloc self-allocates per warp.
-func BuildCTAStored(prog *kernel.Program, lc *kernel.LaunchConfig, ctaLinear, warpWidth, globalWarpBase int, alloc func(words int) []uint32) []*Warp {
 	threads := lc.Block.Count()
 	nwarps := (threads + warpWidth - 1) / warpWidth
 	ctaX := uint32(ctaLinear % lc.Grid.X)
@@ -27,11 +20,7 @@ func BuildCTAStored(prog *kernel.Program, lc *kernel.LaunchConfig, ctaLinear, wa
 		if rem := threads - wi*warpWidth; rem < lanes {
 			lanes = rem
 		}
-		var store []uint32
-		if alloc != nil {
-			store = alloc(StorageWords(prog.NumRegs, warpWidth))
-		}
-		w := NewStored(globalWarpBase+wi, ctaLinear, wi, warpWidth, prog.NumRegs, FullMask(lanes), store)
+		w := New(globalWarpBase+wi, ctaLinear, wi, warpWidth, prog.NumRegs, FullMask(lanes))
 		w.SetCTACoords(ctaX, ctaY)
 		for lane := 0; lane < lanes; lane++ {
 			t := wi*warpWidth + lane

@@ -60,7 +60,7 @@ const (
 
 // Warp holds the architectural state of one warp. Lane state is kept in
 // structure-of-arrays form: registers are one flat [reg*Width + lane] slice
-// (optionally carved from a shared per-SM arena, see NewStored), and the
+// (sharing one allocation with the thread-coordinate vectors), and the
 // predicate registers are stored as per-predicate lane masks, so predicate
 // reads are single mask operations instead of per-lane loops.
 type Warp struct {
@@ -73,8 +73,7 @@ type Warp struct {
 	regs  []uint32       // [reg*Width + lane]
 	preds [NumPreds]Mask // preds[p] bit i = predicate p of lane i
 	nregs int
-	wmask Mask     // FullMask(Width)
-	store []uint32 // the full backing chunk (regs + tid vectors)
+	wmask Mask // FullMask(Width)
 
 	// Per-lane special register values, fixed at launch.
 	tidX, tidY     []uint32
@@ -86,47 +85,26 @@ type Warp struct {
 	barrier bool // raised when the warp reaches a barrier; cleared by the SM
 }
 
-// StorageWords returns the number of uint32 words of backing storage one
-// warp needs: the register file plus the two thread-coordinate vectors.
-func StorageWords(numRegs, width int) int { return (numRegs + 2) * width }
-
-// New creates a warp of width lanes running prog with liveMask lanes
-// populated, with self-allocated lane storage.
+// New creates a warp of width lanes with numRegs registers and liveMask
+// lanes populated. Its registers and thread-coordinate vectors are one
+// zeroed allocation.
 func New(globalID, ctaID, warpInCTA, width, numRegs int, liveMask Mask) *Warp {
-	return NewStored(globalID, ctaID, warpInCTA, width, numRegs, liveMask, nil)
-}
-
-// NewStored is New with caller-provided lane storage: store must be zeroed
-// and at least StorageWords(numRegs, width) long (nil allocates). Backing
-// the warps of an SM from one flat arena keeps their register state
-// contiguous and launch-time allocation-free.
-func NewStored(globalID, ctaID, warpInCTA, width, numRegs int, liveMask Mask, store []uint32) *Warp {
-	need := StorageWords(numRegs, width)
-	if store == nil {
-		store = make([]uint32, need)
-	} else if len(store) < need {
-		panic(fmt.Sprintf("warp: storage %d words, need %d", len(store), need))
-	}
+	lanes := make([]uint32, (numRegs+2)*width)
 	w := &Warp{
 		ID:       warpInCTA,
 		CTA:      ctaID,
 		GlobalID: globalID,
 		Width:    width,
 		LiveMask: liveMask,
-		regs:     store[:numRegs*width],
+		regs:     lanes[:numRegs*width],
 		nregs:    numRegs,
 		wmask:    FullMask(width),
-		store:    store[:need],
-		tidX:     store[numRegs*width : (numRegs+1)*width],
-		tidY:     store[(numRegs+1)*width : (numRegs+2)*width],
+		tidX:     lanes[numRegs*width : (numRegs+1)*width],
+		tidY:     lanes[(numRegs+1)*width:],
 	}
 	w.stack = append(w.stack, StackEntry{PC: 0, RPC: -1, Mask: liveMask})
 	return w
 }
-
-// Storage returns the warp's backing chunk, for recycling into the arena it
-// was carved from once the warp's slot is released.
-func (w *Warp) Storage() []uint32 { return w.store }
 
 // SetThreadCoords sets a lane's thread coordinates within its CTA.
 func (w *Warp) SetThreadCoords(lane int, tidX, tidY uint32) {
