@@ -179,11 +179,11 @@ func (wr *WarpRegs) SourcesScalarForPred(in *isa.Instruction, active warp.Mask) 
 }
 
 // ValueScalarOracle reports whether the instruction's register sources are
-// value-uniform across the active lanes — the application-characterisation
-// metric of Figure 1, which is independent of any detection mechanism. It
-// must be called before the instruction executes (sources may alias the
-// destination). srcVec returns the current value vector of a register.
-func ValueScalarOracle(in *isa.Instruction, active warp.Mask, srcVec func(r uint8) []uint32) bool {
+// value-uniform across the active lanes of warp w — the application-
+// characterisation metric of Figure 1, which is independent of any
+// detection mechanism. It must be called before the instruction executes
+// (sources may alias the destination).
+func ValueScalarOracle(in *isa.Instruction, active warp.Mask, w *warp.Warp) bool {
 	if in.HasNonUniformNonRegSource() {
 		return false
 	}
@@ -197,7 +197,7 @@ func ValueScalarOracle(in *isa.Instruction, active warp.Mask, srcVec func(r uint
 		if s.Kind != isa.OpdReg {
 			continue
 		}
-		if !IsScalar(srcVec(s.Reg), active) {
+		if !IsScalar(w.RegVec(s.Reg), active) {
 			return false
 		}
 	}

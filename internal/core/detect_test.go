@@ -207,11 +207,9 @@ func TestSourcesScalarForPred(t *testing.T) {
 }
 
 func TestValueScalarOracle(t *testing.T) {
-	vecs := map[uint8][]uint32{
-		1: uniformVec(5),
-		2: rampVec(100),
-	}
-	src := func(r uint8) []uint32 { return vecs[r] }
+	src := warp.New(0, 0, 0, 32, 3, warp.FullMask(32))
+	copy(src.RegVec(1), uniformVec(5))
+	copy(src.RegVec(2), rampVec(100))
 	mask := warp.Mask(0xF)
 
 	in := inst(isa.OpIAdd, isa.Reg(3), isa.Reg(1), isa.Imm(2))

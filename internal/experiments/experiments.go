@@ -519,13 +519,3 @@ func FormatFig12(rows []Fig12Row) string {
 		"(paper means: scalar-only 0.63, ours 0.46; compression ratio ours 2.17 vs BDI 2.13)\n" +
 		t.String()
 }
-
-// trimRight drops trailing spaces from each line of a table for cleaner
-// golden files.
-func trimRight(s string) string {
-	lines := strings.Split(s, "\n")
-	for i := range lines {
-		lines[i] = strings.TrimRight(lines[i], " ")
-	}
-	return strings.Join(lines, "\n")
-}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"gscalar/internal/kernel"
 	"gscalar/internal/mem"
@@ -238,10 +240,25 @@ var workerStartOrder func(workers int) []int
 // stepped by one goroutine and per-SM state needs no locking. run is a
 // barrier: it returns only after every SM has been stepped, which
 // establishes the happens-before edge for the serial commit that follows.
+// A panic while a worker steps an SM ends that worker's share of the run,
+// and run re-raises the first one on its caller as a *workerPanic.
 type workerPool struct {
-	start []chan struct{}
-	busy  sync.WaitGroup // workers still stepping the current run
-	live  sync.WaitGroup // worker goroutines not yet exited
+	start    []chan struct{}
+	busy     sync.WaitGroup // workers still stepping the current run
+	live     sync.WaitGroup // worker goroutines not yet exited
+	panicked atomic.Pointer[workerPanic]
+}
+
+// workerPanic is the value run panics with when stepping an SM panicked on
+// a worker goroutine: the original panic value and that goroutine's stack,
+// which the caller's own stack would not show.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (e *workerPanic) Error() string {
+	return fmt.Sprintf("gpu: chip-loop worker panicked: %v\n%s", e.value, e.stack)
 }
 
 // newWorkerPool starts workers goroutines that each call step(i) for their
@@ -261,23 +278,39 @@ func newWorkerPool(n, workers int, step func(i int)) *workerPool {
 		go func(w int) {
 			defer p.live.Done()
 			for range p.start[w] {
-				for i := w; i < n; i += workers {
-					step(i)
-				}
-				p.busy.Done()
+				p.stepShare(w, n, workers, step)
 			}
 		}(w)
 	}
 	return p
 }
 
-// run steps every SM once and waits for all of them.
+// stepShare is worker w's part of one run. It recovers a panic in step, so
+// the barrier still completes, and keeps the first one for run to re-raise.
+func (p *workerPool) stepShare(w, n, workers int, step func(i int)) {
+	defer p.busy.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			p.panicked.CompareAndSwap(nil, &workerPanic{value: v, stack: debug.Stack()})
+		}
+	}()
+	for i := w; i < n; i += workers {
+		step(i)
+	}
+}
+
+// run steps every SM once and waits for all of them. If stepping an SM
+// panicked, run panics on its caller with a *workerPanic once every worker
+// has finished the run, so close can still stop the pool.
 func (p *workerPool) run() {
 	p.busy.Add(len(p.start))
 	for _, ch := range p.start {
 		ch <- struct{}{}
 	}
 	p.busy.Wait()
+	if wp := p.panicked.Swap(nil); wp != nil {
+		panic(wp)
+	}
 }
 
 // close stops the worker goroutines and waits for them to exit.

@@ -32,3 +32,14 @@ func TestAccessPathZeroAlloc(t *testing.T) {
 		t.Errorf("memory access path allocates %.2f objects/access, want 0", allocs)
 	}
 }
+
+// TestNewCacheAllocs: building a cache allocates a constant number of
+// objects, whatever its set count (the sets share one line array), so an
+// L2 costs no more allocations than an L1.
+func TestNewCacheAllocs(t *testing.T) {
+	l1 := testing.AllocsPerRun(10, func() { NewCache(16<<10, 4) })
+	l2 := testing.AllocsPerRun(10, func() { NewCache(768<<10, 16) })
+	if l1 != l2 || l2 > 2 {
+		t.Errorf("NewCache allocates %.0f objects for 32 sets and %.0f for 256, want the same, at most 2 (the cache and its lines)", l1, l2)
+	}
+}

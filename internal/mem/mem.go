@@ -14,22 +14,17 @@ import (
 // LineSize is the memory transaction granularity in bytes (one L1/L2 line).
 const LineSize = 128
 
-// Coalesce reduces the per-lane byte addresses of a warp memory access to
-// the set of distinct LineSize-aligned transactions, in ascending order.
+// CoalesceInto reduces the per-lane byte addresses of a warp memory access
+// to the set of distinct LineSize-aligned transactions, in ascending order.
 // Only lanes selected by active are considered. The paper's baseline memory
 // pipeline performs exactly this coalescing; a scalar-eligible memory
-// instruction produces one transaction.
-func Coalesce(addrs []uint32, active uint64) []uint32 {
-	return CoalesceInto(nil, addrs, active)
-}
-
-// CoalesceInto is Coalesce writing into buf (reset to length zero first), so
-// the per-access scratch can be reused across calls without allocating.
-// Active lanes are bit-iterated (inactive lanes cost nothing), and the
-// dominant access shapes — a warp touching one line, or lane addresses
-// ascending — take a compare-and-append fast path; only genuinely unsorted
-// gathers fall back to sorted insertion (at most one line per lane, so
-// insertion still beats a map + sort there).
+// instruction produces one transaction. The lines are written into buf
+// (reset to length zero first), so the per-access scratch can be reused
+// across calls without allocating. Active lanes are bit-iterated (inactive
+// lanes cost nothing), and the dominant access shapes — a warp touching one
+// line, or lane addresses ascending — take a compare-and-append fast path;
+// only genuinely unsorted gathers fall back to sorted insertion (at most
+// one line per lane, so insertion still beats a map + sort there).
 func CoalesceInto(buf []uint32, addrs []uint32, active uint64) []uint32 {
 	lines := buf[:0]
 	m := active
@@ -71,17 +66,22 @@ func CoalesceInto(buf []uint32, addrs []uint32, active uint64) []uint32 {
 // ever compares timestamps within one cache, so per-cache clocks produce
 // bit-identical replacement decisions to a global clock.
 type Cache struct {
-	sets     [][]cacheLine
+	lines    []cacheLine // set s is lines[s*assoc : (s+1)*assoc]
 	assoc    int
 	setShift uint
 	setMask  uint32
 	lruClock uint64
 }
 
+// cacheLine is one way of a set. fill is the cycle the line's data lands,
+// as SetFill recorded it (0 until then). Like GPGPU-Sim's RESERVED tag
+// state, it lets a hit on a line whose fill is still in flight wait for
+// that fill instead of hitting at once.
 type cacheLine struct {
 	tag   uint32
 	valid bool
 	lru   uint64
+	fill  uint64
 }
 
 // NewCache builds a cache of capacity bytes with the given associativity
@@ -95,30 +95,38 @@ func NewCache(capacity, assoc int) *Cache {
 	for nsets&(nsets-1) != 0 {
 		nsets &= nsets - 1
 	}
-	c := &Cache{
-		sets:  make([][]cacheLine, nsets),
-		assoc: assoc,
+	return &Cache{
+		lines:    make([]cacheLine, nsets*assoc),
+		assoc:    assoc,
+		setShift: 7, // log2(LineSize)
+		setMask:  uint32(nsets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, assoc)
+}
+
+// find returns the ways of the set addr maps to, addr's tag, and the valid
+// line holding it (nil if absent). It is the one line search of Lookup,
+// Probe, SetFill and Invalidate.
+func (c *Cache) find(addr uint32) (set []cacheLine, tag uint32, line *cacheLine) {
+	tag = addr >> c.setShift
+	base := int(tag&c.setMask) * c.assoc
+	set = c.lines[base : base+c.assoc]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return set, tag, &set[i]
+		}
 	}
-	shift := uint(7) // log2(LineSize)
-	c.setShift = shift
-	c.setMask = uint32(nsets - 1)
-	return c
+	return set, tag, nil
 }
 
 // Lookup probes for the line containing addr, allocating it on a miss when
-// allocate is set. It reports whether the access hit.
-func (c *Cache) Lookup(addr uint32, allocate bool) bool {
-	set := c.sets[(addr>>c.setShift)&c.setMask]
-	tag := addr >> c.setShift
+// allocate is set. It reports whether the access hit and, on a hit, the
+// cycle the line's fill lands (see SetFill).
+func (c *Cache) Lookup(addr uint32, allocate bool) (hit bool, fill uint64) {
+	set, tag, line := c.find(addr)
 	c.lruClock++
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.lruClock
-			return true
-		}
+	if line != nil {
+		line.lru = c.lruClock
+		return true, line.fill
 	}
 	if allocate {
 		victim := 0
@@ -133,7 +141,15 @@ func (c *Cache) Lookup(addr uint32, allocate bool) bool {
 		}
 		set[victim] = cacheLine{tag: tag, valid: true, lru: c.lruClock}
 	}
-	return false
+	return false, 0
+}
+
+// SetFill records done as the cycle the fill of the line containing addr
+// lands. It does nothing if the line is absent and never touches LRU state.
+func (c *Cache) SetFill(addr uint32, done uint64) {
+	if _, _, line := c.find(addr); line != nil {
+		line.fill = done
+	}
 }
 
 // Probe reports whether the line containing addr is present, without
@@ -143,25 +159,15 @@ func (c *Cache) Lookup(addr uint32, allocate bool) bool {
 // which the epoch rendezvous guarantees (all Lookup/Invalidate calls happen
 // in the serial commit phase).
 func (c *Cache) Probe(addr uint32) bool {
-	set := c.sets[(addr>>c.setShift)&c.setMask]
-	tag := addr >> c.setShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	_, _, line := c.find(addr)
+	return line != nil
 }
 
 // Invalidate drops the line containing addr if present (used by
 // write-evict stores).
 func (c *Cache) Invalidate(addr uint32) {
-	set := c.sets[(addr>>c.setShift)&c.setMask]
-	tag := addr >> c.setShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
-		}
+	if _, _, line := c.find(addr); line != nil {
+		line.valid = false
 	}
 }
 
@@ -243,7 +249,7 @@ func (s *System) channelOf(line uint32) int {
 func (s *System) AccessL2(now uint64, line uint32, write bool) (done uint64, kind AccessKind) {
 	t := s.timing
 	arriveL2 := now + uint64(t.NoCLatency)
-	if s.l2.Lookup(line, !write) {
+	if hit, _ := s.l2.Lookup(line, !write); hit {
 		if write {
 			// Write hit updates L2 and drains to DRAM in the background;
 			// the SM does not wait for DRAM.

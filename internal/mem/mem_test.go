@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,7 +11,7 @@ func TestCoalesceSingleLine(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint32(i)*4
 	}
-	lines := Coalesce(addrs, 0xFFFFFFFF)
+	lines := CoalesceInto(nil, addrs, 0xFFFFFFFF)
 	if len(lines) != 1 || lines[0] != 0x1000 {
 		t.Fatalf("lines = %v", lines)
 	}
@@ -21,7 +22,7 @@ func TestCoalesceStrided(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint32(i) * 256 // one line each
 	}
-	lines := Coalesce(addrs, 0xFFFFFFFF)
+	lines := CoalesceInto(nil, addrs, 0xFFFFFFFF)
 	if len(lines) != 32 {
 		t.Fatalf("lines = %d, want 32", len(lines))
 	}
@@ -29,11 +30,11 @@ func TestCoalesceStrided(t *testing.T) {
 
 func TestCoalesceMasked(t *testing.T) {
 	addrs := []uint32{0, 4, 1000, 2000}
-	lines := Coalesce(addrs, 0b0011)
+	lines := CoalesceInto(nil, addrs, 0b0011)
 	if len(lines) != 1 || lines[0] != 0 {
 		t.Fatalf("lines = %v", lines)
 	}
-	if got := Coalesce(addrs, 0); len(got) != 0 {
+	if got := CoalesceInto(nil, addrs, 0); len(got) != 0 {
 		t.Fatalf("empty mask lines = %v", got)
 	}
 }
@@ -43,7 +44,7 @@ func TestCoalesceMasked(t *testing.T) {
 func TestCoalesceProperties(t *testing.T) {
 	f := func(raw [16]uint32, mask uint16) bool {
 		addrs := raw[:]
-		lines := Coalesce(addrs, uint64(mask))
+		lines := CoalesceInto(nil, addrs, uint64(mask))
 		seen := map[uint32]bool{}
 		for i, l := range lines {
 			if l%LineSize != 0 {
@@ -74,16 +75,16 @@ func TestCoalesceProperties(t *testing.T) {
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(16<<10, 4)
-	if c.Lookup(0x1000, true) {
+	if hit, _ := c.Lookup(0x1000, true); hit {
 		t.Fatal("cold hit")
 	}
-	if !c.Lookup(0x1000, true) {
+	if hit, _ := c.Lookup(0x1000, true); !hit {
 		t.Fatal("warm miss")
 	}
-	if !c.Lookup(0x1040, true) {
+	if hit, _ := c.Lookup(0x1040, true); !hit {
 		t.Fatal("same-line offset miss")
 	}
-	if c.Lookup(0x1080, true) {
+	if hit, _ := c.Lookup(0x1080, true); hit {
 		t.Fatal("adjacent-line hit")
 	}
 }
@@ -95,10 +96,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Lookup(uint32(i)*LineSize, true)
 	}
-	if c.Lookup(0, true) {
+	if hit, _ := c.Lookup(0, true); hit {
 		t.Fatal("LRU line not evicted")
 	}
-	if !c.Lookup(4*LineSize, true) {
+	if hit, _ := c.Lookup(4*LineSize, true); !hit {
 		t.Fatal("MRU line evicted")
 	}
 }
@@ -107,8 +108,70 @@ func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(16<<10, 4)
 	c.Lookup(0x2000, true)
 	c.Invalidate(0x2000)
-	if c.Lookup(0x2000, false) {
+	if hit, _ := c.Lookup(0x2000, false); hit {
 		t.Fatal("invalidated line hit")
+	}
+}
+
+// TestCacheFill: a hit reports the fill cycle SetFill recorded on its line,
+// and a line allocated by a miss starts with none.
+func TestCacheFill(t *testing.T) {
+	c := NewCache(16<<10, 4)
+	c.Lookup(0x3000, true)
+	if hit, fill := c.Lookup(0x3000, true); !hit || fill != 0 {
+		t.Fatalf("fresh line: hit %v fill %d, want a hit with fill 0", hit, fill)
+	}
+	c.SetFill(0x3040, 500) // any address in the line
+	if hit, fill := c.Lookup(0x3000, true); !hit || fill != 500 {
+		t.Fatalf("after SetFill: hit %v fill %d, want a hit with fill 500", hit, fill)
+	}
+	if hit, fill := c.Lookup(0x3080, true); hit || fill != 0 {
+		t.Fatalf("other line: hit %v fill %d, want a miss with fill 0", hit, fill)
+	}
+}
+
+// TestSetFillTouchesOnlyTheFill: SetFill on an absent line changes nothing,
+// and on a present one changes only that line's fill, never LRU state.
+func TestSetFillTouchesOnlyTheFill(t *testing.T) {
+	c := NewCache(4*LineSize, 4) // 1 set
+	for i := 0; i < 4; i++ {
+		c.Lookup(uint32(i)*LineSize, true)
+	}
+	lines, clock := slices.Clone(c.lines), c.lruClock
+	c.SetFill(9*LineSize, 77)
+	if !slices.Equal(c.lines, lines) || c.lruClock != clock {
+		t.Fatal("SetFill on an absent line changed the cache")
+	}
+	c.SetFill(0, 77) // the LRU line
+	lines[slices.IndexFunc(lines, func(l cacheLine) bool { return l.tag == 0 })].fill = 77
+	if !slices.Equal(c.lines, lines) || c.lruClock != clock {
+		t.Fatalf("SetFill on a present line: lines %+v clock %d, want %+v clock %d", c.lines, c.lruClock, lines, clock)
+	}
+	// Line 0 is still the LRU victim.
+	c.Lookup(4*LineSize, true)
+	if hit, _ := c.Lookup(0, false); hit {
+		t.Fatal("SetFill refreshed the line's LRU position")
+	}
+}
+
+// TestFillLeavesWithItsLine: an evicted or invalidated line loses its fill,
+// so the line a later miss allocates at the same address starts without one.
+func TestFillLeavesWithItsLine(t *testing.T) {
+	c := NewCache(4*LineSize, 4) // 1 set
+	c.Lookup(0, true)
+	c.SetFill(0, 900)
+	for i := 1; i <= 4; i++ { // evicts line 0
+		c.Lookup(uint32(i)*LineSize, true)
+	}
+	c.Lookup(0, true)
+	if hit, fill := c.Lookup(0, true); !hit || fill != 0 {
+		t.Fatalf("after eviction: hit %v fill %d, want a hit with fill 0", hit, fill)
+	}
+	c.SetFill(0, 900)
+	c.Invalidate(0)
+	c.Lookup(0, true)
+	if hit, fill := c.Lookup(0, true); !hit || fill != 0 {
+		t.Fatalf("after invalidation: hit %v fill %d, want a hit with fill 0", hit, fill)
 	}
 }
 

@@ -49,7 +49,7 @@ func Run(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, maxI
 		// source registers as the instruction will see them.
 		_, in, active, ok := w.Peek(ctx)
 		uniform := ok && in.Class() != isa.ClassCtrl &&
-			core.ValueScalarOracle(in, active, func(r uint8) []uint32 { return w.RegVec(r) })
+			core.ValueScalarOracle(in, active, w)
 		out, err := w.Execute(ctx)
 		if err != nil {
 			return err

@@ -64,7 +64,7 @@ var policies = []struct {
 }{{"gto", SchedGTO}, {"lrr", SchedLRR}}
 
 // warmupCycles steps a fresh SM past the growth of its reusable scratch
-// slices (writeback and coalesce buffers), its fill list, and the backing
+// slices (writeback and coalesce buffers) and the backing
 // memory pages.
 const warmupCycles = 3000
 
@@ -235,5 +235,38 @@ func TestLaunchAllocsIndependentOfRegisters(t *testing.T) {
 			}
 			t.Logf("%.0f objects per launch", r1)
 		})
+	}
+}
+
+// TestCTASlotKeepsWarpList: a CTA launched into a drained slot reuses the
+// slot's warp list, so a streaming launch stops allocating lists once every
+// slot has held a CTA.
+func TestCTASlotKeepsWarpList(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxCTAs = 1
+	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 2, Y: 1}, Block: kernel.Dim{X: 128, Y: 1}}
+	s, _ := newTestSM(t, cfg, "mov r1, %tid.x\nexit\n", lc, kernel.NewMemory(), Baseline())
+	s.LaunchCTA(0)
+	first := &s.ctas[0].warpSlots[0]
+	for cycle := uint64(0); s.Busy(); cycle++ {
+		if cycle == 10_000 {
+			t.Fatalf("CTA 0 did not drain: %s", s.DebugState())
+		}
+		s.Cycle(cycle)
+		s.Commit()
+	}
+	if !s.CanTakeCTA() {
+		t.Fatal("the drained slot does not take a CTA")
+	}
+	s.LaunchCTA(1)
+	cs := &s.ctas[0]
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.warpSlots) != 4 || cs.liveWarps != 4 {
+		t.Fatalf("relaunched slot lists %d warps with %d live, want 4 and 4", len(cs.warpSlots), cs.liveWarps)
+	}
+	if &cs.warpSlots[0] != first {
+		t.Error("relaunch into a drained slot allocated a new warp list")
 	}
 }

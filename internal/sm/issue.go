@@ -95,7 +95,7 @@ func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 		}
 		sc.starved &^= bit
 	}
-	pc, in, active, ok := wc.w.Peek(&wc.ctx)
+	pc, in, active, ok := wc.w.Peek(&s.ctx)
 	if !ok {
 		s.retireWarp(wi)
 		return false
@@ -149,21 +149,22 @@ func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 	// sampled before execution (sources may alias the destination).
 	divergentOracle := false
 	if active != wc.w.LiveMask && !isCtrl {
-		divergentOracle = core.ValueScalarOracle(in, active, wc.regVec)
+		divergentOracle = core.ValueScalarOracle(in, active, wc.w)
 	}
 
 	// Scalar-eligibility detection uses only EBR/BVR metadata, which is
 	// updated at writeback, so detecting before execution matches hardware.
+	// The prior scalar RF executes only non-divergent ALU instructions
+	// scalar, so its eligibility is full-scalar or none.
 	elig := core.NotEligible
-	srfScalar := false
-	switch s.arch.Scalar {
-	case ScalarGS:
-		if !isCtrl {
+	if !isCtrl {
+		switch s.arch.Scalar {
+		case ScalarGS:
 			elig = wc.meta.Detect(in, active, s.arch.F)
-		}
-	case ScalarPriorRF:
-		if !isCtrl {
-			srfScalar = wc.srf.Detect(in, active)
+		case ScalarPriorRF:
+			if wc.srf.Detect(in, active) {
+				elig = core.EligibleFull
+			}
 		}
 	}
 	predUniform := false
@@ -171,12 +172,13 @@ func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 		predUniform = wc.meta.SourcesScalarForPred(in, active)
 	}
 
+	s.ctx.Shared = s.ctas[wc.ctaSlot].shared
 	if !isCtrl {
 		// Address generation writes into the collector's resident scratch
 		// so memory instructions allocate no per-access address vector.
-		wc.ctx.AddrScratch = s.collectors[free].addrBuf
+		s.ctx.AddrScratch = s.collectors[free].addrBuf
 	}
-	out, err := wc.w.Execute(&wc.ctx)
+	out, err := wc.w.Execute(&s.ctx)
 	if err != nil {
 		s.fail(fmt.Errorf("sm%d warp %d: %w", s.ID, wc.w.GlobalID, err))
 		s.retireWarp(wi)
@@ -189,11 +191,7 @@ func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 	if out.Divergent && !isCtrl && divergentOracle {
 		s.st.DivergentValueScalar++
 	}
-	if s.arch.Scalar == ScalarGS {
-		s.st.CountEligibility(elig, m.Class)
-	} else if srfScalar {
-		s.st.EligFullALU++
-	}
+	s.st.CountEligibility(elig, m.Class)
 
 	if out.Exited {
 		s.retireWarp(wi)
@@ -211,18 +209,15 @@ func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 	// Allocate the operand collector with the source-read plan, and mark
 	// the destination pending.
 	ce := &s.collectors[free]
-	reads := ce.reads[:0]
-	addrBuf := ce.addrBuf
-	lines := ce.lines[:0]
 	*ce = collectorEntry{
-		wi: wi, out: out, elig: elig,
-		srfScalar: srfScalar, predUniform: predUniform,
+		wi: wi, inst: in, active: out.Active, dstVec: out.DstVec,
+		elig: elig, predUniform: predUniform,
 		class: m.Class, latency: m.Latency, occMul: m.OccMul,
-		reads: reads, addrBuf: addrBuf, lines: lines,
+		reads: ce.reads[:0], addrBuf: ce.addrBuf, lines: ce.lines[:0],
 	}
 	ce.lanes = ce.scalarLanes(s.cfg.WarpSize)
 	s.collClaim(free)
-	s.planReads(ce, wc, in, out)
+	s.planReads(ce, wc, in, out.Divergent)
 	if m.WritesReg {
 		wc.pendRegs |= 1 << m.DstReg
 	}
@@ -276,15 +271,10 @@ func (s *SM) injectMove(free, wi int, reg uint8) {
 	s.st.InjectedMoves++
 
 	ce := &s.collectors[free]
-	reads := ce.reads[:0]
-	addrBuf := ce.addrBuf
-	lines := ce.lines[:0]
 	*ce = collectorEntry{
-		wi: wi, isMove: true, moveReg: reg,
-		occMul: 1, reads: reads, addrBuf: addrBuf, lines: lines,
+		wi: wi, active: wc.w.LiveMask, isMove: true, moveReg: reg,
+		occMul: 1, reads: ce.reads[:0], addrBuf: ce.addrBuf, lines: ce.lines[:0],
 	}
-	ce.out.DstReg = int(reg)
-	ce.out.Active = wc.w.LiveMask
 	s.collClaim(free)
 
 	rc := wc.meta.OnRead(int(reg), wc.w.LiveMask, s.arch.F, false)
@@ -293,9 +283,9 @@ func (s *SM) injectMove(free, wi int, reg uint8) {
 	wc.pendRegs |= 1 << reg
 }
 
-// planReads builds the source-read plan and records Figure 8 access
-// classes.
-func (s *SM) planReads(ce *collectorEntry, wc *warpCtx, in *isa.Instruction, out warp.Outcome) {
+// planReads builds the source-read plan of collector ce, which holds in,
+// and records Figure 8 access classes.
+func (s *SM) planReads(ce *collectorEntry, wc *warpCtx, in *isa.Instruction, divergent bool) {
 	for i := uint8(0); i < in.NSrc; i++ {
 		src := in.Srcs[i]
 		if src.Kind != isa.OpdReg {
@@ -305,7 +295,7 @@ func (s *SM) planReads(ce *collectorEntry, wc *warpCtx, in *isa.Instruction, out
 		var r regfile.Access
 		switch {
 		case s.arch.RVC == RVCByteWise:
-			rc := wc.meta.OnRead(int(src.Reg), out.Active, s.arch.F, out.Divergent)
+			rc := wc.meta.OnRead(int(src.Reg), ce.active, s.arch.F, divergent)
 			s.st.RFReads[rc.Class]++
 			r = regfile.ReadAccess(src.Reg, wc.w.GlobalID, s.cfg.NumBanks, rc, s.en)
 		case s.arch.RVC == RVCBDI:

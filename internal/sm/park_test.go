@@ -42,7 +42,7 @@ func TestParkedEntriesWouldFail(t *testing.T) {
 				t.Fatalf("cycle %d: parked collector %d is not live", cycle, ci)
 			case len(ce.reads) > 0:
 				t.Fatalf("cycle %d: parked collector %d still reads operands", cycle, ci)
-			case ce.isMove || !ce.out.Inst.IsGlobalMem() || !ce.out.Inst.IsLoad():
+			case ce.isMove || !ce.inst.IsGlobalMem() || !ce.inst.IsLoad():
 				t.Fatalf("cycle %d: parked collector %d holds no global load", cycle, ci)
 			case s.outstanding == 0 || s.outstanding+len(ce.lines) <= s.cfg.MaxMSHRs:
 				t.Fatalf("cycle %d: parked collector %d fits the MSHR file (%d outstanding + %d lines)",
@@ -58,7 +58,7 @@ func TestParkedEntriesWouldFail(t *testing.T) {
 				if sc.ready>>p&1 == 0 || wc.w.Status() != warp.StatusReady {
 					t.Fatalf("cycle %d: starved warp %d is not ready", cycle, wi)
 				}
-				pc, in, _, ok := wc.w.Peek(&wc.ctx)
+				pc, in, _, ok := wc.w.Peek(&s.ctx)
 				if !ok || s.hazard(wc, in) || s.prog.Meta(pc).FrontEnd {
 					t.Fatalf("cycle %d: starved warp %d would not reach the collector check", cycle, wi)
 				}
@@ -246,7 +246,7 @@ func checkSchedMasks(t *testing.T, s *SM, cycle uint64) {
 					t.Fatalf("cycle %d: ready warp %d has status %d", cycle, wi, status)
 				}
 			case status != warp.StatusBarrier:
-				if _, in, _, ok := wc.w.Peek(&wc.ctx); !ok || !s.hazard(wc, in) {
+				if _, in, _, ok := wc.w.Peek(&s.ctx); !ok || !s.hazard(wc, in) {
 					t.Fatalf("cycle %d: warp %d is neither ready nor at a barrier, and its next instruction has no hazard", cycle, wi)
 				}
 			}

@@ -117,12 +117,12 @@ func (ce *collectorEntry) scalarLanes(width int) int {
 	switch {
 	case ce.isMove:
 		return 0 // the move is a register-file operation, not a lane op
-	case ce.srfScalar, ce.elig == core.EligibleFull, ce.elig == core.EligibleDivergent:
+	case ce.elig == core.EligibleFull, ce.elig == core.EligibleDivergent:
 		return 1
 	case ce.elig == core.EligibleHalf:
 		return core.Groups(width)
 	}
-	return warp.PopCount(ce.out.Active)
+	return warp.PopCount(ce.active)
 }
 
 // unitClass returns the class of unit the entry dispatches to.
@@ -183,7 +183,7 @@ func (s *SM) dispatch(ci int) int {
 	occ := s.occupancy(ce, width)
 	extra := uint64(s.arch.ExtraLatency)
 	s.events = append(s.events, wbEvent{
-		wi: ce.wi, inst: ce.out.Inst, active: ce.out.Active, dstVec: ce.out.DstVec,
+		wi: ce.wi, inst: ce.inst, active: ce.active, dstVec: ce.dstVec,
 		elig: ce.elig, isMove: ce.isMove, moveReg: ce.moveReg, predUniform: ce.predUniform,
 	})
 	ev := &s.events[len(s.events)-1]
@@ -206,7 +206,7 @@ func (s *SM) dispatch(ci int) int {
 // instruction. Per-lane clock gating means only active lanes consume; a
 // scalar execution activates one lane (two for half-warp scalar).
 func (s *SM) execEnergy(ce *collectorEntry, class isa.Class) {
-	if ce.isMove || ce.out.Inst == nil {
+	if ce.isMove || ce.inst == nil {
 		return
 	}
 	comp := power.CompExecALU
@@ -214,9 +214,9 @@ func (s *SM) execEnergy(ce *collectorEntry, class isa.Class) {
 	switch {
 	case class == isa.ClassSFU:
 		comp, e = power.CompExecSFU, s.en.LaneSFU
-	case isFloatOp(ce.out.Inst.Op):
+	case isFloatOp(ce.inst.Op):
 		e = s.en.LaneFP
-	case ce.out.Inst.Op == isa.OpIDiv || ce.out.Inst.Op == isa.OpIRem:
+	case ce.inst.Op == isa.OpIDiv || ce.inst.Op == isa.OpIRem:
 		e = s.en.LaneDiv
 	}
 	s.meter.AddN(comp, ce.lanes, e)
@@ -239,49 +239,6 @@ type beyondTx struct {
 	ev    int
 }
 
-// fillGet looks up an in-flight fill of line.
-func (s *SM) fillGet(line uint32) (uint64, bool) {
-	for i := range s.fills {
-		if s.fills[i].line == line {
-			return s.fills[i].done, true
-		}
-	}
-	return 0, false
-}
-
-// fillDelete removes the fill entry for line, if any.
-func (s *SM) fillDelete(line uint32) {
-	for i := range s.fills {
-		if s.fills[i].line == line {
-			last := len(s.fills) - 1
-			s.fills[i] = s.fills[last]
-			s.fills = s.fills[:last]
-			return
-		}
-	}
-}
-
-// fillPut records (or refreshes) the fill completion time of line. Before
-// growing the list it prunes fills that have already landed — a landed fill
-// can never raise a later access's completion time (every new access
-// completes strictly after now), so pruning is unobservable and bounds the
-// list by the MSHR count.
-func (s *SM) fillPut(line uint32, done uint64) {
-	for i := range s.fills {
-		if s.fills[i].line == line {
-			s.fills[i].done = done
-			return
-		}
-	}
-	kept := s.fills[:0]
-	for _, f := range s.fills {
-		if f.done > s.now {
-			kept = append(kept, f)
-		}
-	}
-	s.fills = append(kept, lineFill{line: line, done: done})
-}
-
 // generateAddrs is a memory instruction's dispatch attempt on a free memory
 // unit: address generation, then, for a global load, the MSHR check. It
 // reports whether the access can proceed; a load that does not fit the MSHR
@@ -291,16 +248,15 @@ func (s *SM) generateAddrs(ci int, ce *collectorEntry) bool {
 	// instructions compute a single address (§5.2).
 	s.meter.AddN(power.CompLSU, ce.lanes, s.en.AGUPerLane)
 
-	in := ce.out.Inst
+	in := ce.inst
 	if !in.IsGlobalMem() {
 		return true
 	}
-	// The line list is computed once per instruction and cached in the
+	// The line list is computed on the first attempt and cached in the
 	// collector entry; dispatch retries (unit busy, MSHRs full) reuse it, so
 	// a long stall does not re-coalesce the same addresses every cycle.
-	if !ce.linesOK {
-		ce.lines = mem.CoalesceInto(ce.lines, ce.out.Addrs, ce.out.Active)
-		ce.linesOK = true
+	if len(ce.lines) == 0 {
+		ce.lines = mem.CoalesceInto(ce.lines, ce.addrBuf, ce.active)
 	}
 	// A request larger than the whole MSHR file (possible with wide warps
 	// and fully-diverged gathers) must still make progress: it dispatches
@@ -321,7 +277,7 @@ func (s *SM) generateAddrs(ci int, ce *collectorEntry) bool {
 // bound that Commit raises once L2/DRAM timing is known; in relaxed mode
 // loads complete on an estimate.
 func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, mshrs int) {
-	in := ce.out.Inst
+	in := ce.inst
 	t := s.msys.Timing()
 	if !in.IsGlobalMem() {
 		s.meter.Add(power.CompSharedMem, s.en.SharedAccess)
@@ -336,17 +292,14 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 		s.meter.Add(power.CompL1, s.en.L1Access)
 		var txDone uint64
 		if isLoad {
-			if s.l1.Lookup(line, true) {
+			if hit, fill := s.l1.Lookup(line, true); hit {
 				txDone = s.now + occ + uint64(t.L1HitLatency)
-				// MSHR merging: the line may still be in flight from an
-				// earlier miss; the merged access waits for the fill.
-				if fill, ok := s.fillGet(line); ok {
-					if fill > txDone {
-						txDone = fill
-						s.st.MSHRMerges++
-					} else {
-						s.fillDelete(line)
-					}
+				// MSHR merging: the line may still be in flight from the
+				// miss that allocated it; the merged access waits for the
+				// fill.
+				if fill > txDone {
+					txDone = fill
+					s.st.MSHRMerges++
 				}
 			} else {
 				s.st.L1Misses++
@@ -362,7 +315,7 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 				// part are accounted at commit.
 				txDone = s.msys.EstimateAccess(s.now, line)
 				s.beyond = append(s.beyond, beyondTx{cycle: s.now, line: line, ev: -1})
-				s.fillPut(line, txDone)
+				s.l1.SetFill(line, txDone)
 			}
 		} else {
 			// Write-through, write-evict: the store drains towards DRAM in
@@ -404,7 +357,7 @@ func (s *SM) Commit() {
 			if tx.ev < 0 {
 				continue
 			}
-			s.fillPut(tx.line, done)
+			s.l1.SetFill(tx.line, done)
 			ev := &s.events[tx.ev]
 			if d := done + uint64(s.arch.ExtraLatency); d > ev.done {
 				ev.done = d

@@ -25,22 +25,25 @@ const basePipeDepth = 6
 const NoEvent = ^uint64(0)
 
 // collectorEntry is one operand collector: an issued instruction gathering
-// its source operands. class/latency/occMul are copied from the program's
+// its source operands. It holds what dispatch and writeback read of the
+// execution: the instruction (nil for an injected move), its active lanes and
+// its destination vector. class/latency/occMul are copied from the program's
 // per-PC metadata at issue so dispatch never re-decodes the instruction, and
 // lanes (the execution lanes it activates, which is also its AGU lane count)
 // is fixed at issue too. addrBuf is the collector's resident address
-// scratch — the warp's address-generation stage writes into it via
-// Context.AddrScratch, and it stays valid until dispatch coalesces it. lines
-// is the entry's resident coalesced-transaction buffer: the line list is
-// computed once on the first dispatch attempt (linesOK), so retry cycles —
-// unit busy, MSHRs full — do not re-coalesce the access. An entry is live
-// while its bit in SM.collFree is clear.
+// scratch and holds the instruction's per-lane addresses: the warp's
+// address-generation stage writes into it via Context.AddrScratch, and it
+// stays valid until dispatch coalesces it. lines is the entry's resident
+// coalesced-transaction buffer, empty until the first dispatch attempt
+// coalesces the addresses, so retry cycles — unit busy, MSHRs full — do not
+// re-coalesce the access. An entry is live while its bit in SM.collFree is
+// clear.
 type collectorEntry struct {
-	linesOK     bool
 	wi          int
-	out         warp.Outcome
+	inst        *isa.Instruction
+	active      warp.Mask
+	dstVec      []uint32
 	elig        core.Eligibility
-	srfScalar   bool
 	isMove      bool
 	moveReg     uint8
 	predUniform bool
@@ -69,12 +72,12 @@ type wbEvent struct {
 	predUniform bool
 }
 
-// ctaSlot tracks one resident CTA. arrived counts its live warps currently
-// waiting at bar.sync, maintained incrementally at barrier arrival and
-// release so the per-cycle release check is a comparison, not a scan.
+// ctaSlot tracks one CTA; the slot is resident while liveWarps > 0.
+// arrived counts its live warps currently waiting at bar.sync, maintained
+// incrementally at barrier arrival and release so the per-cycle release
+// check is a comparison, not a scan. warpSlots keeps its backing array
+// across launches into the slot.
 type ctaSlot struct {
-	active    bool
-	ctaID     int
 	shared    []uint32
 	warpSlots []int
 	liveWarps int
@@ -89,7 +92,6 @@ type warpCtx struct {
 	valid     bool
 	done      bool
 	w         *warp.Warp
-	ctx       warp.Context
 	meta      *core.WarpRegs
 	srf       *baseline.ScalarRF
 	bdi       *baseline.BDIRegFile
@@ -103,9 +105,6 @@ type warpCtx struct {
 	// pos is the warp's position in its scheduler's list while it is valid
 	// and not done; that bit of the scheduler's masks is its issue state.
 	pos int
-	// regVec is w.RegVec bound once at launch, so the divergence oracle
-	// does not allocate a closure per divergent instruction.
-	regVec func(uint8) []uint32
 }
 
 // scheduler is one warp scheduler's issue state, and the only record of
@@ -144,12 +143,6 @@ const (
 	numUnitClasses        // array length
 )
 
-// lineFill tracks one in-flight L1 line fill (see SM.fills).
-type lineFill struct {
-	line uint32
-	done uint64
-}
-
 // SM is one streaming multiprocessor.
 type SM struct {
 	ID   int
@@ -164,6 +157,10 @@ type SM struct {
 	l1     *mem.Cache
 	meter  *power.Meter
 	st     stats.Sim
+	// ctx is the launch context every warp executes in. Issue points its
+	// Shared at the issuing warp's CTA and its AddrScratch at the
+	// collector the instruction takes.
+	ctx warp.Context
 
 	warps      []warpCtx
 	ctas       []ctaSlot
@@ -207,16 +204,9 @@ type SM struct {
 	// and Commit applies the deferred transactions at the epoch rendezvous.
 	relaxed bool
 
-	outstanding   int
-	regBytesInUse int
-	deadOnWrite   []bool // §3.3 compiler-assisted elision table
-	// fills tracks in-flight L1 line fills so that a second access to a
-	// line already being fetched merges into the outstanding fill (MSHR
-	// merging) instead of observing an instant hit. It is a small linear
-	// slice (bounded by the MSHR count once landed fills are pruned), which
-	// beats a map both in scan cost and in iteration determinism.
-	fills []lineFill
-	now   uint64
+	outstanding int
+	deadOnWrite []bool // §3.3 compiler-assisted elision table
+	now         uint64
 
 	barrierCheck bool // a barrier arrival/retire may have released a CTA
 	// nextWb caches min(events[i].done) (NoEvent when none) so writeback
@@ -253,6 +243,7 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	// step, so this is safe for the parallel schedules too.
 	prog.BuildMeta()
 	s.storeBuf = &kernel.StoreBuffer{}
+	s.ctx = warp.Context{Prog: prog, Launch: launch, Global: gmem, StoreBuf: s.storeBuf}
 	s.warps = make([]warpCtx, cfg.MaxWarps)
 	s.ctas = make([]ctaSlot, cfg.MaxCTAs)
 	s.collectors = make([]collectorEntry, cfg.NumCollectors)
@@ -350,20 +341,26 @@ func (s *SM) CTARegBytes() int {
 	return s.warpsPerCTA() * s.cfg.WarpSize * s.prog.NumRegs * 4
 }
 
-// CanTakeCTA reports whether a new CTA fits: a free CTA slot, enough warp
-// slots, and enough register-file capacity.
-func (s *SM) CanTakeCTA() bool {
-	freeSlot := false
+// residentCTAs returns the number of CTA slots holding live warps.
+func (s *SM) residentCTAs() int {
+	n := 0
 	for i := range s.ctas {
-		if !s.ctas[i].active {
-			freeSlot = true
-			break
+		if s.ctas[i].liveWarps > 0 {
+			n++
 		}
 	}
-	if !freeSlot {
+	return n
+}
+
+// CanTakeCTA reports whether a new CTA fits: a free CTA slot, enough warp
+// slots, and enough register-file capacity (every resident CTA holds
+// CTARegBytes).
+func (s *SM) CanTakeCTA() bool {
+	n := s.residentCTAs()
+	if n == len(s.ctas) {
 		return false
 	}
-	if s.cfg.RegFileBytes > 0 && s.regBytesInUse+s.CTARegBytes() > s.cfg.RegFileBytes {
+	if s.cfg.RegFileBytes > 0 && (n+1)*s.CTARegBytes() > s.cfg.RegFileBytes {
 		return false
 	}
 	free := 0
@@ -379,7 +376,7 @@ func (s *SM) CanTakeCTA() bool {
 func (s *SM) LaunchCTA(ctaLinear int) {
 	slot := -1
 	for i := range s.ctas {
-		if !s.ctas[i].active {
+		if s.ctas[i].liveWarps == 0 {
 			slot = i
 			break
 		}
@@ -392,8 +389,7 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 	ws := warp.BuildCTA(s.prog, s.launch, ctaLinear, s.cfg.WarpSize, ctaLinear*wpc)
 	shared := make([]uint32, (s.launch.SharedBytes+3)/4)
 	cs := &s.ctas[slot]
-	*cs = ctaSlot{active: true, ctaID: ctaLinear, shared: shared, liveWarps: len(ws)}
-	s.regBytesInUse += s.CTARegBytes()
+	*cs = ctaSlot{shared: shared, warpSlots: cs.warpSlots[:0], liveWarps: len(ws)}
 	for _, w := range ws {
 		wi := -1
 		for i := range s.warps {
@@ -407,18 +403,7 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 			return
 		}
 		wc := &s.warps[wi]
-		*wc = warpCtx{
-			valid: true,
-			w:     w,
-			ctx: warp.Context{
-				Prog:     s.prog,
-				Launch:   s.launch,
-				Global:   s.gmem,
-				Shared:   shared,
-				StoreBuf: s.storeBuf,
-			},
-			ctaSlot: slot,
-		}
+		*wc = warpCtx{valid: true, w: w, ctaSlot: slot}
 		switch {
 		case s.arch.RVC == RVCByteWise:
 			wc.meta = core.NewWarpRegs(s.prog.NumRegs, warp.NumPreds, s.cfg.WarpSize, w.LiveMask)
@@ -427,7 +412,6 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 		case s.arch.RVC == RVCBDI:
 			wc.bdi = baseline.NewBDIRegFile(s.prog.NumRegs, s.cfg.WarpSize)
 		}
-		wc.regVec = w.RegVec
 		s.schedInsert(wi)
 		cs.warpSlots = append(cs.warpSlots, wi)
 	}
@@ -557,8 +541,6 @@ func (s *SM) retireWarp(wi int) {
 				s.warps[slot].valid = false
 			}
 		}
-		cs.active = false
-		s.regBytesInUse -= s.CTARegBytes()
 	} else {
 		// The remaining warps may all be at the barrier now.
 		s.barrierCheck = true
@@ -601,15 +583,9 @@ func (s *SM) DebugState() string {
 			pend++
 		}
 	}
-	activeCTAs := 0
-	for i := range s.ctas {
-		if s.ctas[i].active {
-			activeCTAs++
-		}
-	}
 	coll := bits.OnesCount64(s.collAll &^ s.collFree)
 	return fmt.Sprintf("sm%d: live=%d valid=%d done=%d barrier=%d drain=%d pending=%d ctas=%d coll=%d events=%d mshr=%d",
-		s.ID, s.LiveWarps(), validW, doneW, barrierW, drainW, pend, activeCTAs, coll, len(s.events), s.outstanding)
+		s.ID, s.LiveWarps(), validW, doneW, barrierW, drainW, pend, s.residentCTAs(), coll, len(s.events), s.outstanding)
 }
 
 // Cycle advances the SM by one core clock at time now. Each stage runs only
@@ -640,7 +616,7 @@ func (s *SM) releaseBarriers() {
 	s.barrierCheck = false
 	for ci := range s.ctas {
 		cs := &s.ctas[ci]
-		if !cs.active || cs.liveWarps == 0 || cs.arrived != cs.liveWarps {
+		if cs.liveWarps == 0 || cs.arrived != cs.liveWarps {
 			continue
 		}
 		for _, wi := range cs.warpSlots {

@@ -136,15 +136,6 @@ func (w *Warp) PredMask(p uint8, neg bool) Mask {
 	return m & w.wmask
 }
 
-func (w *Warp) setPred(lane int, p uint8, v bool) {
-	bit := Mask(1) << lane
-	if v {
-		w.preds[p] |= bit
-	} else {
-		w.preds[p] &^= bit
-	}
-}
-
 // Status returns the warp's scheduling status.
 func (w *Warp) Status() Status {
 	if w.status == StatusBarrier {

@@ -20,7 +20,9 @@ const stallGoldenPath = "testdata/stall_golden.json"
 // Result has no stall counters, so a Result digest alone cannot catch a
 // miscounted stall: the golden also pins the telemetry totals of the three
 // issue-stall counters and of the LSU energy, which is where a mistake in
-// the SM's parked-entry bookkeeping would show.
+// the SM's parked-entry bookkeeping would show, and of the L1 misses, the
+// L2 accesses and the accesses merged into an in-flight L1 fill, which is
+// where a mistake in fill tracking would show.
 type stallGoldenPoint struct {
 	Key             string  `json:"key"`
 	Cycles          uint64  `json:"cycles"`
@@ -29,6 +31,9 @@ type stallGoldenPoint struct {
 	StallCollector  float64 `json:"sm.stall_collector"`
 	StallScoreboard float64 `json:"sm.stall_scoreboard"`
 	LSUPJ           float64 `json:"power.lsu_pj"`
+	MSHRMerges      float64 `json:"sm.mshr_merges"`
+	L1Misses        float64 `json:"sm.l1_misses"`
+	L2Accesses      float64 `json:"sm.l2_accesses"`
 	ResultSHA256    string  `json:"result_sha256"`
 }
 
@@ -91,6 +96,12 @@ func runStallGoldenPoint(t *testing.T, spec string, arch gscalar.Arch, workers, 
 			p.StallScoreboard += c.Value
 		case "power.lsu_pj":
 			p.LSUPJ += c.Value
+		case "sm.mshr_merges":
+			p.MSHRMerges += c.Value
+		case "sm.l1_misses":
+			p.L1Misses += c.Value
+		case "sm.l2_accesses":
+			p.L2Accesses += c.Value
 		}
 	}
 	return p
