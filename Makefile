@@ -5,7 +5,8 @@
 # (fast, and the properties the run-session lifecycle depends on), the
 # differential, trace, telemetry, generator, perf-smoke (which also runs
 # each Go benchmark once at its smallest size) and serving gates below, the
-# figure golden (expdet), and a race-detector pass over the
+# figure golden (expdet), the benchmark's result pins (pincheck), and a
+# race-detector pass over the
 # packages that run goroutines (the chip loop's worker pool and the
 # experiment prewarm fan-out). The race pass uses -short because the
 # detector slows simulation ~10x; the short subset still drives the phased
@@ -13,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet fmt fmtcheck profile
+.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet pincheck fmt fmtcheck profile
 
-check: fmtcheck build test vet perfbench valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet race
+check: fmtcheck build test vet perfbench valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet pincheck race
 
 build:
 	$(GO) build ./...
@@ -98,6 +99,18 @@ expdet:
 	$(GO) run ./cmd/gscalar-experiments -exp all -parallel 2 > "$$tmp/out" && \
 	sed '$$d' experiments_output.txt | diff -u - "$$tmp/out" && \
 	echo "expdet: -exp all reproduces experiments_output.txt"
+
+# Benchmark result pins: build perfbench (its own module) into a temporary
+# directory and run its pin mode from the repo root, which simulates every
+# point the benchmark checks and writes each Result digest. The output must
+# equal perfbench/digests.json byte for byte, the check the benchmark makes
+# of its own results. It only reads perfbench/. About 15 s on a 2-vCPU host.
+pincheck:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	(cd perfbench && $(GO) build -o "$$tmp/perfbench" .) && \
+	"$$tmp/perfbench" -mode pin -out "$$tmp/digests.json" -tmp "$$tmp/work" && \
+	diff -u perfbench/digests.json "$$tmp/digests.json" && \
+	echo "pincheck: perfbench -mode pin reproduces perfbench/digests.json"
 
 # Synthetic-generator gate: the gen-package unit tests (dial parsing and
 # typed errors, canonicalization round-trip, schema sanity, byte-identical

@@ -130,7 +130,11 @@ func (a Arch) model() sm.Arch {
 	return sm.Baseline()
 }
 
-// Config is the simulated chip configuration (Table 1 of the paper).
+// Config is the simulated chip configuration (Table 1 of the paper). Its
+// field list is the simulator's internal chip description (sm.Config),
+// field for field: a Session lowers a Config by type conversion, so the two
+// cannot drift apart, and Table 1's values are written once, in
+// sm.DefaultConfig.
 type Config struct {
 	NumSMs          int     // streaming multiprocessors (Table 1: 15)
 	CoreClockHz     float64 // SM clock (Table 1: 1.4 GHz)
@@ -169,46 +173,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the Table 1 configuration.
-func DefaultConfig() Config {
-	return Config{
-		NumSMs:          15,
-		CoreClockHz:     1.4e9,
-		WarpSize:        32,
-		SchedulersPerSM: 2,
-		MaxWarpsPerSM:   48,
-		MaxCTAsPerSM:    8,
-		RegFileKB:       128,
-		RegFileBanks:    16,
-		CollectorsPerSM: 16,
-		SIMTWidth:       16,
-		L1Bytes:         16 << 10,
-		L2Bytes:         768 << 10,
-		MemChannels:     6,
-	}
-}
-
-// toGPU lowers the public config to the internal chip config.
-func (c Config) toGPU() gpu.Config {
-	g := gpu.DefaultConfig()
-	g.NumSMs = c.NumSMs
-	g.CoreClockHz = c.CoreClockHz
-	g.L2Bytes = c.L2Bytes
-	g.MaxCycles = c.MaxCycles
-	g.Workers = c.Workers
-	g.EpochCycles = c.EpochCycles
-	g.MemTiming.NumChannels = c.MemChannels
-	g.SM.WarpSize = c.WarpSize
-	g.SM.Schedulers = c.SchedulersPerSM
-	g.SM.MaxWarps = c.MaxWarpsPerSM
-	g.SM.MaxCTAs = c.MaxCTAsPerSM
-	g.SM.NumBanks = c.RegFileBanks
-	g.SM.RegFileBytes = c.RegFileKB << 10
-	g.SM.NumCollectors = c.CollectorsPerSM
-	g.SM.ALUWidth = c.SIMTWidth
-	g.SM.MemWidth = c.SIMTWidth
-	g.SM.L1Bytes = c.L1Bytes
-	return g
-}
+func DefaultConfig() Config { return Config(sm.DefaultConfig()) }
 
 // Eligibility is the Figure 9 decomposition: fractions of committed
 // instructions eligible for each kind of scalar execution.

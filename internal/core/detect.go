@@ -38,20 +38,6 @@ func (e Eligibility) String() string {
 	return "vector"
 }
 
-// classEnabled reports whether scalar execution is enabled for the
-// instruction's pipeline class.
-func classEnabled(f Features, in *isa.Instruction) bool {
-	switch in.Class() {
-	case isa.ClassALU:
-		return f.ScalarALU
-	case isa.ClassSFU:
-		return f.ScalarSFU
-	case isa.ClassMem:
-		return f.ScalarMem
-	}
-	return false
-}
-
 // Detect classifies the instruction about to execute under active, using
 // only information the hardware has: the EBR/BVR metadata, the D flags and
 // stored masks, and the operand kinds. It must be called before the
@@ -60,11 +46,11 @@ func classEnabled(f Features, in *isa.Instruction) bool {
 // live is the warp's launched-lane mask: an instruction is divergent when
 // its active mask differs from it (the paper's definition).
 func (wr *WarpRegs) Detect(in *isa.Instruction, active warp.Mask, f Features) Eligibility {
-	if !classEnabled(f, in) {
-		return NotEligible
+	if in.Class() == isa.ClassCtrl {
+		return NotEligible // handled in the front end
 	}
 	if in.Dst.Kind == isa.OpdNone && !in.IsStore() {
-		return NotEligible // nothing to produce (nop, control)
+		return NotEligible // nothing to produce
 	}
 	// Any per-lane non-register source (%tid.x, %laneid) forces vector
 	// execution.

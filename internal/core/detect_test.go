@@ -66,19 +66,6 @@ func TestDetectClassGating(t *testing.T) {
 	if e := wr.Detect(mem, full, f); e != EligibleFull {
 		t.Errorf("mem under G-Scalar = %v", e)
 	}
-
-	// The prior-work feature set (ALU only) rejects SFU and memory.
-	alu := Features{ScalarALU: true}
-	if e := wr.Detect(sfu, full, alu); e != NotEligible {
-		t.Errorf("SFU under ALU-only = %v", e)
-	}
-	if e := wr.Detect(mem, full, alu); e != NotEligible {
-		t.Errorf("mem under ALU-only = %v", e)
-	}
-	add := inst(isa.OpIAdd, isa.Reg(2), isa.Reg(1), isa.Imm(1))
-	if e := wr.Detect(add, full, alu); e != EligibleFull {
-		t.Errorf("ALU under ALU-only = %v", e)
-	}
 }
 
 func TestDetectHalfScalar(t *testing.T) {

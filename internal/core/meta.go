@@ -6,28 +6,24 @@ import (
 
 // Features selects which of the paper's mechanisms are active on top of
 // byte-wise register value compression (§3), which every WarpRegs models.
-// The architecture presets in the public package map onto these.
+// The architecture presets in the public package map onto these. Detect
+// covers non-divergent ALU, SFU (§4.1) and memory (§5.2) instructions in
+// every architecture that calls it.
 type Features struct {
 	HalfCompression bool // per-16-lane-group compression (§3.2 end, §4.3)
-	ScalarALU       bool // scalar execution of non-divergent ALU instructions
-	ScalarSFU       bool // … of special-function instructions (§4.1)
-	ScalarMem       bool // … of memory instructions (§5.2)
 	HalfScalar      bool // half-warp scalar execution (§4.3)
 	DivergentScalar bool // scalar execution of divergent instructions (§4.2)
 }
 
 // GScalarFeatures returns the full G-Scalar feature set.
 func GScalarFeatures() Features {
-	return Features{
-		HalfCompression: true, HalfScalar: true, DivergentScalar: true,
-		ScalarALU: true, ScalarSFU: true, ScalarMem: true,
-	}
+	return Features{HalfCompression: true, HalfScalar: true, DivergentScalar: true}
 }
 
 // GScalarNoDivFeatures returns G-Scalar without divergent and half-warp
 // scalar execution (Figure 11's "G-Scalar w/o divergent" bar).
 func GScalarNoDivFeatures() Features {
-	return Features{HalfCompression: true, ScalarALU: true, ScalarSFU: true, ScalarMem: true}
+	return Features{HalfCompression: true}
 }
 
 // RegMeta is the compression metadata of one vector register: the encoding

@@ -12,39 +12,21 @@ import (
 )
 
 // chip lowers the suite's configuration to the internal chip config the
-// way a gscalar.Session does, field for field, so a point the ablations
+// way a gscalar.Session does, by conversion, so a point the ablations
 // simulate outside the memo runs on the same chip as the memo points in its
-// row. It must apply every field gscalar's Config.toGPU applies;
-// TestCustomArchRunsTheSuiteChip compares the two paths.
+// row.
 func (s *Suite) chip() gpu.Config {
 	c := s.r.o.Config
 	c.Normalize()
-	g := gpu.DefaultConfig()
-	g.NumSMs = c.NumSMs
-	g.CoreClockHz = c.CoreClockHz
-	g.L2Bytes = c.L2Bytes
-	g.MaxCycles = c.MaxCycles
-	g.Workers = c.Workers
-	g.EpochCycles = c.EpochCycles
-	g.MemTiming.NumChannels = c.MemChannels
-	g.SM.WarpSize = c.WarpSize
-	g.SM.Schedulers = c.SchedulersPerSM
-	g.SM.MaxWarps = c.MaxWarpsPerSM
-	g.SM.MaxCTAs = c.MaxCTAsPerSM
-	g.SM.NumBanks = c.RegFileBanks
-	g.SM.RegFileBytes = c.RegFileKB << 10
-	g.SM.NumCollectors = c.CollectorsPerSM
-	g.SM.ALUWidth = c.SIMTWidth
-	g.SM.MemWidth = c.SIMTWidth
-	g.SM.L1Bytes = c.L1Bytes
-	return g
+	return gpu.Config{Config: sm.Config(c)}
 }
 
-// runCustomArch runs one workload spec on chip under an SM-level
-// architecture the public Arch enum does not expose, and checks a builtin's
-// output against its golden model, as Session.RunWorkload does. It does not
-// memoize: a sweep never asks for one custom-architecture point twice.
-func (s *Suite) runCustomArch(spec string, chip gpu.Config, arch sm.Arch) (gpu.Result, error) {
+// runCustomArch runs one workload spec on the suite's chip under an
+// SM-level architecture the public Arch enum does not expose, and checks a
+// builtin's output against its golden model, as Session.RunWorkload does.
+// It does not memoize: a sweep never asks for one custom-architecture point
+// twice.
+func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
 	src, err := workloads.Resolve(spec)
 	if err != nil {
 		return gpu.Result{}, err
@@ -53,7 +35,7 @@ func (s *Suite) runCustomArch(spec string, chip gpu.Config, arch sm.Arch) (gpu.R
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	res, err := gpu.RunContext(s.r.ctx, chip, arch, inst.Prog, inst.Launch, inst.Mem)
+	res, err := gpu.RunContext(s.r.ctx, s.chip(), arch, inst.Prog, inst.Launch, inst.Mem)
 	if err != nil {
 		return gpu.Result{}, err
 	}
@@ -90,7 +72,7 @@ func (s *Suite) HalfAblation() ([]HalfAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		without, err := s.runCustomArch(abbr, s.chip(), noHalf)
+		without, err := s.runCustomArch(abbr, noHalf)
 		if err != nil {
 			return nil, err
 		}
@@ -139,11 +121,11 @@ func (s *Suite) ScalarBankAblation() ([]ScalarBankRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		alu, err := s.runCustomArch(abbr, s.chip(), sm.PriorScalarRF())
+		alu, err := s.runCustomArch(abbr, sm.PriorScalarRF())
 		if err != nil {
 			return nil, err
 		}
-		gs, err := s.runCustomArch(abbr, s.chip(), sm.GScalar())
+		gs, err := s.runCustomArch(abbr, sm.GScalar())
 		if err != nil {
 			return nil, err
 		}

@@ -76,12 +76,12 @@ func TestCustomArchTraceRecaptured(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.gstr")
 	spec := captureTrace(t, cfg, "HW", path)
 	s := NewSuite(Options{Config: cfg, Workloads: []string{spec}})
-	before, err := s.runCustomArch(spec, s.chip(), sm.PriorScalarRF())
+	before, err := s.runCustomArch(spec, sm.PriorScalarRF())
 	if err != nil {
 		t.Fatal(err)
 	}
 	captureTrace(t, cfg, "SR2", path)
-	after, err := s.runCustomArch(spec, s.chip(), sm.PriorScalarRF())
+	after, err := s.runCustomArch(spec, sm.PriorScalarRF())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCustomArchRunsTheSuiteChip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			custom, err := s.runCustomArch("MV", s.chip(), sm.GScalar())
+			custom, err := s.runCustomArch("MV", sm.GScalar())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,9 +24,9 @@ type SchedRow struct {
 // SchedAblation runs every benchmark under GTO and LRR scheduling.
 func (s *Suite) SchedAblation() ([]SchedRow, error) {
 	run := func(spec string, pol sm.SchedPolicy) (gpu.Result, error) {
-		chip := s.chip()
-		chip.SM.Sched = pol
-		return s.runCustomArch(spec, chip, sm.GScalar())
+		arch := sm.GScalar()
+		arch.Sched = pol
+		return s.runCustomArch(spec, arch)
 	}
 	var rows []SchedRow
 	for _, spec := range s.r.o.Workloads {

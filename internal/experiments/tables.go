@@ -76,7 +76,7 @@ func (s *Suite) MoveOverhead() ([]MoveOverheadRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ca, err := s.runCustomArch(abbr, s.chip(), sm.GScalarCompilerAssist())
+		ca, err := s.runCustomArch(abbr, sm.GScalarCompilerAssist())
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ func TestRunRejectsInvalidLaunch(t *testing.T) {
 		{name: "no SMs", lc: valid, chip: func(c *Config) { c.NumSMs = 0 }, errWant: "at least 1 SM"},
 		// 256 threads x 32 registers x 4 bytes = 32 KB per CTA: no SM with
 		// an 8 KB register file can ever hold one.
-		{name: "CTA exceeds register file", lc: valid, chip: func(c *Config) { c.SM.RegFileBytes = 8 << 10 },
+		{name: "CTA exceeds register file", lc: valid, chip: func(c *Config) { c.RegFileKB = 8 },
 			errWant: "32768 register bytes, the register file has 8192"},
 	}
 	schedules := []struct {

@@ -77,8 +77,9 @@ func TestLRRScheduler(t *testing.T) {
 		lc.Params[0] = out
 		cfg := DefaultConfig()
 		cfg.NumSMs = 2
-		cfg.SM.Sched = pol
-		res, err := Run(cfg, sm.GScalar(), prog, lc, mem)
+		arch := sm.GScalar()
+		arch.Sched = pol
+		res, err := Run(cfg, arch, prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +225,8 @@ func TestOversizedGatherDispatches(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.NumSMs = 2
-	cfg.SM.WarpSize = 64
-	cfg.SM.MaxWarps = 24
-	cfg.SM.MaxMSHRs = 48 // < 64 lines per gather
+	cfg.WarpSize = 64 // a gather touches 64 lines, more than sm.MaxMSHRs
+	cfg.MaxWarpsPerSM = 24
 	cfg.MaxCycles = 2_000_000
 	if _, err := Run(cfg, sm.GScalar(), prog, lc, mem); err != nil {
 		t.Fatal(err)

@@ -10,45 +10,16 @@ import (
 	"fmt"
 
 	"gscalar/internal/kernel"
-	"gscalar/internal/mem"
 	"gscalar/internal/power"
 	"gscalar/internal/sm"
 	"gscalar/internal/stats"
 	"gscalar/internal/telemetry"
 )
 
-// Config is the chip-level configuration (Table 1).
+// Config is one run's chip: the simulated machine (sm.Config, which a
+// gscalar.Config converts to) and the run's hooks.
 type Config struct {
-	NumSMs      int
-	CoreClockHz float64
-	SM          sm.Config
-	MemTiming   mem.Timing
-	L2Bytes     int
-	Energies    power.Energies
-	// MaxCycles aborts runaway simulations (0 = a large default).
-	MaxCycles uint64
-	// Workers and EpochCycles select the chip loop's schedule; there is one
-	// loop (see runChip) and three ways to run it. Workers == 0 with
-	// EpochCycles == 0 is the serial schedule: one goroutine steps the SMs
-	// one cycle at a time in ascending id order, committing each SM's
-	// deferred stores and L2/DRAM traffic right after its own step. Any
-	// other Workers value selects the phased schedule: every SM steps the
-	// cycle — across that many workers (negative = one per host core) —
-	// before any commits, in ascending SM-id order. All Workers != 0 values
-	// produce bit-identical results; the worker count only changes
-	// wall-clock time. Serial and phased results differ only in the low
-	// bits of the energy sums (one shared meter vs per-SM meters merged in
-	// SM order) and where an SM loads a location a lower-numbered SM stored
-	// in the same cycle, which only the serial schedule makes visible.
-	Workers int
-	// EpochCycles, when positive, selects the relaxed schedule: workers
-	// advance their SMs up to EpochCycles cycles between commits, so
-	// beyond-L1 completion times inside an epoch are estimates against the
-	// shared memory system as the last commit left it. Results are therefore
-	// not bit-identical to the per-cycle schedules, but a fixed EpochCycles
-	// value is deterministic for every worker count and across repeated
-	// runs. 0 keeps the per-cycle schedules above.
-	EpochCycles int
+	sm.Config
 	// Observer, when non-nil, is called at lifecycle checkpoints — the
 	// cycle-commit boundaries every ObserverStride simulated cycles — with a
 	// point-in-time progress snapshot. It runs on the simulation goroutine
@@ -83,18 +54,8 @@ type Progress struct {
 	LiveSMs   int    // SMs that still have resident work
 }
 
-// DefaultConfig returns the GTX-480-like configuration of Table 1.
-func DefaultConfig() Config {
-	return Config{
-		NumSMs:      15,
-		CoreClockHz: 1.4e9,
-		SM:          sm.DefaultConfig(),
-		MemTiming:   mem.DefaultTiming(),
-		L2Bytes:     768 << 10,
-		Energies:    power.DefaultEnergies(),
-		MaxCycles:   0,
-	}
-}
+// DefaultConfig returns Table 1's chip with no hooks.
+func DefaultConfig() Config { return Config{Config: sm.DefaultConfig()} }
 
 // Result summarises one simulated launch.
 type Result struct {
@@ -206,7 +167,7 @@ func runWithMeter(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Pr
 	if cfg.NumSMs < 1 {
 		return rawResult{}, fmt.Errorf("gpu: need at least 1 SM, got %d", cfg.NumSMs)
 	}
-	if err := lc.Validate(cfg.SM.MaxWarps * cfg.SM.WarpSize); err != nil {
+	if err := lc.Validate(cfg.MaxWarpsPerSM * cfg.WarpSize); err != nil {
 		return rawResult{}, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -99,8 +99,8 @@ LOOP:
 
 	cfg := DefaultConfig()
 	cfg.NumSMs = 2
-	cfg.SM.WarpSize = 64
-	cfg.SM.MaxWarps = 24
+	cfg.WarpSize = 64
+	cfg.MaxWarpsPerSM = 24
 	cfg.MaxCycles = 500_000
 	if _, err := Run(cfg, sm.GScalar(), prog, lc, mem); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,10 @@ func (c *chip) step(i int) {
 //     results, which is why it still exists.
 //   - phased (Workers != 0): interval 1; the worker pool steps every SM,
 //     then all commit after the barrier. Each SM deposits energy in a
-//     private meter, merged into the caller's in SM order at the end.
+//     private meter, merged into the caller's in SM order at the end. Every
+//     worker count gives bit-identical results, which differ from the
+//     serial schedule's only in the low bits of the energy sums and where
+//     an SM loads a location a lower-numbered SM stored in the same cycle.
 //   - relaxed (EpochCycles > 0): interval EpochCycles; otherwise as phased.
 //     Inside an epoch SMs run on estimated beyond-L1 latencies against the
 //     shared memory system as the last commit left it, so results are not
@@ -74,8 +77,9 @@ func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program
 	}
 	serial := mode == modeSerial
 	maxCycles := cfg.effectiveMaxCycles()
-	msys := mem.NewSystem(cfg.MemTiming, cfg.L2Bytes)
+	msys := mem.NewSystem(cfg.MemChannels, cfg.L2Bytes)
 	c := &chip{sms: make([]*sm.SM, cfg.NumSMs), relaxed: mode == modeRelaxed, stops: make([]uint64, cfg.NumSMs)}
+	en := power.DefaultEnergies()
 	var meters []*power.Meter // per-SM meters; none in the serial schedule
 	for i := range c.sms {
 		m := meter
@@ -83,7 +87,7 @@ func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program
 			m = new(power.Meter)
 			meters = append(meters, m)
 		}
-		c.sms[i] = sm.New(i, cfg.SM, arch, cfg.Energies, prog, lc, gmem, msys, m)
+		c.sms[i] = sm.New(i, cfg.Config, arch, en, prog, lc, gmem, msys, m)
 		if c.relaxed {
 			c.sms[i].EnableRelaxed()
 		}
@@ -92,7 +96,7 @@ func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program
 	// spin until MaxCycles (or, in the relaxed schedule, forever).
 	if s := c.sms[0]; !s.CanTakeCTA() {
 		return rawResult{}, fmt.Errorf("gpu: no SM can hold a CTA of this launch: it needs %d register bytes, the register file has %d",
-			s.CTARegBytes(), cfg.SM.RegFileBytes)
+			s.CTARegBytes(), cfg.RegFileKB<<10)
 	}
 	// Merge the per-SM meters in ascending id order on every exit path so
 	// launch sequences keep accumulating energy across launches.

@@ -67,13 +67,13 @@ func runLRRGoldenPoint(t *testing.T, spec, arch string, workers, epoch int) lrrG
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.SM.Sched = sm.SchedLRR
 	cfg.Workers = workers
 	cfg.EpochCycles = epoch
 	model := sm.GScalar()
 	if arch == "baseline" {
 		model = sm.Baseline()
 	}
+	model.Sched = sm.SchedLRR
 	res, err := RunContext(context.Background(), cfg, model, inst.Prog, inst.Launch, inst.Mem)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", spec, arch, err)

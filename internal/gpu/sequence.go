@@ -59,7 +59,7 @@ func RunSequenceContext(ctx context.Context, cfg Config, arch sm.Arch, gmem *ker
 	}
 	agg.Stats.Cycles = agg.Cycles
 
-	staticW := cfg.Energies.StaticW(cfg.NumSMs, arch.HasCodec())
+	staticW := power.DefaultEnergies().StaticW(cfg.NumSMs, arch.HasCodec())
 	bd := meter.Finish(agg.Cycles, cfg.CoreClockHz, staticW)
 	// Finalize after Finish so the power gauges capture the static bucket.
 	if cfg.Telemetry != nil {

@@ -17,7 +17,7 @@ func TestAccessPathZeroAlloc(t *testing.T) {
 	buf := CoalesceInto(nil, addrs, ^uint64(0)) // warm the buffer
 
 	c := NewCache(16<<10, 4)
-	sys := NewSystem(DefaultTiming(), 128<<10)
+	sys := NewSystem(6, 128<<10)
 	now := uint64(0)
 
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -171,31 +171,17 @@ func (c *Cache) Invalidate(addr uint32) {
 	}
 }
 
-// Timing holds the latency/bandwidth parameters of the memory system, in
-// core cycles. The NoC runs at half the core clock (Table 1); its cost is
-// folded into the latencies.
-type Timing struct {
-	L1HitLatency  int
-	SharedLatency int
-	NoCLatency    int // SM <-> L2 one-way
-	L2Latency     int
-	DRAMLatency   int
-	DRAMBurst     int // channel occupancy per 128-byte transaction
-	NumChannels   int
-}
-
-// DefaultTiming returns GTX-480-like parameters.
-func DefaultTiming() Timing {
-	return Timing{
-		L1HitLatency:  30,
-		SharedLatency: 24,
-		NoCLatency:    40,
-		L2Latency:     80,
-		DRAMLatency:   220,
-		DRAMBurst:     6,
-		NumChannels:   6,
-	}
-}
+// Memory-system latencies and bandwidth, in core cycles (GTX-480-like).
+// The NoC runs at half the core clock (Table 1); its cost is folded into
+// the latencies.
+const (
+	L1HitLatency  = 30
+	SharedLatency = 24
+	NoCLatency    = 40 // SM <-> L2 one-way
+	L2Latency     = 80
+	DRAMLatency   = 220
+	DRAMBurst     = 6 // channel occupancy per 128-byte transaction
+)
 
 // AccessKind discriminates the outcome of a global access for statistics
 // and energy accounting.
@@ -211,7 +197,6 @@ const (
 // System is the shared (chip-level) part of the memory hierarchy: L2 and
 // DRAM channels. SMs own their L1s and call into System on misses.
 type System struct {
-	timing   Timing
 	l2       *Cache
 	chanFree []uint64
 	// chanTx counts DRAM transactions per channel for telemetry. drainToDRAM
@@ -220,13 +205,13 @@ type System struct {
 	chanTx []uint64
 }
 
-// NewSystem builds the chip memory system with an l2Bytes L2.
-func NewSystem(timing Timing, l2Bytes int) *System {
+// NewSystem builds the chip memory system with an l2Bytes L2 and the given
+// number of DRAM channels.
+func NewSystem(channels, l2Bytes int) *System {
 	return &System{
-		timing:   timing,
 		l2:       NewCache(l2Bytes, 16),
-		chanFree: make([]uint64, timing.NumChannels),
-		chanTx:   make([]uint64, timing.NumChannels),
+		chanFree: make([]uint64, channels),
+		chanTx:   make([]uint64, channels),
 	}
 }
 
@@ -239,7 +224,7 @@ func (s *System) RegisterTelemetry(reg *telemetry.Registry) {
 
 // channelOf statically maps a line address to a DRAM channel.
 func (s *System) channelOf(line uint32) int {
-	return int(line/LineSize) % s.timing.NumChannels
+	return int(line/LineSize) % len(s.chanFree)
 }
 
 // AccessL2 performs the post-L1 part of a global access starting at core
@@ -247,37 +232,32 @@ func (s *System) channelOf(line uint32) int {
 // how deep the access went. Writes are write-through to DRAM (no L2
 // allocate on store miss), loads allocate in L2.
 func (s *System) AccessL2(now uint64, line uint32, write bool) (done uint64, kind AccessKind) {
-	t := s.timing
-	arriveL2 := now + uint64(t.NoCLatency)
+	arriveL2 := now + NoCLatency
 	if hit, _ := s.l2.Lookup(line, !write); hit {
 		if write {
 			// Write hit updates L2 and drains to DRAM in the background;
 			// the SM does not wait for DRAM.
 			s.drainToDRAM(arriveL2, line)
 		}
-		return arriveL2 + uint64(t.L2Latency) + uint64(t.NoCLatency), AccessL2Hit
+		return arriveL2 + L2Latency + NoCLatency, AccessL2Hit
 	}
 	// L2 miss: go to the line's DRAM channel, serialised at burst rate.
-	ready := s.drainToDRAM(arriveL2+uint64(t.L2Latency), line)
-	return ready + uint64(t.NoCLatency), AccessDRAM
+	ready := s.drainToDRAM(arriveL2+L2Latency, line)
+	return ready + NoCLatency, AccessDRAM
 }
 
 // drainToDRAM occupies the line's channel and returns when the transaction
 // completes (including DRAM latency).
 func (s *System) drainToDRAM(at uint64, line uint32) uint64 {
-	t := s.timing
 	ch := s.channelOf(line)
 	s.chanTx[ch]++
 	start := at
 	if s.chanFree[ch] > start {
 		start = s.chanFree[ch]
 	}
-	s.chanFree[ch] = start + uint64(t.DRAMBurst)
-	return start + uint64(t.DRAMBurst) + uint64(t.DRAMLatency)
+	s.chanFree[ch] = start + DRAMBurst
+	return start + DRAMBurst + DRAMLatency
 }
-
-// Timing returns the system's timing parameters.
-func (s *System) Timing() Timing { return s.timing }
 
 // EstimateAccess predicts what AccessL2 would return for a load issued at
 // core cycle now, without mutating any shared state: the L2 probe skips the
@@ -290,15 +270,14 @@ func (s *System) Timing() Timing { return s.timing }
 // timing slack the relaxed mode's accuracy bound covers; backlog committed
 // in earlier epochs is fully visible through chanFree.
 func (s *System) EstimateAccess(now uint64, line uint32) uint64 {
-	t := s.timing
-	arriveL2 := now + uint64(t.NoCLatency)
+	arriveL2 := now + NoCLatency
 	if s.l2.Probe(line) {
-		return arriveL2 + uint64(t.L2Latency) + uint64(t.NoCLatency)
+		return arriveL2 + L2Latency + NoCLatency
 	}
-	at := arriveL2 + uint64(t.L2Latency)
+	at := arriveL2 + L2Latency
 	start := at
 	if free := s.chanFree[s.channelOf(line)]; free > start {
 		start = free
 	}
-	return start + uint64(t.DRAMBurst) + uint64(t.DRAMLatency) + uint64(t.NoCLatency)
+	return start + DRAMBurst + DRAMLatency + NoCLatency
 }

@@ -176,7 +176,7 @@ func TestFillLeavesWithItsLine(t *testing.T) {
 }
 
 func TestSystemLatencyOrdering(t *testing.T) {
-	s := NewSystem(DefaultTiming(), 768<<10)
+	s := NewSystem(6, 768<<10)
 	// Cold: DRAM. Warm: L2 hit, strictly faster.
 	cold, kind := s.AccessL2(100, 0x4000, false)
 	if kind != AccessDRAM {
@@ -192,19 +192,19 @@ func TestSystemLatencyOrdering(t *testing.T) {
 }
 
 func TestDRAMChannelSerialisation(t *testing.T) {
-	tm := DefaultTiming()
-	s := NewSystem(tm, 1<<10) // tiny L2 so everything misses
+	const channels = 6
+	s := NewSystem(channels, 1<<10) // tiny L2 so everything misses
 	// Two lines mapping to the same channel, issued at the same cycle,
 	// must serialise by the burst time.
 	lineA := uint32(0)
-	lineB := uint32(LineSize * uint32(tm.NumChannels))
+	lineB := uint32(LineSize * channels)
 	if s.channelOf(lineA) != s.channelOf(lineB) {
 		t.Fatal("test lines not on same channel")
 	}
 	a, _ := s.AccessL2(0, lineA, false)
 	b, _ := s.AccessL2(0, lineB, false)
-	if b-a != uint64(tm.DRAMBurst) {
-		t.Fatalf("serialisation gap = %d, want %d", b-a, tm.DRAMBurst)
+	if b-a != DRAMBurst {
+		t.Fatalf("serialisation gap = %d, want %d", b-a, DRAMBurst)
 	}
 	// A line on a different channel does not queue behind them.
 	lineC := uint32(LineSize)
@@ -215,15 +215,14 @@ func TestDRAMChannelSerialisation(t *testing.T) {
 }
 
 func TestWriteDrainsInBackground(t *testing.T) {
-	s := NewSystem(DefaultTiming(), 768<<10)
+	s := NewSystem(6, 768<<10)
 	// Prime the line so the write hits L2.
 	s.AccessL2(0, 0x8000, false)
 	done, kind := s.AccessL2(1000, 0x8000, true)
 	if kind != AccessL2Hit {
 		t.Fatalf("write kind = %v", kind)
 	}
-	t2 := s.Timing()
-	want := 1000 + uint64(t2.NoCLatency)*2 + uint64(t2.L2Latency)
+	want := uint64(1000 + NoCLatency*2 + L2Latency)
 	if done != want {
 		t.Fatalf("write-hit done = %d, want %d (no DRAM wait)", done, want)
 	}

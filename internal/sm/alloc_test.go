@@ -63,21 +63,28 @@ var policies = []struct {
 	sched SchedPolicy
 }{{"gto", SchedGTO}, {"lrr", SchedLRR}}
 
+// gscalarUnder returns the G-Scalar architecture under scheduling policy p.
+func gscalarUnder(p SchedPolicy) Arch {
+	a := GScalar()
+	a.Sched = p
+	return a
+}
+
 // warmupCycles steps a fresh SM past the growth of its reusable scratch
 // slices (writeback and coalesce buffers) and the backing
 // memory pages.
 const warmupCycles = 3000
 
-// warmSM launches ctas 128-thread CTAs of src on one G-Scalar SM of config
-// cfg and steps it through the warm-up. It returns the SM and the next
-// cycle to step.
-func warmSM(tb testing.TB, cfg Config, src string, ctas int) (*SM, uint64) {
+// warmSM launches ctas 128-thread CTAs of src on one Table 1 G-Scalar SM
+// under scheduling policy sched and steps it through the warm-up. It
+// returns the SM and the next cycle to step.
+func warmSM(tb testing.TB, sched SchedPolicy, src string, ctas int) (*SM, uint64) {
 	tb.Helper()
 	const threads = 128
 	gmem := kernel.NewMemory()
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: ctas, Y: 1}, Block: kernel.Dim{X: threads, Y: 1}}
 	lc.Params[0] = gmem.Alloc(ctas * threads * 128) // one line per thread
-	s, _ := newTestSM(tb, cfg, src, lc, gmem, GScalar())
+	s, _ := newTestSM(tb, DefaultConfig(), src, lc, gmem, gscalarUnder(sched))
 	for cta := 0; cta < ctas; cta++ {
 		if !s.CanTakeCTA() {
 			tb.Fatalf("SM refused CTA %d", cta)
@@ -112,9 +119,7 @@ func TestCycleSteadyStateZeroAlloc(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			for _, pol := range policies {
 				t.Run(pol.name, func(t *testing.T) {
-					cfg := DefaultConfig()
-					cfg.Sched = pol.sched
-					s, cycle := warmSM(t, cfg, in.src, in.ctas)
+					s, cycle := warmSM(t, pol.sched, in.src, in.ctas)
 
 					// The last call of f is the measured one; before, after
 					// and parked describe it.
@@ -166,14 +171,12 @@ func BenchmarkSMCycle(b *testing.B) {
 		b.Run(in.name, func(b *testing.B) {
 			for _, pol := range policies {
 				b.Run(pol.name, func(b *testing.B) {
-					cfg := DefaultConfig()
-					cfg.Sched = pol.sched
-					s, cycle := warmSM(b, cfg, in.src, in.ctas)
+					s, cycle := warmSM(b, pol.sched, in.src, in.ctas)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if !s.Busy() {
 							b.StopTimer()
-							s, cycle = warmSM(b, cfg, in.src, in.ctas)
+							s, cycle = warmSM(b, pol.sched, in.src, in.ctas)
 							b.StartTimer()
 						}
 						for end := cycle + batch; cycle < end; cycle++ {
@@ -243,7 +246,7 @@ func TestLaunchAllocsIndependentOfRegisters(t *testing.T) {
 // slot has held a CTA.
 func TestCTASlotKeepsWarpList(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxCTAs = 1
+	cfg.MaxCTAsPerSM = 1
 	lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 2, Y: 1}, Block: kernel.Dim{X: 128, Y: 1}}
 	s, _ := newTestSM(t, cfg, "mov r1, %tid.x\nexit\n", lc, kernel.NewMemory(), Baseline())
 	s.LaunchCTA(0)

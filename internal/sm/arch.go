@@ -37,20 +37,28 @@ type Arch struct {
 	RVC    RVCKind
 	Scalar ScalarKind
 	F      core.Features // compression/scalar feature detail for RVCByteWise/ScalarGS
-	// ExtraLatency is the added pipeline depth (3 cycles for compressing
-	// architectures, §5.1).
-	ExtraLatency int
 	// CompilerMoveElision enables §3.3's compiler-assisted optimisation:
 	// decompressing moves are not injected before divergent writes whose
 	// previous register value is provably dead (liveness analysis at
 	// assembly time). The paper estimates this lowers the ~2 % move
 	// overhead further.
 	CompilerMoveElision bool
+	// Sched selects the warp scheduling policy (default: GTO).
+	Sched SchedPolicy
 }
 
 // HasCodec reports whether the architecture carries the compressor/
 // decompressor structures (for static power).
 func (a Arch) HasCodec() bool { return a.RVC != RVCNone }
+
+// extraLatency is the pipeline depth the codec adds (3 cycles for
+// compressing architectures, §5.1).
+func (a Arch) extraLatency() uint64 {
+	if a.HasCodec() {
+		return power.ExtraPipelineCycles
+	}
+	return 0
+}
 
 // Baseline returns the unmodified GPU.
 func Baseline() Arch { return Arch{} }
@@ -63,27 +71,18 @@ func PriorScalarRF() Arch { return Arch{Scalar: ScalarPriorRF} }
 // WarpedCompression returns the BDI register-compression comparator
 // (no scalar execution).
 func WarpedCompression() Arch {
-	return Arch{RVC: RVCBDI, ExtraLatency: power.ExtraPipelineCycles}
+	return Arch{RVC: RVCBDI}
 }
 
 // RVCOnly returns the paper's byte-wise compression without scalar
 // execution (the Figure 12 "ours" RF technique).
 func RVCOnly() Arch {
-	return Arch{
-		RVC:          RVCByteWise,
-		F:            core.Features{HalfCompression: true},
-		ExtraLatency: power.ExtraPipelineCycles,
-	}
+	return Arch{RVC: RVCByteWise, F: core.Features{HalfCompression: true}}
 }
 
 // GScalar returns the full G-Scalar architecture.
 func GScalar() Arch {
-	return Arch{
-		RVC:          RVCByteWise,
-		Scalar:       ScalarGS,
-		F:            core.GScalarFeatures(),
-		ExtraLatency: power.ExtraPipelineCycles,
-	}
+	return Arch{RVC: RVCByteWise, Scalar: ScalarGS, F: core.GScalarFeatures()}
 }
 
 // GScalarCompilerAssist returns G-Scalar with the §3.3 compiler-assisted
@@ -97,12 +96,7 @@ func GScalarCompilerAssist() Arch {
 // GScalarNoDiv returns G-Scalar without divergent/half-warp scalar
 // execution (Figure 11 "G-Scalar w/o divergent").
 func GScalarNoDiv() Arch {
-	return Arch{
-		RVC:          RVCByteWise,
-		Scalar:       ScalarGS,
-		F:            core.GScalarNoDivFeatures(),
-		ExtraLatency: power.ExtraPipelineCycles,
-	}
+	return Arch{RVC: RVCByteWise, Scalar: ScalarGS, F: core.GScalarNoDivFeatures()}
 }
 
 // SchedPolicy selects the warp-scheduling policy.
@@ -118,45 +112,55 @@ const (
 	SchedLRR
 )
 
-// Config holds the SM's structural parameters (Table 1).
+// Pipeline and memory-pipeline parameters that have one value in Table 1's
+// GTX 480.
+const (
+	ALUUnits = 2  // ALU pipelines, each SIMTWidth lanes wide
+	SFUWidth = 4  // lanes of the SFU pipeline
+	L1Assoc  = 4  // L1 data-cache ways
+	MaxMSHRs = 48 // outstanding global transactions per SM
+)
+
+// Config is the simulated chip: Table 1's settable parameters. It has
+// exactly gscalar.Config's field list, with the same names, types and order,
+// so a public config converts to it (sm.Config(c)) and a field added to one
+// and not the other stops the build. gscalar.Config documents each field.
+// The SM reads its per-SM fields; the chip loop reads the rest.
 type Config struct {
-	WarpSize      int // threads per warp
-	Schedulers    int // warp schedulers per SM
-	MaxWarps      int // resident warps per SM, at most 64 per scheduler (a scheduler's warp sets are 64-bit masks)
-	MaxCTAs       int // resident CTAs per SM
-	NumBanks      int // register-file banks
-	NumCollectors int // operand collectors, at most 64 (collector sets are 64-bit masks)
-	ALUUnits      int // number of ALU pipelines
-	ALUWidth      int // lanes per ALU pipeline
-	MemWidth      int // lanes of the memory pipeline
-	SFUWidth      int // lanes of the SFU pipeline
-	L1Bytes       int
-	L1Assoc       int
-	MaxMSHRs      int // outstanding global transactions per SM
-	// Sched selects the warp scheduling policy (default: GTO).
-	Sched SchedPolicy
-	// RegFileBytes caps resident warps by register usage, like real
-	// hardware: a CTA only launches if its warps' architectural registers
-	// fit (Table 1: 128 KB per SM).
-	RegFileBytes int
+	NumSMs          int     // streaming multiprocessors
+	CoreClockHz     float64 // SM clock
+	WarpSize        int     // threads per warp
+	SchedulersPerSM int     // warp schedulers; a scheduler holds at most 64 warps (its warp sets are 64-bit masks)
+	MaxWarpsPerSM   int     // resident warps
+	MaxCTAsPerSM    int     // resident CTAs
+	RegFileKB       int     // register file: a CTA launches only if its warps' registers fit
+	RegFileBanks    int     // register-file banks
+	CollectorsPerSM int     // operand collectors, at most 64 (collector sets are 64-bit masks)
+	SIMTWidth       int     // lanes of each ALU pipeline and of the memory pipeline
+	L1Bytes         int     // L1 data cache per SM
+	L2Bytes         int     // shared L2
+	MemChannels     int     // DRAM channels
+	MaxCycles       uint64  // abort bound; 0 = a large default
+	Workers         int     // chip-loop schedule: 0 serial, otherwise phased on this many workers
+	EpochCycles     int     // > 0 selects the relaxed schedule with this epoch length
 }
 
-// DefaultConfig returns the GTX-480-like SM of Table 1.
+// DefaultConfig returns Table 1's GTX 480, the one place its values are
+// written.
 func DefaultConfig() Config {
 	return Config{
-		WarpSize:      32,
-		Schedulers:    2,
-		MaxWarps:      48,
-		MaxCTAs:       8,
-		NumBanks:      16,
-		NumCollectors: 16,
-		ALUUnits:      2,
-		ALUWidth:      16,
-		MemWidth:      16,
-		SFUWidth:      4,
-		L1Bytes:       16 << 10,
-		L1Assoc:       4,
-		MaxMSHRs:      48,
-		RegFileBytes:  128 << 10,
+		NumSMs:          15,
+		CoreClockHz:     1.4e9,
+		WarpSize:        32,
+		SchedulersPerSM: 2,
+		MaxWarpsPerSM:   48, // 1536 threads / 32
+		MaxCTAsPerSM:    8,
+		RegFileKB:       128,
+		RegFileBanks:    16,
+		CollectorsPerSM: 16,
+		SIMTWidth:       16,
+		L1Bytes:         16 << 10,
+		L2Bytes:         768 << 10,
+		MemChannels:     6,
 	}
 }

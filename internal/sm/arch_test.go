@@ -8,42 +8,44 @@ import (
 
 func TestArchPresets(t *testing.T) {
 	b := Baseline()
-	if b.RVC != RVCNone || b.Scalar != ScalarNone || b.ExtraLatency != 0 || b.HasCodec() {
+	if b.RVC != RVCNone || b.Scalar != ScalarNone || b.extraLatency() != 0 || b.HasCodec() {
 		t.Errorf("baseline = %+v", b)
 	}
 	a := PriorScalarRF()
-	if a.Scalar != ScalarPriorRF || a.RVC != RVCNone || a.ExtraLatency != 0 {
+	if a.Scalar != ScalarPriorRF || a.RVC != RVCNone || a.extraLatency() != 0 {
 		t.Errorf("prior scalar RF = %+v", a)
 	}
 	w := WarpedCompression()
 	if w.RVC != RVCBDI || w.Scalar != ScalarNone || !w.HasCodec() {
 		t.Errorf("warped compression = %+v", w)
 	}
-	if w.ExtraLatency != power.ExtraPipelineCycles {
-		t.Errorf("WC latency = %d", w.ExtraLatency)
+	if w.extraLatency() != power.ExtraPipelineCycles {
+		t.Errorf("WC latency = %d", w.extraLatency())
 	}
 	r := RVCOnly()
 	if r.RVC != RVCByteWise || r.Scalar != ScalarNone || !r.F.HalfCompression {
 		t.Errorf("rvc-only = %+v", r)
 	}
-	if r.F.ScalarALU || r.F.DivergentScalar {
+	if r.F.HalfScalar || r.F.DivergentScalar {
 		t.Error("rvc-only must not enable scalar execution")
+	}
+	if r.extraLatency() != power.ExtraPipelineCycles {
+		t.Errorf("rvc-only latency = %d", r.extraLatency())
 	}
 	g := GScalar()
 	if g.RVC != RVCByteWise || g.Scalar != ScalarGS {
 		t.Errorf("gscalar = %+v", g)
 	}
 	f := g.F
-	if !(f.HalfCompression && f.ScalarALU && f.ScalarSFU &&
-		f.ScalarMem && f.HalfScalar && f.DivergentScalar) {
+	if !(f.HalfCompression && f.HalfScalar && f.DivergentScalar) {
 		t.Errorf("gscalar features = %+v", f)
 	}
 	nd := GScalarNoDiv()
 	if nd.F.DivergentScalar || nd.F.HalfScalar {
 		t.Errorf("gscalar-nodiv features = %+v", nd.F)
 	}
-	if !nd.F.ScalarSFU || !nd.F.ScalarMem {
-		t.Error("gscalar-nodiv must still cover SFU/mem")
+	if nd.Scalar != ScalarGS || !nd.F.HalfCompression {
+		t.Errorf("gscalar-nodiv = %+v", nd)
 	}
 	ca := GScalarCompilerAssist()
 	if !ca.CompilerMoveElision {
@@ -66,17 +68,23 @@ func TestArchPresets(t *testing.T) {
 
 func TestDefaultConfigTable1(t *testing.T) {
 	c := DefaultConfig()
-	if c.WarpSize != 32 || c.Schedulers != 2 || c.NumBanks != 16 ||
-		c.NumCollectors != 16 || c.MaxCTAs != 8 || c.MaxWarps != 48 {
+	if c.NumSMs != 15 || c.CoreClockHz != 1.4e9 || c.MemChannels != 6 {
+		t.Errorf("chip = %+v", c)
+	}
+	if c.WarpSize != 32 || c.SchedulersPerSM != 2 || c.RegFileBanks != 16 ||
+		c.CollectorsPerSM != 16 || c.MaxCTAsPerSM != 8 || c.MaxWarpsPerSM != 48 {
 		t.Errorf("config = %+v", c)
 	}
-	if c.ALUUnits != 2 || c.ALUWidth != 16 || c.MemWidth != 16 || c.SFUWidth != 4 {
-		t.Errorf("pipelines = %+v", c)
+	if ALUUnits != 2 || c.SIMTWidth != 16 || SFUWidth != 4 {
+		t.Errorf("pipelines = %d x %d lanes, SFU %d lanes", ALUUnits, c.SIMTWidth, SFUWidth)
 	}
-	if c.RegFileBytes != 128<<10 || c.L1Bytes != 16<<10 {
+	if c.RegFileKB != 128 || c.L1Bytes != 16<<10 || c.L2Bytes != 768<<10 {
 		t.Errorf("capacities = %+v", c)
 	}
-	if c.Sched != SchedGTO {
-		t.Errorf("default scheduler = %v, want GTO", c.Sched)
+	if c.MaxCycles != 0 || c.Workers != 0 || c.EpochCycles != 0 {
+		t.Errorf("run bounds and schedule = %+v, want the serial schedule", c)
+	}
+	if a := GScalar(); a.Sched != SchedGTO {
+		t.Errorf("default scheduler = %v, want GTO", a.Sched)
 	}
 }

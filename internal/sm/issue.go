@@ -13,7 +13,7 @@ import (
 )
 
 // issue runs each warp scheduler that has a ready warp, one instruction per
-// scheduler per cycle. The front end can therefore issue up to Schedulers
+// scheduler per cycle. The front end can therefore issue up to SchedulersPerSM
 // instructions per cycle, matching §4.1's observation that it bounds the
 // benefit of extra scalar pipelines.
 func (s *SM) issue() {
@@ -43,7 +43,7 @@ func (s *SM) issue() {
 func (s *SM) issueFrom(sc *scheduler) {
 	last, start := sc.last, 0
 	var tried uint64 // the position of GTO's greedy attempt
-	if s.cfg.Sched == SchedLRR {
+	if s.arch.Sched == SchedLRR {
 		start, _ = slices.BinarySearch(sc.warps, last+1)
 	} else if last >= 0 {
 		if s.tryIssueWarp(sc, last) {
@@ -174,8 +174,9 @@ func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 
 	s.ctx.Shared = s.ctas[wc.ctaSlot].shared
 	if !isCtrl {
-		// Address generation writes into the collector's resident scratch
-		// so memory instructions allocate no per-access address vector.
+		// Address generation records a memory instruction's per-lane
+		// addresses in the collector's resident scratch, which dispatch
+		// coalesces.
 		s.ctx.AddrScratch = s.collectors[free].addrBuf
 	}
 	out, err := wc.w.Execute(&s.ctx)
@@ -210,8 +211,10 @@ func (s *SM) tryIssueWarp(sc *scheduler, wi int) bool {
 	// the destination pending.
 	ce := &s.collectors[free]
 	*ce = collectorEntry{
-		wi: wi, inst: in, active: out.Active, dstVec: out.DstVec,
-		elig: elig, predUniform: predUniform,
+		wbEvent: wbEvent{
+			wi: wi, inst: in, active: out.Active, dstVec: out.DstVec,
+			elig: elig, predUniform: predUniform,
+		},
 		class: m.Class, latency: m.Latency, occMul: m.OccMul,
 		reads: ce.reads[:0], addrBuf: ce.addrBuf, lines: ce.lines[:0],
 	}
@@ -272,14 +275,17 @@ func (s *SM) injectMove(free, wi int, reg uint8) {
 
 	ce := &s.collectors[free]
 	*ce = collectorEntry{
-		wi: wi, active: wc.w.LiveMask, isMove: true, moveReg: reg,
-		occMul: 1, reads: ce.reads[:0], addrBuf: ce.addrBuf, lines: ce.lines[:0],
+		wbEvent: wbEvent{wi: wi, active: wc.w.LiveMask, isMove: true, moveReg: reg},
+		occMul:  1,
+		reads:   ce.reads[:0],
+		addrBuf: ce.addrBuf,
+		lines:   ce.lines[:0],
 	}
 	s.collClaim(free)
 
 	rc := wc.meta.OnRead(int(reg), wc.w.LiveMask, s.arch.F, false)
 	ce.reads = append(ce.reads,
-		regfile.ReadAccess(reg, wc.w.GlobalID, s.cfg.NumBanks, rc, s.en))
+		regfile.ReadAccess(reg, wc.w.GlobalID, s.cfg.RegFileBanks, rc, s.en))
 	wc.pendRegs |= 1 << reg
 }
 
@@ -297,14 +303,14 @@ func (s *SM) planReads(ce *collectorEntry, wc *warpCtx, in *isa.Instruction, div
 		case s.arch.RVC == RVCByteWise:
 			rc := wc.meta.OnRead(int(src.Reg), ce.active, s.arch.F, divergent)
 			s.st.RFReads[rc.Class]++
-			r = regfile.ReadAccess(src.Reg, wc.w.GlobalID, s.cfg.NumBanks, rc, s.en)
+			r = regfile.ReadAccess(src.Reg, wc.w.GlobalID, s.cfg.RegFileBanks, rc, s.en)
 		case s.arch.RVC == RVCBDI:
-			r = regfile.BDIReadAccess(src.Reg, wc.w.GlobalID, s.cfg.NumBanks,
+			r = regfile.BDIReadAccess(src.Reg, wc.w.GlobalID, s.cfg.RegFileBanks,
 				wc.bdi.ReadBytes(int(src.Reg)), s.en)
 		case s.arch.Scalar == ScalarPriorRF && wc.srf.IsScalarReg(int(src.Reg)):
 			r = regfile.ScalarBankAccess(s.en)
 		default: // baseline register file
-			r = regfile.BaselineReadAccess(src.Reg, wc.w.GlobalID, s.cfg.NumBanks,
+			r = regfile.BaselineReadAccess(src.Reg, wc.w.GlobalID, s.cfg.RegFileBanks,
 				s.cfg.WarpSize, s.en)
 		}
 		ce.reads = append(ce.reads, r)

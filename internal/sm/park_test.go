@@ -28,7 +28,7 @@ func TestAGUEnergyIsIntegral(t *testing.T) {
 // warp's issue attempt would reach the collector check with the same
 // outcome. Both must also actually occur, or the test checks nothing.
 func TestParkedEntriesWouldFail(t *testing.T) {
-	s, cycle := warmSM(t, DefaultConfig(), gatherSrc, 8)
+	s, cycle := warmSM(t, SchedGTO, gatherSrc, 8)
 	var sawParked, sawStarved bool
 	for end := cycle + 20000; cycle < end && s.Busy(); cycle++ {
 		s.Cycle(cycle)
@@ -44,7 +44,7 @@ func TestParkedEntriesWouldFail(t *testing.T) {
 				t.Fatalf("cycle %d: parked collector %d still reads operands", cycle, ci)
 			case ce.isMove || !ce.inst.IsGlobalMem() || !ce.inst.IsLoad():
 				t.Fatalf("cycle %d: parked collector %d holds no global load", cycle, ci)
-			case s.outstanding == 0 || s.outstanding+len(ce.lines) <= s.cfg.MaxMSHRs:
+			case s.outstanding == 0 || s.outstanding+len(ce.lines) <= MaxMSHRs:
 				t.Fatalf("cycle %d: parked collector %d fits the MSHR file (%d outstanding + %d lines)",
 					cycle, ci, s.outstanding, len(ce.lines))
 			}
@@ -85,9 +85,7 @@ func TestIssueAndUnitParkInvariants(t *testing.T) {
 	for _, in := range cycleInputs {
 		for _, pol := range policies {
 			t.Run(in.name+"/"+pol.name, func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Sched = pol.sched
-				s, cycle := warmSM(t, cfg, in.src, in.ctas)
+				s, cycle := warmSM(t, pol.sched, in.src, in.ctas)
 				unitParks := 0
 				// ipc drains within the bound, so every warp also retires.
 				for end := cycle + 500_000; cycle < end && s.Busy(); cycle++ {
@@ -134,10 +132,8 @@ func TestSchedListsUnderRefill(t *testing.T) {
 	const ctas = 64
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Sched = pol.sched
 			lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: ctas, Y: 1}, Block: kernel.Dim{X: 64, Y: 1}}
-			s, _ := newTestSM(t, cfg, refillSrc, lc, kernel.NewMemory(), GScalar())
+			s, _ := newTestSM(t, DefaultConfig(), refillSrc, lc, kernel.NewMemory(), gscalarUnder(pol.sched))
 			parted, next := false, 0
 			for cycle := uint64(0); next < ctas || s.Busy(); cycle++ {
 				if cycle == 1_000_000 {
@@ -176,14 +172,13 @@ func TestFailingWarpsRetireInOneWalk(t *testing.T) {
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Sched = pol.sched
 			lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: 6, Y: 1}, Block: kernel.Dim{X: 256, Y: 1}}
-			s, _ := newTestSM(t, cfg, "lds r2, [r1]\nexit\n", lc, kernel.NewMemory(), GScalar())
+			s, _ := newTestSM(t, cfg, "lds r2, [r1]\nexit\n", lc, kernel.NewMemory(), gscalarUnder(pol.sched))
 			for cta := 0; s.CanTakeCTA(); cta++ {
 				s.LaunchCTA(cta)
 			}
-			if n := s.LiveWarps(); n != cfg.MaxWarps {
-				t.Fatalf("%d warps launched, want %d", n, cfg.MaxWarps)
+			if n := s.LiveWarps(); n != cfg.MaxWarpsPerSM {
+				t.Fatalf("%d warps launched, want %d", n, cfg.MaxWarpsPerSM)
 			}
 			s.Cycle(0)
 			if s.Err() == nil {
@@ -211,7 +206,7 @@ func checkSchedMasks(t *testing.T, s *SM, cycle uint64) {
 		if !wc.valid || wc.done {
 			continue
 		}
-		sched := wi % s.cfg.Schedulers
+		sched := wi % s.cfg.SchedulersPerSM
 		live[sched]++
 		if list := s.scheds[sched].warps; wc.pos >= len(list) || list[wc.pos] != wi {
 			t.Fatalf("cycle %d: live warp %d is not at its recorded position %d of scheduler %d", cycle, wi, wc.pos, sched)
@@ -232,7 +227,7 @@ func checkSchedMasks(t *testing.T, s *SM, cycle uint64) {
 		for p, wi := range sc.warps {
 			wc := &s.warps[wi]
 			key := wi
-			if s.cfg.Sched == SchedGTO {
+			if s.arch.Sched == SchedGTO {
 				key = wc.w.GlobalID
 			}
 			if key <= prev {

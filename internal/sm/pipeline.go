@@ -33,7 +33,7 @@ func (s *SM) serveCollectors() {
 		unitParked |= s.unitParked[c]
 	}
 	parked, parkedLanes := s.parked, s.parkedLanes
-	memFree := s.unitBusy[s.unitMem()] <= s.now
+	memFree := s.unitBusy[memUnit] <= s.now
 	memTaker := len(s.collectors) // the collector that took the memory unit, if any
 	for m := s.collAll &^ s.collFree &^ parked &^ unitParked; m != 0; m &= m - 1 {
 		ci := bits.TrailingZeros64(m)
@@ -50,7 +50,7 @@ func (s *SM) serveCollectors() {
 		}
 		// A dispatch holds its unit for at least one cycle, so at most one
 		// collector takes the memory unit per cycle.
-		if s.dispatch(ci) == s.unitMem() {
+		if s.dispatch(ci) == memUnit {
 			memTaker = ci
 		}
 	}
@@ -181,11 +181,8 @@ func (s *SM) dispatch(ci int) int {
 	}
 
 	occ := s.occupancy(ce, width)
-	extra := uint64(s.arch.ExtraLatency)
-	s.events = append(s.events, wbEvent{
-		wi: ce.wi, inst: ce.inst, active: ce.active, dstVec: ce.dstVec,
-		elig: ce.elig, isMove: ce.isMove, moveReg: ce.moveReg, predUniform: ce.predUniform,
-	})
+	extra := s.arch.extraLatency()
+	s.events = append(s.events, ce.wbEvent)
 	ev := &s.events[len(s.events)-1]
 	if isMem {
 		ev.done, ev.mshrs = s.dispatchMem(ce, occ, extra)
@@ -261,7 +258,7 @@ func (s *SM) generateAddrs(ci int, ce *collectorEntry) bool {
 	// A request larger than the whole MSHR file (possible with wide warps
 	// and fully-diverged gathers) must still make progress: it dispatches
 	// once the file has drained.
-	if in.IsLoad() && s.outstanding > 0 && s.outstanding+len(ce.lines) > s.cfg.MaxMSHRs {
+	if in.IsLoad() && s.outstanding > 0 && s.outstanding+len(ce.lines) > MaxMSHRs {
 		s.parked |= uint64(1) << ci
 		s.parkedLanes += ce.lanes
 		return false
@@ -278,10 +275,9 @@ func (s *SM) generateAddrs(ci int, ce *collectorEntry) bool {
 // loads complete on an estimate.
 func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, mshrs int) {
 	in := ce.inst
-	t := s.msys.Timing()
 	if !in.IsGlobalMem() {
 		s.meter.Add(power.CompSharedMem, s.en.SharedAccess)
-		return s.now + occ + uint64(t.SharedLatency) + extra, 0
+		return s.now + occ + mem.SharedLatency + extra, 0
 	}
 
 	txs := ce.lines
@@ -293,7 +289,7 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 		var txDone uint64
 		if isLoad {
 			if hit, fill := s.l1.Lookup(line, true); hit {
-				txDone = s.now + occ + uint64(t.L1HitLatency)
+				txDone = s.now + occ + mem.L1HitLatency
 				// MSHR merging: the line may still be in flight from the
 				// miss that allocated it; the merged access waits for the
 				// fill.
@@ -359,7 +355,7 @@ func (s *SM) Commit() {
 			}
 			s.l1.SetFill(tx.line, done)
 			ev := &s.events[tx.ev]
-			if d := done + uint64(s.arch.ExtraLatency); d > ev.done {
+			if d := done + s.arch.extraLatency(); d > ev.done {
 				ev.done = d
 				raised = true
 			}

@@ -25,13 +25,14 @@ const basePipeDepth = 6
 const NoEvent = ^uint64(0)
 
 // collectorEntry is one operand collector: an issued instruction gathering
-// its source operands. It holds what dispatch and writeback read of the
-// execution: the instruction (nil for an injected move), its active lanes and
-// its destination vector. class/latency/occMul are copied from the program's
-// per-PC metadata at issue so dispatch never re-decodes the instruction, and
-// lanes (the execution lanes it activates, which is also its AGU lane count)
-// is fixed at issue too. addrBuf is the collector's resident address
-// scratch and holds the instruction's per-lane addresses: the warp's
+// its source operands. It holds the writeback event dispatch schedules (the
+// instruction, nil for an injected move, its active lanes, its destination
+// vector and what writeback records), with done and mshrs left for dispatch
+// to set. class/latency/occMul are copied from the program's per-PC
+// metadata at issue so dispatch never re-decodes the instruction, and lanes
+// (the execution lanes it activates, which is also its AGU lane count) is
+// fixed at issue too. addrBuf is the collector's resident address scratch
+// and holds the instruction's per-lane addresses: the warp's
 // address-generation stage writes into it via Context.AddrScratch, and it
 // stays valid until dispatch coalesces it. lines is the entry's resident
 // coalesced-transaction buffer, empty until the first dispatch attempt
@@ -39,21 +40,14 @@ const NoEvent = ^uint64(0)
 // re-coalesce the access. An entry is live while its bit in SM.collFree is
 // clear.
 type collectorEntry struct {
-	wi          int
-	inst        *isa.Instruction
-	active      warp.Mask
-	dstVec      []uint32
-	elig        core.Eligibility
-	isMove      bool
-	moveReg     uint8
-	predUniform bool
-	class       isa.Class
-	latency     uint16
-	occMul      uint8
-	lanes       int
-	reads       []regfile.Access
-	addrBuf     []uint32
-	lines       []uint32
+	wbEvent
+	class   isa.Class
+	latency uint16
+	occMul  uint8
+	lanes   int
+	reads   []regfile.Access
+	addrBuf []uint32
+	lines   []uint32
 }
 
 // wbEvent is a scheduled completion (writeback) of a dispatched instruction.
@@ -187,7 +181,7 @@ type SM struct {
 	unitParked [numUnitClasses]uint64
 	unitWake   [numUnitClasses]uint64
 	// Unit indices: 0..ALUUnits-1 are ALU pipelines, then MEM, then SFU.
-	unitBusy []uint64
+	unitBusy [ALUUnits + 2]uint64
 	events   []wbEvent
 
 	// Cycle never touches shared chip state: global stores land in storeBuf
@@ -234,7 +228,7 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 		launch: launch,
 		gmem:   gmem,
 		msys:   msys,
-		l1:     mem.NewCache(cfg.L1Bytes, cfg.L1Assoc),
+		l1:     mem.NewCache(cfg.L1Bytes, L1Assoc),
 		meter:  meter,
 		nextWb: NoEvent,
 	}
@@ -244,20 +238,19 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	prog.BuildMeta()
 	s.storeBuf = &kernel.StoreBuffer{}
 	s.ctx = warp.Context{Prog: prog, Launch: launch, Global: gmem, StoreBuf: s.storeBuf}
-	s.warps = make([]warpCtx, cfg.MaxWarps)
-	s.ctas = make([]ctaSlot, cfg.MaxCTAs)
-	s.collectors = make([]collectorEntry, cfg.NumCollectors)
+	s.warps = make([]warpCtx, cfg.MaxWarpsPerSM)
+	s.ctas = make([]ctaSlot, cfg.MaxCTAsPerSM)
+	s.collectors = make([]collectorEntry, cfg.CollectorsPerSM)
 	for i := range s.collectors {
 		s.collectors[i].addrBuf = make([]uint32, cfg.WarpSize)
 	}
-	s.collAll = (uint64(1) << cfg.NumCollectors) - 1 // all ones at 64
+	s.collAll = (uint64(1) << cfg.CollectorsPerSM) - 1 // all ones at 64
 	s.collFree = s.collAll
-	s.unitBusy = make([]uint64, cfg.ALUUnits+2)
-	s.scheds = make([]scheduler, cfg.Schedulers)
+	s.scheds = make([]scheduler, cfg.SchedulersPerSM)
 	for i := range s.scheds {
 		s.scheds[i].last = -1
 	}
-	s.rf = regfile.New(cfg.NumBanks)
+	s.rf = regfile.New(cfg.RegFileBanks)
 	if arch.CompilerMoveElision && arch.RVC == RVCByteWise {
 		s.deadOnWrite = asm.DeadOnWrite(prog)
 	}
@@ -316,18 +309,18 @@ func (s *SM) Retired() uint64 { return s.st.WarpInsts }
 // Err returns the first simulation error encountered, if any.
 func (s *SM) Err() error { return s.err }
 
-func (s *SM) unitMem() int { return s.cfg.ALUUnits }
+// memUnit is the memory pipeline's unit index.
+const memUnit = ALUUnits
 
 // units returns the unit indices [lo, hi) of class c and their lane width.
 func (s *SM) units(c int) (lo, hi, width int) {
-	a := s.cfg.ALUUnits
 	switch c {
 	case unitMEM:
-		return a, a + 1, s.cfg.MemWidth
+		return memUnit, memUnit + 1, s.cfg.SIMTWidth
 	case unitSFU:
-		return a + 1, a + 2, s.cfg.SFUWidth
+		return memUnit + 1, memUnit + 2, SFUWidth
 	}
-	return 0, a, s.cfg.ALUWidth
+	return 0, ALUUnits, s.cfg.SIMTWidth
 }
 
 // warpsPerCTA returns warps needed per CTA for the current launch.
@@ -360,7 +353,7 @@ func (s *SM) CanTakeCTA() bool {
 	if n == len(s.ctas) {
 		return false
 	}
-	if s.cfg.RegFileBytes > 0 && (n+1)*s.CTARegBytes() > s.cfg.RegFileBytes {
+	if (n+1)*s.CTARegBytes() > s.cfg.RegFileKB<<10 {
 		return false
 	}
 	free := 0
@@ -461,14 +454,14 @@ func (s *SM) fail(err error) {
 func (s *SM) markReady(wi int) {
 	wc := &s.warps[wi]
 	if wc.valid && !wc.done && wc.w.Status() == warp.StatusReady {
-		s.scheds[wi%s.cfg.Schedulers].ready |= uint64(1) << wc.pos
+		s.scheds[wi%s.cfg.SchedulersPerSM].ready |= uint64(1) << wc.pos
 	}
 }
 
 // schedInsert adds warp slot wi to its scheduler's list in walk order
 // (walkKey), ready and not starved.
 func (s *SM) schedInsert(wi int) {
-	sc := &s.scheds[wi%s.cfg.Schedulers]
+	sc := &s.scheds[wi%s.cfg.SchedulersPerSM]
 	pos := len(sc.warps)
 	for pos > 0 && s.walkKey(sc.warps[pos-1]) > s.walkKey(wi) {
 		pos--
@@ -484,7 +477,7 @@ func (s *SM) schedInsert(wi int) {
 // walkKey orders a scheduler's list: by GlobalID (age) under GTO, by warp
 // slot under LRR.
 func (s *SM) walkKey(wi int) int {
-	if s.cfg.Sched == SchedLRR {
+	if s.arch.Sched == SchedLRR {
 		return wi
 	}
 	return s.warps[wi].w.GlobalID
@@ -493,7 +486,7 @@ func (s *SM) walkKey(wi int) int {
 // schedRemove drops warp slot wi from its scheduler's issue list and closes
 // its bit in the masks.
 func (s *SM) schedRemove(wi int) {
-	sc := &s.scheds[wi%s.cfg.Schedulers]
+	sc := &s.scheds[wi%s.cfg.SchedulersPerSM]
 	pos := s.warps[wi].pos
 	sc.warps = append(sc.warps[:pos], sc.warps[pos+1:]...)
 	sc.ready = removeBit(sc.ready, pos)

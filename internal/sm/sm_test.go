@@ -17,7 +17,7 @@ func newTestSM(t testing.TB, cfg Config, src string, lc *kernel.LaunchConfig, gm
 		t.Fatal(err)
 	}
 	var meter power.Meter
-	msys := mem.NewSystem(mem.DefaultTiming(), 768<<10)
+	msys := mem.NewSystem(6, 768<<10)
 	s := New(0, cfg, arch, power.DefaultEnergies(), prog, lc, gmem, msys, &meter)
 	return s, &meter
 }

@@ -391,9 +391,9 @@ func aluEval(in *isa.Instruction, a, b, c uint32) uint32 {
 func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Outcome) error {
 	dst := in.Dst.Reg
 	vec := w.RegVec(dst)
-	out.Addrs = w.addrVec(ctx)
 	base := w.resolve(ctx, in.Srcs[0])
 	off := uint32(in.Off)
+	recordAddrs(ctx.AddrScratch, base, off, active)
 	if in.Op == isa.OpLdGlobal {
 		if ctx.StoreBuf.ReadThrough() {
 			// Relaxed epoch mode: stores stay buffered for up to an epoch, so
@@ -404,7 +404,6 @@ func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Out
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(m)
 				addr := base.at(lane) + off
-				out.Addrs[lane] = addr
 				if v, ok := ctx.StoreBuf.Load32(addr); ok {
 					vec[lane] = v
 				} else {
@@ -415,7 +414,6 @@ func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Out
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(m)
 				addr := base.at(lane) + off
-				out.Addrs[lane] = addr
 				vec[lane] = ctx.Global.Load32(addr)
 			}
 		}
@@ -423,7 +421,6 @@ func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Out
 		for m := active; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros64(m)
 			addr := base.at(lane) + off
-			out.Addrs[lane] = addr
 			v, err := loadShared(ctx, addr)
 			if err != nil {
 				return fmt.Errorf("%v at pc %d line %d", err, out.PC, in.Line)
@@ -433,28 +430,25 @@ func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Out
 	}
 	out.DstReg = int(dst)
 	out.DstVec = vec
-	out.IsMem = true
 	return nil
 }
 
 func (w *Warp) execStore(ctx *Context, in *isa.Instruction, active Mask, out *Outcome) error {
-	out.Addrs = w.addrVec(ctx)
 	base := w.resolve(ctx, in.Srcs[0])
 	val := w.resolve(ctx, in.Srcs[1])
 	off := uint32(in.Off)
+	recordAddrs(ctx.AddrScratch, base, off, active)
 	if in.Op == isa.OpStGlobal {
 		if ctx.StoreBuf != nil {
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(m)
 				addr := base.at(lane) + off
-				out.Addrs[lane] = addr
 				ctx.StoreBuf.Store32(addr, val.at(lane))
 			}
 		} else {
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(m)
 				addr := base.at(lane) + off
-				out.Addrs[lane] = addr
 				ctx.Global.Store32(addr, val.at(lane))
 			}
 		}
@@ -462,25 +456,25 @@ func (w *Warp) execStore(ctx *Context, in *isa.Instruction, active Mask, out *Ou
 		for m := active; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros64(m)
 			addr := base.at(lane) + off
-			out.Addrs[lane] = addr
 			if err := storeShared(ctx, addr, val.at(lane)); err != nil {
 				return fmt.Errorf("%v at pc %d line %d", err, out.PC, in.Line)
 			}
 		}
 	}
-	out.IsMem = true
-	out.IsStore = true
 	return nil
 }
 
-// addrVec returns the per-lane address vector for a memory outcome: the
-// caller-provided scratch when available, a fresh allocation otherwise.
-// Inactive lanes may hold stale values; every consumer masks by Active.
-func (w *Warp) addrVec(ctx *Context) []uint32 {
-	if len(ctx.AddrScratch) >= w.Width {
-		return ctx.AddrScratch[:w.Width]
+// recordAddrs writes the active lanes' byte addresses into addrs, the
+// caller's Context.AddrScratch, if there is one. A load records them before
+// it writes its destination, which may be its base register.
+func recordAddrs(addrs []uint32, base srcOp, off uint32, active Mask) {
+	if addrs == nil {
+		return
 	}
-	return make([]uint32, w.Width)
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		addrs[lane] = base.at(lane) + off
+	}
 }
 
 func loadShared(ctx *Context, addr uint32) (uint32, error) {

@@ -236,11 +236,12 @@ type Context struct {
 	// (timed simulation: an SM buffers its stores until the chip loop
 	// commits them, serially, after the SM's step).
 	StoreBuf *kernel.StoreBuffer
-	// AddrScratch, when non-nil and at least warp-width long, backs
-	// Outcome.Addrs instead of a fresh allocation. Only lanes set in
-	// Outcome.Active are written; the caller owns the buffer's lifetime
-	// (the SM hands each operand collector's scratch to the instruction it
-	// holds, so the vector stays valid exactly until dispatch consumes it).
+	// AddrScratch, when non-nil, must be at least warp-width long and
+	// receives a memory instruction's per-lane byte addresses; with no
+	// scratch, none are recorded. Only lanes set in Outcome.Active are
+	// written. The SM hands each operand collector's scratch to the
+	// instruction it holds, so the vector stays valid exactly until
+	// dispatch coalesces it.
 	AddrScratch []uint32
 }
 
@@ -254,10 +255,6 @@ type Outcome struct {
 	// Register writeback, if any.
 	DstReg int      // -1 if none
 	DstVec []uint32 // full register vector after the (possibly partial) write
-	// Memory access, if any.
-	IsMem   bool
-	IsStore bool
-	Addrs   []uint32 // per-lane byte addresses (valid where Active)
 
 	Divergent bool // Active != warp live mask (paper's divergence notion)
 	AtBarrier bool

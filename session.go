@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"gscalar/internal/gpu"
+	"gscalar/internal/sm"
 	"gscalar/internal/telemetry"
 	"gscalar/internal/trace"
 	"gscalar/internal/workloads"
@@ -105,7 +106,7 @@ func (s *Session) Metrics() *Metrics { return s.metrics }
 // Config — so Config stays a plain serializable value (JSON round-trip,
 // content hash). The returned recorder is nil when telemetry is disabled.
 func (s *Session) lower() (gpu.Config, *telemetry.Recorder) {
-	g := s.cfg.toGPU()
+	g := gpu.Config{Config: sm.Config(s.cfg)}
 	if s.Observer != nil {
 		obs := s.Observer
 		g.Observer = func(p gpu.Progress) { obs(Progress(p)) }
