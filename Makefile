@@ -71,13 +71,14 @@ tracedet:
 	$(GO) test -run 'TestTrace|TestUnknownWorkloadSpec' .
 
 # Telemetry gate: the registry/recorder unit tests, the exporter goldens
-# (JSON/CSV/Chrome-trace shape), and the telemetry-on-vs-off bit-identity
-# check. Kept as its own target so exporter-format changes are easy to
+# (JSON/CSV/Chrome-trace shape), the telemetry-on-vs-off bit-identity
+# check, and the stall golden, which pins the digests of fifteen real runs'
+# exports. Kept as its own target so exporter-format changes are easy to
 # re-verify in isolation.
 telemetry:
 	$(GO) vet ./internal/telemetry
 	$(GO) test ./internal/telemetry
-	$(GO) test -run 'Telemetry|Metrics|ResultJSON' .
+	$(GO) test -run 'Telemetry|Metrics|ResultJSON|StallAccountingGolden' .
 
 # Serving gate: the result store (atomic writes, index rebuild, the Store.Do
 # memo on both backends) and the sweep-server HTTP handlers

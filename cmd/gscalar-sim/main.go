@@ -26,6 +26,11 @@
 // Chrome trace-event file of per-SM activity, loadable in Perfetto. Both
 // compose with -all, which bundles every benchmark into one file.
 //
+// -sample-stride N and -progress N both set the run's lifecycle checkpoint
+// stride: every N simulated cycles the run takes a telemetry sample, checks
+// for cancellation and, with -progress, reports progress to stderr. Given
+// together they must name the same N. The default stride is 4096 cycles.
+//
 // -trace-out captures the run's simulation input (program, launch, initial
 // memory) as a replayable trace, written atomically after a successful run
 // under any schedule: replay it anywhere with -workload trace:<file>, under
@@ -67,12 +72,12 @@ func main() {
 	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
 	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
 	timeout := flag.Duration("timeout", 0, "stop simulating after this wall-clock duration; partial statistics are printed")
-	progress := flag.Uint64("progress", 0, "report progress to stderr every N simulated cycles (0 = off)")
+	progress := flag.Uint64("progress", 0, "report progress to stderr every N simulated cycles, the checkpoint stride (0 = off)")
 	metricsOut := flag.String("metrics-out", "", "write final counters and the sampled time series to this file")
 	metricsFormat := flag.String("metrics-format", "json", "metrics file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write a Chrome trace-event file (Perfetto-loadable) to this file")
 	traceOut := flag.String("trace-out", "", "capture the run's input as a replayable trace at this path (replay with -workload trace:<path>)")
-	sampleStride := flag.Uint64("sample-stride", 0, "simulated cycles between telemetry samples (0 = lifecycle checkpoint stride)")
+	sampleEvery := flag.Uint64("sample-stride", 0, "simulated cycles between lifecycle checkpoints, where telemetry samples (0 = the -progress value, or 4096)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to this file")
 	flag.Parse()
@@ -81,12 +86,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gscalar-sim: unknown -metrics-format %q (want json or csv)\n", *metricsFormat)
 		os.Exit(1)
 	}
-	telemetry := gscalar.TelemetryOptions{
-		Enabled:      *metricsOut != "" || *chromeTrace != "",
-		SampleStride: *sampleStride,
+	stride, err := checkpointStride(*sampleEvery, *progress)
+	if err != nil {
+		fatal(err)
 	}
 
-	var err error
 	prof, err = hostprof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
@@ -160,25 +164,25 @@ func main() {
 		defer cancel()
 	}
 
+	s, err := gscalar.NewSession(cfg, arch)
+	if err != nil {
+		fatal(err)
+	}
+	s.Telemetry.Enabled = *metricsOut != "" || *chromeTrace != ""
+	s.ObserverStride = stride
 	if *all {
 		if *traceOut != "" {
 			fatal(fmt.Errorf("-trace-out captures a single run; it cannot be combined with -all"))
 		}
-		runAll(ctx, cfg, arch, *scale, telemetry, *metricsOut, *metricsFormat, *chromeTrace)
+		runAll(ctx, s, *scale, *metricsOut, *metricsFormat, *chromeTrace)
 		return
 	}
 	if workload == "" {
 		fatal(fmt.Errorf("missing -workload (use -list-workloads to see options)"))
 	}
 
-	s, err := gscalar.NewSession(cfg, arch)
-	if err != nil {
-		fatal(err)
-	}
-	s.Telemetry = telemetry
 	s.Capture.Path = *traceOut
 	if *progress > 0 {
-		s.ObserverStride = *progress
 		start := time.Now()
 		s.Observer = func(p gscalar.Progress) {
 			fmt.Fprintf(os.Stderr, "  cycle %12d  insts %12d  live SMs %2d  (%.1fs)\n",
@@ -203,6 +207,16 @@ func main() {
 		prof.Stop()
 		os.Exit(1)
 	}
+}
+
+// checkpointStride resolves -sample-stride and -progress, which both name
+// the lifecycle checkpoint stride (Session.ObserverStride). 0 means neither
+// was given; two different non-zero values are an error.
+func checkpointStride(sample, progress uint64) (uint64, error) {
+	if sample != 0 && progress != 0 && sample != progress {
+		return 0, fmt.Errorf("-sample-stride %d and -progress %d set the same checkpoint stride; give one of them, or equal values", sample, progress)
+	}
+	return max(sample, progress), nil
 }
 
 // writeTelemetry writes the collected metrics and trace artifacts for the
@@ -312,16 +326,10 @@ func joules(j float64) string {
 }
 
 // runAll prints a one-line summary per benchmark, running every workload
-// through one shared Session so telemetry accumulates into a single set. A
+// through the one Session s so telemetry accumulates into a single set. A
 // cancellation still flushes the in-flight benchmark's partial row — and the
 // partial telemetry — before exiting.
-func runAll(ctx context.Context, cfg gscalar.Config, arch gscalar.Arch, scale int,
-	tel gscalar.TelemetryOptions, metricsOut, metricsFormat, chromeTrace string) {
-	s, err := gscalar.NewSession(cfg, arch)
-	if err != nil {
-		fatal(err)
-	}
-	s.Telemetry = tel
+func runAll(ctx context.Context, s *gscalar.Session, scale int, metricsOut, metricsFormat, chromeTrace string) {
 	var set gscalar.MetricsSet
 	flush := func() {
 		if werr := writeTelemetry(set, metricsOut, metricsFormat, chromeTrace); werr != nil {

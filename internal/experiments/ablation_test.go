@@ -39,7 +39,7 @@ func TestAblationsAcceptEveryWorkloadSpec(t *testing.T) {
 		"gen:div=0.3,occ=0.05",
 		captureTrace(t, cfg, "HW", filepath.Join(t.TempDir(), "hw.gstr")),
 	}
-	s := NewSuite(Options{Config: cfg, Workloads: specs})
+	s := NewSuiteContext(context.Background(), Options{Config: cfg, Workloads: specs})
 	ablations := []struct {
 		name string
 		run  func() (int, error)
@@ -75,7 +75,7 @@ func TestCustomArchTraceRecaptured(t *testing.T) {
 	cfg.NumSMs = 2
 	path := filepath.Join(t.TempDir(), "w.gstr")
 	spec := captureTrace(t, cfg, "HW", path)
-	s := NewSuite(Options{Config: cfg, Workloads: []string{spec}})
+	s := NewSuiteContext(context.Background(), Options{Config: cfg, Workloads: []string{spec}})
 	before, err := s.runCustomArch(spec, sm.PriorScalarRF())
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestCustomArchRunsTheSuiteChip(t *testing.T) {
 			cfg := gscalar.DefaultConfig()
 			cfg.NumSMs = 2
 			mutate(&cfg)
-			s := NewSuite(Options{Config: cfg, Workloads: []string{"MV"}})
+			s := NewSuiteContext(context.Background(), Options{Config: cfg, Workloads: []string{"MV"}})
 			s.r.memo = store.NewMemory()
 			pub, err := s.r.run(gscalar.GScalar, "MV")
 			if err != nil {

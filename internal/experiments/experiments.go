@@ -66,7 +66,8 @@ var memo = store.NewMemory()
 // runner simulates the points of one option set through a point memo (by
 // default the shared one), so figures sharing runs do not re-simulate and
 // independent Suites over the same configuration reuse each other's runs.
-// It is safe for concurrent use, which is what the Prewarm fan-out relies on.
+// It is safe for concurrent use, which is what the PrewarmContext fan-out
+// relies on.
 type runner struct {
 	ctx  context.Context
 	o    Options
@@ -85,7 +86,7 @@ func (r *runner) run(arch gscalar.Arch, abbr string) (gscalar.Result, error) {
 // JSON and every read decodes it; Go's float formatting round-trips
 // exactly, so a decoded Result equals the simulated one.
 func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gscalar.Result, error) {
-	// Do memoizes and deduplicates: if another goroutine — a Prewarm
+	// Do memoizes and deduplicates: if another goroutine — a PrewarmContext
 	// sibling, or another Suite over the same options — is already
 	// simulating this key, this call joins that run instead of repeating
 	// it, so each distinct point simulates at most once per process.
@@ -173,10 +174,6 @@ func PointFileName(arch gscalar.Arch, abbr string) string {
 // Suite bundles a memoizing runner over one option set; create it once and
 // call the figure methods.
 type Suite struct{ r *runner }
-
-// NewSuite creates an experiment suite bound to the background context. Use
-// NewSuiteContext to make the suite's simulations cancellable.
-func NewSuite(o Options) *Suite { return NewSuiteContext(context.Background(), o) }
 
 // NewSuiteContext creates an experiment suite whose simulations observe ctx:
 // cancelling it aborts the in-flight run at its next lifecycle checkpoint and

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func smallSuite() *Suite {
 	cfg := gscalar.DefaultConfig()
 	cfg.NumSMs = 2
-	return NewSuite(Options{Config: cfg, Workloads: []string{"HS", "MQ", "SAD"}})
+	return NewSuiteContext(context.Background(), Options{Config: cfg, Workloads: []string{"HS", "MQ", "SAD"}})
 }
 
 func TestSuiteFig1(t *testing.T) {
@@ -155,11 +156,11 @@ func TestSparseOptionsConfig(t *testing.T) {
 		}
 		return rows
 	}
-	if got, want := NewSuite(Options{}).r.o.Config, gscalar.DefaultConfig(); got != want {
+	if got, want := NewSuiteContext(context.Background(), Options{}).r.o.Config, gscalar.DefaultConfig(); got != want {
 		t.Errorf("zero config became %+v, want Table 1 %+v", got, want)
 	}
 
-	s := NewSuite(Options{Config: gscalar.Config{MemChannels: 2}})
+	s := NewSuiteContext(context.Background(), Options{Config: gscalar.Config{MemChannels: 2}})
 	want := gscalar.DefaultConfig()
 	want.MemChannels = 2
 	if s.r.o.Config != want {
@@ -172,7 +173,7 @@ func TestSparseOptionsConfig(t *testing.T) {
 		t.Errorf("Table 1 of {MemChannels: 2} prints %q memory channels, want 2", got)
 	}
 
-	rows := table1(NewSuite(Options{Config: gscalar.Config{NumSMs: 2}}))
+	rows := table1(NewSuiteContext(context.Background(), Options{Config: gscalar.Config{NumSMs: 2}}))
 	for param, want := range map[string]string{"# of SMs": "2", "SM frequency": "1.4", "memory channels": "6"} {
 		if rows[param] != want {
 			t.Errorf("Table 1 of {NumSMs: 2}: %s = %q, want %q (rows %v)", param, rows[param], want, rows)
@@ -204,7 +205,7 @@ func TestSuiteFig12Ordering(t *testing.T) {
 }
 
 func TestSuiteUnknownWorkload(t *testing.T) {
-	s := NewSuite(Options{Workloads: []string{"NOPE"}})
+	s := NewSuiteContext(context.Background(), Options{Workloads: []string{"NOPE"}})
 	if _, err := s.Fig1(); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}

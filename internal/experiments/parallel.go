@@ -14,12 +14,6 @@ type Point struct {
 	Abbr string
 }
 
-// Prewarm simulates the given points under the suite's own context; see
-// PrewarmContext.
-func (s *Suite) Prewarm(points []Point, par int) error {
-	return s.PrewarmContext(s.r.ctx, points, par)
-}
-
 // PrewarmContext simulates the given points concurrently, at most par at a
 // time, filling the suite's point memo. Figures rendered afterwards are
 // served entirely from the memo, so their output is byte-identical to a

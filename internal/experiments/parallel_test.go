@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -16,12 +17,12 @@ func countingSuite(o Options) (*Suite, *atomic.Int32) {
 	var sims atomic.Int32
 	o.Telemetry.Enabled = true
 	o.OnMetrics = func(gscalar.Arch, string, *gscalar.Metrics) { sims.Add(1) }
-	s := NewSuite(o)
+	s := NewSuiteContext(context.Background(), o)
 	s.r.memo = store.NewMemory()
 	return s, &sims
 }
 
-// TestPrewarmDedupsConcurrentIdenticalPoints: under Prewarm(..., par>1),
+// TestPrewarmDedupsConcurrentIdenticalPoints: under PrewarmContext(..., par>1),
 // workers that miss the same key concurrently must not each run the full
 // simulation — each distinct key simulates exactly once, and every
 // duplicate joins that run or finds its stored result.
@@ -34,7 +35,7 @@ func TestPrewarmDedupsConcurrentIdenticalPoints(t *testing.T) {
 	// miss the (empty) memo near-simultaneously.
 	p := Point{Arch: gscalar.GScalar, Abbr: "HW"}
 	points := []Point{p, p, p, p}
-	if err := s.Prewarm(points, len(points)); err != nil {
+	if err := s.PrewarmContext(context.Background(), points, len(points)); err != nil {
 		t.Fatal(err)
 	}
 	if n := sims.Load(); n != 1 {
@@ -56,7 +57,7 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 	cfg.NumSMs = 2
 	opts := Options{Config: cfg, Workloads: []string{"HS", "MQ", "SAD"}}
 
-	serial := NewSuite(opts)
+	serial := NewSuiteContext(context.Background(), opts)
 	serial.r.memo = store.NewMemory()
 	want, err := serial.Fig11()
 	if err != nil {
@@ -72,7 +73,7 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 	if len(points) != 4*3 {
 		t.Fatalf("fig11 points = %d, want 12", len(points))
 	}
-	if err := par.Prewarm(points, 4); err != nil {
+	if err := par.PrewarmContext(context.Background(), points, 4); err != nil {
 		t.Fatal(err)
 	}
 	if n := sims.Load(); n != int32(len(points)) {
@@ -96,15 +97,15 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 }
 
 func TestPrewarmPropagatesError(t *testing.T) {
-	s := NewSuite(Options{Workloads: []string{"NOPE"}})
+	s := NewSuiteContext(context.Background(), Options{Workloads: []string{"NOPE"}})
 	s.r.memo = store.NewMemory()
-	if err := s.Prewarm([]Point{{gscalar.GScalar, "NOPE"}}, 4); err == nil {
+	if err := s.PrewarmContext(context.Background(), []Point{{gscalar.GScalar, "NOPE"}}, 4); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
 }
 
 func TestPointsDeduplicates(t *testing.T) {
-	s := NewSuite(Options{Workloads: []string{"HS", "MQ"}})
+	s := NewSuiteContext(context.Background(), Options{Workloads: []string{"HS", "MQ"}})
 	// fig1 and fig9 both need only the G-Scalar runs; the union must not
 	// repeat them.
 	var exps []Experiment

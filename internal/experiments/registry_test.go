@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"maps"
 	"slices"
 	"strings"
@@ -62,7 +63,7 @@ var runRegistry = sync.OnceValue(func() map[string]registryRun {
 		o := Options{Config: cfg, Workloads: []string{"HW"}}
 		o.Telemetry.Enabled = true
 		o.OnMetrics = func(a gscalar.Arch, _ string, _ *gscalar.Metrics) { archs[a] = true }
-		s := NewSuite(o)
+		s := NewSuiteContext(context.Background(), o)
 		s.r.memo = store.NewMemory()
 		_, csv, err := e.Render(s)
 		runs[e.Name] = registryRun{archs: archs, csv: csv, err: err}
@@ -71,7 +72,7 @@ var runRegistry = sync.OnceValue(func() map[string]registryRun {
 })
 
 // TestRegistryArchsMatchMemoReads checks each entry's declared Archs — the
-// points Prewarm simulates ahead of time — against the memo points its
+// points PrewarmContext simulates ahead of time — against the memo points its
 // Render actually reads.
 func TestRegistryArchsMatchMemoReads(t *testing.T) {
 	if testing.Short() {

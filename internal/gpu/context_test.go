@@ -43,7 +43,7 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 		prog, lc, mem, want := buildSaxpy(t, 4096)
 		cfg := DefaultConfig()
 		cfg.Workers = workers
-		base, err := Run(cfg, sm.GScalar(), prog, lc, mem)
+		base, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 		var snaps []Progress
 		cfg.ObserverStride = 64
 		cfg.Observer = func(p Progress) { snaps = append(snaps, p) }
-		res, err := Run(cfg, sm.GScalar(), prog, lc, mem)
+		res, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestCancelMidRunDeterministic(t *testing.T) {
 		prog, lc, mem, _ := buildSaxpy(t, 4096)
 		cfg := DefaultConfig()
 		cfg.Workers = workers
-		full, err := Run(cfg, sm.GScalar(), prog, lc, mem)
+		full, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
 		}

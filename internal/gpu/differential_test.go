@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -98,7 +99,7 @@ func TestRandomKernelDifferential(t *testing.T) {
 				cfg.MaxCycles = 5_000_000
 				cfg.Workers = sc.workers
 				cfg.EpochCycles = sc.epochCycles
-				res, err := Run(cfg, arch, prog, lT, mT)
+				res, err := RunContext(context.Background(), cfg, arch, prog, lT, mT)
 				if err != nil {
 					t.Fatalf("trial %d %s (%+v): %v\n%s", trial, sc.name, arch, err, src)
 				}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func TestRunRejectsInvalidLaunch(t *testing.T) {
 			lc := tc.lc
 			done := make(chan error, 1)
 			go func() {
-				_, err := Run(cfg, sm.Baseline(), prog, &lc, kernel.NewMemory())
+				_, err := RunContext(context.Background(), cfg, sm.Baseline(), prog, &lc, kernel.NewMemory())
 				done <- err
 			}()
 			select {
@@ -95,7 +96,7 @@ func TestRunSurfacesKernelErrors(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
-	_, err = Run(cfg, sm.GScalar(), prog, lc, kernel.NewMemory())
+	_, err = RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, kernel.NewMemory())
 	if err == nil {
 		t.Fatal("shared overflow not reported")
 	}
@@ -113,7 +114,7 @@ func TestRunMaxCyclesGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
 	cfg.MaxCycles = 10_000
-	_, err = Run(cfg, sm.Baseline(), prog, lc, kernel.NewMemory())
+	_, err = RunContext(context.Background(), cfg, sm.Baseline(), prog, lc, kernel.NewMemory())
 	if err == nil || !strings.Contains(err.Error(), "cycles") {
 		t.Fatalf("runaway kernel not caught: %v", err)
 	}
@@ -136,7 +137,7 @@ func TestRunEmptyGridEdge(t *testing.T) {
 	lc.Params[0] = out
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
-	if _, err := Run(cfg, sm.GScalar(), prog, lc, mem); err != nil {
+	if _, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ReadU32(out, 1)[0]; got != 7 {

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"gscalar/internal/asm"
@@ -35,7 +36,7 @@ func TestMSHRMerging(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
-	res, err := Run(cfg, sm.Baseline(), prog, lc, mem)
+	res, err := RunContext(context.Background(), cfg, sm.Baseline(), prog, lc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestLRRScheduler(t *testing.T) {
 		cfg.NumSMs = 2
 		arch := sm.GScalar()
 		arch.Sched = pol
-		res, err := Run(cfg, arch, prog, lc, mem)
+		res, err := RunContext(context.Background(), cfg, arch, prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ SKIP:
 		lc.Params[0] = out
 		cfg := DefaultConfig()
 		cfg.NumSMs = 1
-		res, err := Run(cfg, arch, prog, lc, mem)
+		res, err := RunContext(context.Background(), cfg, arch, prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestRegisterCapacityLimitsResidency(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
 	cfg.MaxCycles = 5_000_000
-	if _, err := Run(cfg, sm.Baseline(), prog, lc, mem); err != nil {
+	if _, err := RunContext(context.Background(), cfg, sm.Baseline(), prog, lc, mem); err != nil {
 		t.Fatal(err)
 	}
 	got := mem.ReadU32(out, 12*256)
@@ -228,7 +229,7 @@ func TestOversizedGatherDispatches(t *testing.T) {
 	cfg.WarpSize = 64 // a gather touches 64 lines, more than sm.MaxMSHRs
 	cfg.MaxWarpsPerSM = 24
 	cfg.MaxCycles = 2_000_000
-	if _, err := Run(cfg, sm.GScalar(), prog, lc, mem); err != nil {
+	if _, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem); err != nil {
 		t.Fatal(err)
 	}
 	got := mem.ReadU32(lc.Params[1], threads)

@@ -27,13 +27,13 @@ type Config struct {
 	// simulator state; calling it changes no simulated result.
 	Observer func(Progress)
 	// ObserverStride is the number of simulated cycles between lifecycle
-	// checkpoints (observer calls and context-cancellation checks). 0 means
-	// DefaultLifecycleStride. The stride is counted in simulated cycles, so
-	// checkpoint placement — and therefore the partial result of a
-	// cancellation triggered by the observer — is deterministic. The
-	// per-cycle schedules checkpoint exactly on multiples of the stride; a
-	// relaxed epoch can cross a mark, and its checkpoint then fires at the
-	// epoch's end.
+	// checkpoints (observer calls, telemetry samples and context-cancellation
+	// checks). 0 means DefaultLifecycleStride. The stride is counted in
+	// simulated cycles, so checkpoint placement — and therefore the series
+	// and the partial result of a cancellation triggered by the observer —
+	// is deterministic. The per-cycle schedules checkpoint exactly on
+	// multiples of the stride; a relaxed epoch can cross a mark, and its
+	// checkpoint then fires at the epoch's end.
 	ObserverStride uint64
 	// Telemetry, when non-nil, collects this run's metrics: every layer
 	// registers its counters/gauges at launch construction and the recorder
@@ -44,14 +44,17 @@ type Config struct {
 }
 
 // DefaultLifecycleStride is the default spacing, in simulated cycles,
-// between lifecycle checkpoints (context checks and observer calls).
+// between lifecycle checkpoints.
 const DefaultLifecycleStride = 4096
 
-// Progress is the point-in-time snapshot passed to Config.Observer.
+// Progress is the point-in-time snapshot passed to Config.Observer. The
+// JSON tags are a stable serialization contract (gscalar.Progress is this
+// type): the sweep server's job-status endpoint streams these snapshots to
+// clients.
 type Progress struct {
-	Cycle     uint64 // current simulated cycle
-	WarpInsts uint64 // warp instructions committed chip-wide so far
-	LiveSMs   int    // SMs that still have resident work
+	Cycle     uint64 `json:"cycle"`      // current simulated cycle
+	WarpInsts uint64 `json:"warp_insts"` // warp instructions committed chip-wide so far
+	LiveSMs   int    `json:"live_sms"`   // SMs that still have resident work
 }
 
 // DefaultConfig returns Table 1's chip with no hooks.
@@ -73,12 +76,6 @@ type Result struct {
 	// count produces bit-identical simulation outputs.
 	ExecMode string
 	Workers  int
-}
-
-// Run simulates prog with launch lc on memory gmem under arch. It is
-// RunContext with a background context.
-func Run(cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory) (Result, error) {
-	return RunContext(context.Background(), cfg, arch, prog, lc, gmem)
 }
 
 // RunContext simulates prog with launch lc on memory gmem under arch,
@@ -177,22 +174,17 @@ func runWithMeter(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Pr
 }
 
 // lifecycle bundles the per-run checkpoint state: the cadence at which the
-// chip loop surfaces cancellation and invokes the progress observer. All
-// checkpoints land on cycle-commit boundaries at deterministic simulated
-// cycles, so a cancellation triggered from the observer cuts the run at the
-// same cycle on every execution, and a run that completes is untouched.
+// chip loop samples telemetry, invokes the progress observer and surfaces
+// cancellation. All checkpoints land on cycle-commit boundaries at
+// deterministic simulated cycles, so the series and a cancellation
+// triggered from the observer are the same on every execution, and a run
+// that completes is untouched.
 type lifecycle struct {
 	ctx     context.Context
 	observe func(Progress)
+	sampler *chipSampler // nil when telemetry is off
 	stride  uint64
 	next    uint64 // first cycle at or beyond which the next checkpoint fires
-
-	// Telemetry sampling rides the same commit-boundary cadence on its own
-	// deterministic stride grid, so sample placement is a pure function of
-	// the simulated cycle sequence too.
-	sampler      *chipSampler
-	sampleStride uint64
-	nextSample   uint64
 }
 
 func newLifecycle(ctx context.Context, cfg Config, cs *chipSampler) lifecycle {
@@ -200,30 +192,24 @@ func newLifecycle(ctx context.Context, cfg Config, cs *chipSampler) lifecycle {
 	if stride == 0 {
 		stride = DefaultLifecycleStride
 	}
-	lf := lifecycle{ctx: ctx, observe: cfg.Observer, stride: stride, next: stride}
-	if cs != nil {
-		lf.sampler = cs
-		lf.sampleStride = cs.stride
-		lf.nextSample = cs.stride
-	}
-	return lf
+	return lifecycle{ctx: ctx, observe: cfg.Observer, sampler: cs, stride: stride, next: stride}
 }
 
 // checkpoint fires when the commit boundary at cycle has reached the next
-// stride mark: it samples progress for the observer and reports any context
-// cancellation. The per-cycle schedules reach every mark exactly. Only a
-// relaxed epoch can cross one or more marks; the checkpoint then fires once
-// at the epoch's end and realigns to the stride grid, keeping the firing
-// cycles a pure function of the simulated cycle sequence.
+// stride mark: it takes the telemetry sample, passes progress to the
+// observer and reports any context cancellation. The per-cycle schedules
+// reach every mark exactly. Only a relaxed epoch can cross one or more
+// marks; the checkpoint then fires once at the epoch's end and realigns to
+// the stride grid, keeping the firing cycles a pure function of the
+// simulated cycle sequence.
 func (lf *lifecycle) checkpoint(sms []*sm.SM, cycle uint64) error {
-	if lf.sampler != nil && cycle >= lf.nextSample {
-		lf.nextSample = cycle - cycle%lf.sampleStride + lf.sampleStride
-		lf.sampler.sample(cycle)
-	}
 	if cycle < lf.next {
 		return nil
 	}
 	lf.next = cycle - cycle%lf.stride + lf.stride
+	if lf.sampler != nil {
+		lf.sampler.sample(cycle)
+	}
 	if lf.observe != nil {
 		lf.observe(progressOf(sms, cycle))
 	}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestSaxpyTimedAllArchs(t *testing.T) {
 			prog, lc, mem, want := buildSaxpy(t, 1000)
 			cfg := DefaultConfig()
 			cfg.NumSMs = 2
-			res, err := Run(cfg, arch, prog, lc, mem)
+			res, err := RunContext(context.Background(), cfg, arch, prog, lc, mem)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +161,7 @@ JOIN:
 	mt, lct := build()
 	cfg := DefaultConfig()
 	cfg.NumSMs = 3
-	if _, err := Run(cfg, sm.GScalar(), prog, lct, mt); err != nil {
+	if _, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lct, mt); err != nil {
 		t.Fatal(err)
 	}
 	got := mt.ReadU32(lct.Params[0], n)

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,7 +57,7 @@ STORE:
 		cfg := DefaultConfig()
 		cfg.NumSMs = 4
 		cfg.MaxCycles = 200_000 // a hang shows up as exceeding this
-		res, err := Run(cfg, arch, prog, lc, mem)
+		res, err := RunContext(context.Background(), cfg, arch, prog, lc, mem)
 		if err != nil {
 			t.Fatalf("arch %+v: %v", arch, err)
 		}
@@ -102,7 +103,7 @@ LOOP:
 	cfg.WarpSize = 64
 	cfg.MaxWarpsPerSM = 24
 	cfg.MaxCycles = 500_000
-	if _, err := Run(cfg, sm.GScalar(), prog, lc, mem); err != nil {
+	if _, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -80,7 +81,7 @@ func runInvariant(t *testing.T, src string, arch sm.Arch) Result {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 2
 	cfg.MaxCycles = 2_000_000
-	res, err := Run(cfg, arch, prog, lc, mem)
+	res, err := RunContext(context.Background(), cfg, arch, prog, lc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}

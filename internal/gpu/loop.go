@@ -109,7 +109,7 @@ func runChip(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program
 	// Final counter gauges register on the caller's meter; mid-run energy
 	// samples sum the live per-SM meters plus the caller's, which carries
 	// earlier launches of a sequence.
-	tel := bindTelemetry(cfg, c.sms, append(meters, meter), meter, msys, mode, workers)
+	tel := bindTelemetry(cfg, c.sms, append(meters, meter), meter, msys)
 	lf := newLifecycle(ctx, cfg, tel)
 
 	var pool *workerPool

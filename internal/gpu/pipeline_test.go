@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"gscalar/internal/asm"
@@ -23,7 +24,7 @@ func runSrc(t *testing.T, arch sm.Arch, src string, setup func(m *kernel.Memory,
 	cfg := DefaultConfig()
 	cfg.NumSMs = 2
 	cfg.MaxCycles = 2_000_000
-	res, err := Run(cfg, arch, prog, lc, mem)
+	res, err := RunContext(context.Background(), cfg, arch, prog, lc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestTimedBarrier(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 3
 	cfg.MaxCycles = 2_000_000
-	if _, err := Run(cfg, sm.GScalar(), prog, lc, mem); err != nil {
+	if _, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem); err != nil {
 		t.Fatal(err)
 	}
 	got := mem.ReadU32(out, 8*128)
@@ -276,7 +277,7 @@ func TestManyCTAsOnOneSM(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
 	cfg.MaxCycles = 5_000_000
-	if _, err := Run(cfg, sm.GScalar(), prog, lc, mem); err != nil {
+	if _, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem); err != nil {
 		t.Fatal(err)
 	}
 	got := mem.ReadU32(out, ctas*64)

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestRelaxedFunctionalCorrectness(t *testing.T) {
 		cfg.MaxCycles = 5_000_000
 		cfg.Workers = 2
 		cfg.EpochCycles = 64
-		if _, err := Run(cfg, sm.GScalar(), prog, lT, mT); err != nil {
+		if _, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lT, mT); err != nil {
 			t.Fatalf("trial %d relaxed: %v\n%s", trial, err, src)
 		}
 		got := mT.ReadU32(lT.Params[0], threads*4)
@@ -86,7 +87,7 @@ func relaxedRun(t *testing.T, src string, workers, epochCycles int) (Result, []u
 	cfg.MaxCycles = 5_000_000
 	cfg.Workers = workers
 	cfg.EpochCycles = epochCycles
-	r, err := Run(cfg, sm.GScalar(), prog, l, m)
+	r, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, l, m)
 	if err != nil {
 		t.Fatalf("run (workers=%d, epoch=%d): %v", workers, epochCycles, err)
 	}
@@ -216,7 +217,7 @@ func TestRelaxedMaxCyclesAtEpochStart(t *testing.T) {
 		cfg.NumSMs = 1
 		cfg.MaxCycles = 200
 		cfg.EpochCycles = epochCycles
-		_, err := Run(cfg, sm.GScalar(), prog, lc, mem)
+		_, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem)
 		return err
 	}
 	const want = "gpu: exceeded 200 cycles (deadlock or runaway kernel)"

@@ -16,7 +16,6 @@ type chipSampler struct {
 	rec    *telemetry.Recorder
 	sms    []*sm.SM
 	meters []*power.Meter // live meters: per-SM ones (none when serial), then the caller's
-	stride uint64         // resolved sampling stride in simulated cycles
 }
 
 // bindTelemetry wires cfg.Telemetry (when set) to a freshly built launch:
@@ -24,46 +23,26 @@ type chipSampler struct {
 // and returns the sampler the lifecycle drives. Returns nil when telemetry
 // is disabled. finalMeter is the meter Finish will run on (the caller's
 // cumulative meter); liveMeters are the ones energy accumulates into during
-// the launch, for mid-run samples. mode and workers record the chip loop
-// that is about to run and its resolved worker count, so exported metrics
-// state what actually executed.
-func bindTelemetry(cfg Config, sms []*sm.SM, liveMeters []*power.Meter, finalMeter *power.Meter, msys *mem.System, mode string, workers int) *chipSampler {
+// the launch, for mid-run samples.
+func bindTelemetry(cfg Config, sms []*sm.SM, liveMeters []*power.Meter, finalMeter *power.Meter, msys *mem.System) *chipSampler {
 	rec := cfg.Telemetry
 	if rec == nil {
 		return nil
 	}
-	stride := rec.RequestedStride()
-	if stride == 0 {
-		stride = cfg.ObserverStride
-	}
-	if stride == 0 {
-		stride = DefaultLifecycleStride
-	}
-	rfClasses := make([]string, core.NumAccessClasses)
-	for c := core.AccessClass(0); c < core.NumAccessClasses; c++ {
-		rfClasses[c] = c.String()
-	}
-	rec.BeginLaunch(telemetry.Meta{
-		ClockHz:          cfg.CoreClockHz,
-		SampleStride:     stride,
-		NumSMs:           len(sms),
-		EnergyComponents: power.ComponentNames(),
-		RFAccessClasses:  rfClasses,
-		ExecMode:         mode,
-		Workers:          workers,
-	})
+	rec.BeginLaunch()
 	reg := rec.Registry()
 	for _, s := range sms {
 		s.RegisterTelemetry(reg)
 	}
 	msys.RegisterTelemetry(reg)
 	finalMeter.RegisterTelemetry(reg, telemetry.InstanceChip)
-	return &chipSampler{rec: rec, sms: sms, meters: liveMeters, stride: stride}
+	return &chipSampler{rec: rec, sms: sms, meters: liveMeters}
 }
 
 // sample records one time-series point at the given launch-local cycle. A
 // cycle already sampled (a final sample landing on a checkpoint cycle) is
-// skipped by the recorder.
+// skipped by the recorder. IPC divides this launch's instructions by the
+// sequence-global cycle.
 func (cs *chipSampler) sample(cycle uint64) {
 	sp := cs.rec.NewSample(cycle)
 	if sp == nil {
@@ -90,4 +69,7 @@ func (cs *chipSampler) sample(cycle uint64) {
 	}
 	sp.EnergyPJ = energy
 	sp.RFReads = rf
+	if sp.Cycle > 0 {
+		sp.IPC = float64(sp.WarpInsts) / float64(sp.Cycle)
+	}
 }

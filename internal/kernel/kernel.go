@@ -51,8 +51,8 @@ func (p *Program) Meta(pc int) *InstMeta { return &p.meta[pc] }
 // BuildMeta populates the per-PC metadata cache. It is idempotent, and NOT
 // safe to call concurrently with itself or with simulation: callers that
 // share one Program across goroutines (the chip loop's worker pool, the
-// experiment fan-out) must build the cache first, which the assembler and gpu.Run both
-// do before any worker starts.
+// experiment fan-out) must build the cache first, which the assembler and
+// sm.New both do before any worker starts.
 func (p *Program) BuildMeta() {
 	if len(p.meta) == len(p.Code) && p.meta != nil {
 		return

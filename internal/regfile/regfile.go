@@ -159,8 +159,11 @@ func BaselineWriteArrays(active, live warp.Mask, warpSize int) int {
 }
 
 // BDIReadAccess composes a Warped-Compression (BDI) register read: arrays
-// proportional to the compressed footprint, plus the BDI unpacker energy
-// (booked by the caller as codec energy).
+// proportional to the compressed footprint, plus the BDI unpacker energy.
+// Both are in ArrayPJ, which the SM books as RF array energy
+// (power.CompRFArray), while a BDI write books its BDICodecUse as codec
+// energy (power.CompCodec). Figure 12's RF total is the same either way,
+// but the per-component split puts the read-side unpacker in the arrays.
 func BDIReadAccess(reg uint8, warpGlobalID, banks, compressedBytes int, en power.Energies) Access {
 	arrays := (compressedBytes + 15) / 16
 	return Access{

@@ -23,11 +23,12 @@ const InstanceChip = -1
 
 // CounterValue is one finalized metric value: a name plus an instance
 // discriminator (an SM id, a DRAM channel id, …; InstanceChip for
-// chip-level metrics).
+// chip-level metrics). The JSON tags are part of the exported telemetry
+// format (gscalar.CounterValue is this type).
 type CounterValue struct {
-	Name     string
-	Instance int
-	Value    float64
+	Name     string  `json:"name"`
+	Instance int     `json:"instance"`
+	Value    float64 `json:"value"`
 }
 
 type counterEntry struct {
@@ -65,34 +66,25 @@ func (r *Registry) Gauge(name string, instance int, f func() float64) {
 	r.gauges = append(r.gauges, gaugeEntry{name, instance, f})
 }
 
-// Meta describes how a recorder's series was collected.
-type Meta struct {
-	ClockHz          float64  // core clock used to convert cycles to time
-	SampleStride     uint64   // resolved simulated-cycle spacing of samples
-	NumSMs           int      // SM count (length of Sample.PerSM)
-	EnergyComponents []string // names indexing Sample.EnergyPJ
-	RFAccessClasses  []string // names indexing Sample.RFReads
-	ExecMode         string   // chip loop that ran: serial, phased, or relaxed
-	Workers          int      // resolved compute-worker count of that loop
-}
-
 // SMSample is one SM's slice of a time-series sample.
 type SMSample struct {
-	Retired   uint64 // warp instructions committed by this SM so far
-	LiveWarps int    // resident, unfinished warps
+	Retired   uint64 `json:"retired"`    // warp instructions committed by this SM so far
+	LiveWarps int    `json:"live_warps"` // resident, unfinished warps
 }
 
 // Sample is one chip-wide time-series snapshot, taken at a lifecycle
 // checkpoint. Cycle is sequence-global (launches of a sequence keep
 // counting); the per-launch counters (WarpInsts, PerSM[i].Retired) restart
-// with each launch's fresh SMs.
+// with each launch's fresh SMs. The JSON tags are part of the exported
+// telemetry format (gscalar.Sample is this type).
 type Sample struct {
-	Cycle     uint64
-	WarpInsts uint64 // warp instructions committed chip-wide this launch
-	LiveSMs   int
-	PerSM     []SMSample
-	EnergyPJ  []float64 // per-component energy so far, indexed by Meta.EnergyComponents
-	RFReads   []uint64  // RF reads by access class, indexed by Meta.RFAccessClasses
+	Cycle     uint64     `json:"cycle"`
+	WarpInsts uint64     `json:"warp_insts"` // warp instructions committed chip-wide this launch
+	IPC       float64    `json:"ipc"`        // WarpInsts / Cycle (0 at cycle 0)
+	LiveSMs   int        `json:"live_sms"`
+	PerSM     []SMSample `json:"per_sm"`
+	EnergyPJ  []float64  `json:"energy_pj"` // per-component energy so far, indexed by power.Component
+	RFReads   []uint64   `json:"rf_reads"`  // RF reads by access class, indexed by core.AccessClass
 }
 
 type metricKey struct {
@@ -105,44 +97,26 @@ type metricKey struct {
 // safe for concurrent use; the chip loops drive it from the simulation
 // goroutine only, at commit boundaries.
 type Recorder struct {
-	requested uint64 // sample stride asked for; 0 = ride the lifecycle stride
-	meta      Meta
-	reg       Registry
-	samples   []Sample
-	base      uint64 // cycle offset of the current launch within a sequence
-	finals    map[metricKey]float64
+	reg     Registry
+	samples []Sample
+	base    uint64 // cycle offset of the current launch within a sequence
+	finals  map[metricKey]float64
 }
 
-// NewRecorder creates a recorder. requestedStride is the simulated-cycle
-// spacing between series samples; 0 means sample at the run's lifecycle
-// checkpoint stride.
-func NewRecorder(requestedStride uint64) *Recorder {
-	return &Recorder{
-		requested: requestedStride,
-		finals:    make(map[metricKey]float64),
-	}
+// NewRecorder creates a recorder. Its series is sampled at the run's
+// lifecycle checkpoints.
+func NewRecorder() *Recorder {
+	return &Recorder{finals: make(map[metricKey]float64)}
 }
-
-// RequestedStride returns the stride NewRecorder was asked for (0 = follow
-// the lifecycle stride).
-func (r *Recorder) RequestedStride() uint64 { return r.requested }
-
-// Meta returns the collection metadata of the (last) launch.
-func (r *Recorder) Meta() Meta { return r.meta }
 
 // Registry returns the registry layers register into for the current launch.
 func (r *Recorder) Registry() *Registry { return &r.reg }
 
 // BeginLaunch starts a new launch: the previous launch's registrations are
-// folded into the final values (counters add, gauges overwrite) and cleared,
-// and meta is recorded. The chip loop calls this once per launch before
-// constructing SMs.
-func (r *Recorder) BeginLaunch(meta Meta) {
-	r.fold()
-	r.reg.counters = r.reg.counters[:0]
-	r.reg.gauges = r.reg.gauges[:0]
-	r.meta = meta
-}
+// folded into the final values (counters add, gauges overwrite) and
+// cleared. The chip loop calls this once per launch, after constructing
+// its SMs and before they register.
+func (r *Recorder) BeginLaunch() { r.fold() }
 
 // SetCycleBase sets the sequence-global cycle offset of the current launch,
 // so series samples of later launches continue the cycle axis instead of
@@ -167,12 +141,10 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 // Finalize folds the last launch's registrations into the final values. The
 // run entry points call it once, after power finalization, so gauges over
 // the power meter capture static energy too.
-func (r *Recorder) Finalize() {
-	r.fold()
-	r.reg.counters = r.reg.counters[:0]
-	r.reg.gauges = r.reg.gauges[:0]
-}
+func (r *Recorder) Finalize() { r.fold() }
 
+// fold adds the current registrations into the final values and clears
+// them.
 func (r *Recorder) fold() {
 	for _, c := range r.reg.counters {
 		k := metricKey{c.name, c.inst}
@@ -182,11 +154,17 @@ func (r *Recorder) fold() {
 		k := metricKey{g.name, g.inst}
 		r.finals[k] = g.f()
 	}
+	r.reg.counters = r.reg.counters[:0]
+	r.reg.gauges = r.reg.gauges[:0]
 }
 
 // Finals returns every finalized metric, sorted by name then instance, so
-// exports are deterministic.
+// exports are deterministic. It returns nil when nothing was registered (a
+// run cut before its first launch began).
 func (r *Recorder) Finals() []CounterValue {
+	if len(r.finals) == 0 {
+		return nil
+	}
 	out := make([]CounterValue, 0, len(r.finals))
 	for k, v := range r.finals {
 		out = append(out, CounterValue{Name: k.name, Instance: k.inst, Value: v})

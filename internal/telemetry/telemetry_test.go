@@ -10,17 +10,17 @@ import (
 // last-wins (a cumulative power meter registered by every launch must report
 // the end-of-run reading, not a sum of cumulative readings).
 func TestCounterFoldAcrossLaunches(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 
 	// Launch 1: fresh per-launch counter state.
-	r.BeginLaunch(Meta{NumSMs: 1})
+	r.BeginLaunch()
 	c1 := uint64(10)
 	g1 := 3.5
 	r.Registry().Counter("sm.warp_insts", 0, &c1)
 	r.Registry().Gauge("power.total_pj", InstanceChip, func() float64 { return g1 })
 
 	// Launch 2: the previous launch folds; new registrations take over.
-	r.BeginLaunch(Meta{NumSMs: 1})
+	r.BeginLaunch()
 	c2 := uint64(32)
 	g2 := 9.25
 	r.Registry().Counter("sm.warp_insts", 0, &c2)
@@ -41,8 +41,8 @@ func TestCounterFoldAcrossLaunches(t *testing.T) {
 // its pointer at fold time, not at registration time — the owner keeps
 // incrementing the field for the whole launch.
 func TestFinalizeReadsLateMutations(t *testing.T) {
-	r := NewRecorder(0)
-	r.BeginLaunch(Meta{})
+	r := NewRecorder()
+	r.BeginLaunch()
 	v := uint64(0)
 	r.Registry().Counter("sm.thread_insts", 2, &v)
 	v = 1 << 40 // simulated work after registration
@@ -57,11 +57,8 @@ func TestFinalizeReadsLateMutations(t *testing.T) {
 // checkpoint sample is dropped, and that SetCycleBase keeps the cycle axis
 // sequence-global.
 func TestNewSampleDedupe(t *testing.T) {
-	r := NewRecorder(256)
-	if r.RequestedStride() != 256 {
-		t.Fatalf("RequestedStride() = %d, want 256", r.RequestedStride())
-	}
-	r.BeginLaunch(Meta{})
+	r := NewRecorder()
+	r.BeginLaunch()
 	if s := r.NewSample(100); s == nil {
 		t.Fatal("first sample at cycle 100 rejected")
 	}
@@ -91,8 +88,8 @@ func TestNewSampleDedupe(t *testing.T) {
 // TestFinalsSorted checks the deterministic export order: by name, then by
 // instance.
 func TestFinalsSorted(t *testing.T) {
-	r := NewRecorder(0)
-	r.BeginLaunch(Meta{})
+	r := NewRecorder()
+	r.BeginLaunch()
 	vs := make([]uint64, 4)
 	r.Registry().Counter("b.metric", 1, &vs[0])
 	r.Registry().Counter("b.metric", 0, &vs[1])
@@ -110,5 +107,16 @@ func TestFinalsSorted(t *testing.T) {
 	}
 	if !reflect.DeepEqual(order, want) {
 		t.Errorf("Finals order = %v, want %v", order, want)
+	}
+}
+
+// TestFinalsEmptyIsNil checks that a recorder with no registrations (a run
+// cut before its first launch) reports nil, which exports as "counters":
+// null.
+func TestFinalsEmptyIsNil(t *testing.T) {
+	r := NewRecorder()
+	r.Finalize()
+	if got := r.Finals(); got != nil {
+		t.Errorf("Finals() = %#v, want nil", got)
 	}
 }

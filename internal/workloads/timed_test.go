@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func TestAllWorkloadsTimed(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			res, err := gpu.Run(cfg, sm.GScalar(), inst.Prog, inst.Launch, inst.Mem)
+			res, err := gpu.RunContext(context.Background(), cfg, sm.GScalar(), inst.Prog, inst.Launch, inst.Mem)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,14 +12,12 @@ import (
 	"gscalar/internal/workloads"
 )
 
-// Progress is the point-in-time snapshot passed to a Session's Observer.
-// The JSON tags are a stable serialization contract: the sweep server's
-// job-status endpoint streams these snapshots to clients.
-type Progress struct {
-	Cycle     uint64 `json:"cycle"`      // current simulated cycle
-	WarpInsts uint64 `json:"warp_insts"` // warp instructions committed chip-wide so far
-	LiveSMs   int    `json:"live_sms"`   // SMs that still have resident work
-}
+// Progress is the point-in-time snapshot passed to a Session's Observer:
+// the current simulated cycle, the warp instructions committed chip-wide
+// so far, and the SMs that still have resident work. The JSON tags are a
+// stable serialization contract: the sweep server's job-status endpoint
+// streams these snapshots to clients.
+type Progress = gpu.Progress
 
 // Session is a validated run context: one (Config, Arch) pair whose
 // invariants were checked once at construction, plus the lifecycle hooks —
@@ -42,13 +40,14 @@ type Session struct {
 	// for long or mutate simulator state; observing a run never changes its
 	// result. Set it before the first run.
 	Observer func(Progress)
-	// ObserverStride is the simulated-cycle spacing of lifecycle checkpoints
-	// (observer calls and cancellation checks). 0 means the gpu package's
-	// DefaultLifecycleStride. Checkpoints land at deterministic simulated
-	// cycles, which is what makes observer-triggered cancellation cut a run
-	// at the same cycle on every execution. The serial and phased schedules
-	// checkpoint exactly on multiples of the stride; the relaxed schedule
-	// checkpoints at the end of the epoch that reaches a multiple.
+	// ObserverStride is the simulated-cycle spacing of lifecycle
+	// checkpoints: observer calls, telemetry samples and cancellation
+	// checks. 0 means the gpu package's DefaultLifecycleStride (4096).
+	// Checkpoints land at deterministic simulated cycles, which is what
+	// makes the telemetry series and observer-triggered cancellation the
+	// same on every execution. The serial and phased schedules checkpoint
+	// exactly on multiples of the stride; the relaxed schedule checkpoints
+	// at the end of the epoch that reaches a multiple.
 	ObserverStride uint64
 	// Telemetry configures per-run metric collection; the most recent run's
 	// data is returned by Metrics. Like Observer it lives off-Config, so
@@ -104,26 +103,19 @@ func (s *Session) Metrics() *Metrics { return s.metrics }
 // lower produces the internal chip config with the session's lifecycle
 // hooks attached. The observer and telemetry recorder live here — not on
 // Config — so Config stays a plain serializable value (JSON round-trip,
-// content hash). The returned recorder is nil when telemetry is disabled.
-func (s *Session) lower() (gpu.Config, *telemetry.Recorder) {
-	g := gpu.Config{Config: sm.Config(s.cfg)}
-	if s.Observer != nil {
-		obs := s.Observer
-		g.Observer = func(p gpu.Progress) { obs(Progress(p)) }
-	}
-	g.ObserverStride = s.ObserverStride
-	var rec *telemetry.Recorder
+// content hash). Its Telemetry recorder is nil when telemetry is disabled.
+func (s *Session) lower() gpu.Config {
+	g := gpu.Config{Config: sm.Config(s.cfg), Observer: s.Observer, ObserverStride: s.ObserverStride}
 	if s.Telemetry.Enabled {
-		rec = telemetry.NewRecorder(s.Telemetry.SampleStride)
-		g.Telemetry = rec
+		g.Telemetry = telemetry.NewRecorder()
 	}
-	return g, rec
+	return g
 }
 
 // finishMetrics publishes a completed (or cancelled) run's telemetry.
-func (s *Session) finishMetrics(rec *telemetry.Recorder, workload string) {
+func (s *Session) finishMetrics(rec *telemetry.Recorder, workload string, r gpu.Result) {
 	if rec != nil {
-		s.metrics = newMetrics(rec, s, workload)
+		s.metrics = newMetrics(rec, s, workload, r)
 	}
 }
 
@@ -207,9 +199,9 @@ func (s *Session) runInstance(ctx context.Context, label string, scale int, inst
 			WarpSize:   s.cfg.WarpSize,
 		}, inst.Prog, inst.Launch, inst.Mem)
 	}
-	g, rec := s.lower()
+	g := s.lower()
 	r, err := gpu.RunContext(ctx, g, s.arch.model(), inst.Prog, inst.Launch, inst.Mem)
-	s.finishMetrics(rec, label)
+	s.finishMetrics(g.Telemetry, label, r)
 	if cap != nil && err == nil {
 		err = cap.WriteFile(s.Capture.Path)
 	}
@@ -233,9 +225,9 @@ func (s *Session) RunSequence(ctx context.Context, mem *Memory, seq []KernelLaun
 		}
 		steps = append(steps, gpu.Step{Prog: kl.Prog.p, Launch: lc})
 	}
-	g, rec := s.lower()
+	g := s.lower()
 	r, err := gpu.RunSequenceContext(ctx, g, s.arch.model(), mem.m, steps)
-	s.finishMetrics(rec, "sequence")
+	s.finishMetrics(g.Telemetry, "sequence", r)
 	return resultFrom(r), s.wrapErr("sequence", err)
 }
 

@@ -1,6 +1,7 @@
 package gscalar_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -22,7 +23,10 @@ const stallGoldenPath = "testdata/stall_golden.json"
 // issue-stall counters and of the LSU energy, which is where a mistake in
 // the SM's parked-entry bookkeeping would show, and of the L1 misses, the
 // L2 accesses and the accesses merged into an in-flight L1 fill, which is
-// where a mistake in fill tracking would show.
+// where a mistake in fill tracking would show. The digests of the three
+// telemetry exports pin the absolute content of a real run's counters and
+// series, which the exporter goldens (a hand-built fixture) and tracedet
+// (replay against live) do not.
 type stallGoldenPoint struct {
 	Key             string  `json:"key"`
 	Cycles          uint64  `json:"cycles"`
@@ -35,6 +39,9 @@ type stallGoldenPoint struct {
 	L1Misses        float64 `json:"sm.l1_misses"`
 	L2Accesses      float64 `json:"sm.l2_accesses"`
 	ResultSHA256    string  `json:"result_sha256"`
+	MetricsJSON     string  `json:"metrics_json_sha256"`
+	MetricsCSV      string  `json:"metrics_csv_sha256"`
+	MetricsTrace    string  `json:"metrics_trace_sha256"`
 }
 
 // stallGoldenSchedules are the chip-loop schedules each point runs under.
@@ -72,6 +79,9 @@ func runStallGoldenPoint(t *testing.T, spec string, arch gscalar.Arch, workers, 
 		t.Fatal(err)
 	}
 	s.Telemetry.Enabled = true
+	// A checkpoint every 1000 cycles: relaxed epochs of 256 cycles cross
+	// the marks, so the series pins where a crossing epoch samples.
+	s.ObserverStride = 1000
 	res, err := s.RunWorkload(context.Background(), spec, 1)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", spec, arch, err)
@@ -80,13 +90,27 @@ func runStallGoldenPoint(t *testing.T, spec string, arch gscalar.Arch, workers, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(blob)
+	m := s.Metrics()
+	mjson, err := m.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv, trace bytes.Buffer
+	if err := m.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
 	p := stallGoldenPoint{
 		Cycles:       res.Cycles,
 		WarpInsts:    res.WarpInsts,
-		ResultSHA256: hex.EncodeToString(sum[:]),
+		ResultSHA256: sha256Hex(blob),
+		MetricsJSON:  sha256Hex(mjson),
+		MetricsCSV:   sha256Hex(csv.Bytes()),
+		MetricsTrace: sha256Hex(trace.Bytes()),
 	}
-	for _, c := range s.Metrics().Counters {
+	for _, c := range m.Counters {
 		switch c.Name {
 		case "sm.stall_unit":
 			p.StallUnit += c.Value
@@ -107,9 +131,14 @@ func runStallGoldenPoint(t *testing.T, spec string, arch gscalar.Arch, workers, 
 	return p
 }
 
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestStallAccountingGolden pins memory-stalled and unit-bound runs under
 // every schedule: cycles, instructions, the issue-stall counters, LSU
-// energy and the Result bytes. A change to how the SM waits on busy units, full MSHR files
+// energy, the Result bytes and the exported telemetry. A change to how the SM waits on busy units, full MSHR files
 // or a full collector set must leave every one of them unchanged.
 // Regenerate with `go test -run TestStallAccountingGolden
 // -update-stall-golden .` only for a deliberate change to the model.

@@ -7,6 +7,9 @@ import (
 	"io"
 	"strconv"
 
+	"gscalar/internal/core"
+	"gscalar/internal/gpu"
+	"gscalar/internal/power"
 	"gscalar/internal/telemetry"
 )
 
@@ -18,40 +21,27 @@ import (
 type TelemetryOptions struct {
 	// Enabled turns on counter registration and time-series sampling for
 	// every run started from the session; the collected data of the most
-	// recent run is available from Session.Metrics.
+	// recent run is available from Session.Metrics. The series is sampled
+	// at the session's lifecycle checkpoints (ObserverStride).
 	Enabled bool
-	// SampleStride is the simulated-cycle spacing between time-series
-	// samples. 0 rides the session's lifecycle checkpoint stride
-	// (ObserverStride, or the gpu package default of 4096 cycles).
-	SampleStride uint64
 }
 
 // CounterValue is one finalized metric: a name plus an instance
 // discriminator (an SM id or DRAM channel id; -1 for chip-level metrics).
-type CounterValue struct {
-	Name     string  `json:"name"`
-	Instance int     `json:"instance"`
-	Value    float64 `json:"value"`
-}
+type CounterValue = telemetry.CounterValue
 
-// SMSample is one SM's slice of a time-series sample.
-type SMSample struct {
-	Retired   uint64 `json:"retired"`    // warp instructions committed so far
-	LiveWarps int    `json:"live_warps"` // resident, unfinished warps
-}
+// SMSample is one SM's slice of a time-series sample: the warp
+// instructions it committed so far (Retired) and its resident, unfinished
+// warps (LiveWarps).
+type SMSample = telemetry.SMSample
 
-// Sample is one chip-wide time-series snapshot.
-type Sample struct {
-	Cycle     uint64     `json:"cycle"`
-	WarpInsts uint64     `json:"warp_insts"` // committed chip-wide this launch
-	IPC       float64    `json:"ipc"`        // cumulative chip IPC at this sample
-	LiveSMs   int        `json:"live_sms"`
-	PerSM     []SMSample `json:"per_sm"`
-	EnergyPJ  []float64  `json:"energy_pj"` // indexed by Series.EnergyComponents
-	RFReads   []uint64   `json:"rf_reads"`  // indexed by Series.RFAccessClasses
-}
+// Sample is one chip-wide time-series snapshot, taken at a lifecycle
+// checkpoint. EnergyPJ is indexed by Series.EnergyComponents and RFReads by
+// Series.RFAccessClasses; IPC is the cumulative chip IPC at the sample.
+type Sample = telemetry.Sample
 
-// Series is the sampled time series of one run.
+// Series is the sampled time series of one run. SampleStride is the
+// session's lifecycle checkpoint stride, at which the samples were taken.
 type Series struct {
 	SampleStride     uint64   `json:"sample_stride"`
 	EnergyComponents []string `json:"energy_components"`
@@ -74,43 +64,34 @@ type Metrics struct {
 	Series     Series         `json:"series"`
 }
 
-// newMetrics converts a finalized internal recorder into the public type.
-func newMetrics(rec *telemetry.Recorder, s *Session, workload string) *Metrics {
-	meta := rec.Meta()
-	m := &Metrics{
+// newMetrics publishes a finalized internal recorder with the context
+// needed to read it: the session's config and the run's Result say what
+// ran.
+func newMetrics(rec *telemetry.Recorder, s *Session, workload string, r gpu.Result) *Metrics {
+	stride := s.ObserverStride
+	if stride == 0 {
+		stride = gpu.DefaultLifecycleStride
+	}
+	rfClasses := make([]string, core.NumAccessClasses)
+	for c := range rfClasses {
+		rfClasses[c] = core.AccessClass(c).String()
+	}
+	return &Metrics{
 		Workload:   workload,
 		Arch:       s.arch.String(),
 		ConfigHash: s.cfg.Hash(),
-		ClockHz:    meta.ClockHz,
-		NumSMs:     meta.NumSMs,
-		ExecMode:   meta.ExecMode,
-		Workers:    meta.Workers,
+		ClockHz:    s.cfg.CoreClockHz,
+		NumSMs:     s.cfg.NumSMs,
+		ExecMode:   r.ExecMode,
+		Workers:    r.Workers,
+		Counters:   rec.Finals(),
 		Series: Series{
-			SampleStride:     meta.SampleStride,
-			EnergyComponents: meta.EnergyComponents,
-			RFAccessClasses:  meta.RFAccessClasses,
+			SampleStride:     stride,
+			EnergyComponents: power.ComponentNames(),
+			RFAccessClasses:  rfClasses,
+			Samples:          rec.Samples(),
 		},
 	}
-	for _, c := range rec.Finals() {
-		m.Counters = append(m.Counters, CounterValue(c))
-	}
-	for _, sp := range rec.Samples() {
-		out := Sample{
-			Cycle:     sp.Cycle,
-			WarpInsts: sp.WarpInsts,
-			LiveSMs:   sp.LiveSMs,
-			EnergyPJ:  sp.EnergyPJ,
-			RFReads:   sp.RFReads,
-		}
-		if sp.Cycle > 0 {
-			out.IPC = float64(sp.WarpInsts) / float64(sp.Cycle)
-		}
-		for _, ps := range sp.PerSM {
-			out.PerSM = append(out.PerSM, SMSample(ps))
-		}
-		m.Series.Samples = append(m.Series.Samples, out)
-	}
-	return m
 }
 
 // MetricsSet bundles the telemetry of several runs (e.g. gscalar-sim -all)

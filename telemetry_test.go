@@ -179,7 +179,8 @@ func TestTelemetrySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Telemetry = gscalar.TelemetryOptions{Enabled: true, SampleStride: 64}
+	s.Telemetry.Enabled = true
+	s.ObserverStride = 64
 	res, err := s.RunWorkload(context.Background(), "HS", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +198,10 @@ func TestTelemetrySmoke(t *testing.T) {
 	}
 	if m.Series.SampleStride != 64 {
 		t.Errorf("SampleStride = %d, want 64", m.Series.SampleStride)
+	}
+	if m.ClockHz != cfg.CoreClockHz || m.ExecMode != res.ExecMode || m.Workers != res.ResolvedWorkers {
+		t.Errorf("metrics (clock, mode, workers) = (%g, %q, %d), want (%g, %q, %d)",
+			m.ClockHz, m.ExecMode, m.Workers, cfg.CoreClockHz, res.ExecMode, res.ResolvedWorkers)
 	}
 
 	// The per-SM warp_insts counters must sum exactly to the Result's total.
@@ -240,6 +245,13 @@ func TestTelemetrySmoke(t *testing.T) {
 				i, m.Series.Samples[i-1].Cycle, m.Series.Samples[i].Cycle)
 		}
 	}
+	// Samples ride the checkpoint grid: every one but the final sample lands
+	// on a multiple of the stride.
+	for _, sp := range m.Series.Samples[:n-1] {
+		if sp.Cycle%64 != 0 {
+			t.Errorf("sample at cycle %d is off the stride-64 checkpoint grid", sp.Cycle)
+		}
+	}
 
 	// All three exporters must succeed on real data.
 	var buf bytes.Buffer
@@ -278,7 +290,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Telemetry = gscalar.TelemetryOptions{Enabled: true, SampleStride: 128}
+		s.Telemetry.Enabled = true
+		s.ObserverStride = 128
 		instrumented, err := s.RunWorkload(context.Background(), "HS", 1)
 		if err != nil {
 			t.Fatal(err)
@@ -320,7 +333,8 @@ func TestTelemetrySequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Telemetry = gscalar.TelemetryOptions{Enabled: true, SampleStride: 16}
+	s.Telemetry.Enabled = true
+	s.ObserverStride = 16
 	res, err := s.RunSequence(context.Background(), mem, seq)
 	if err != nil {
 		t.Fatal(err)
