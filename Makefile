@@ -4,8 +4,9 @@
 # config-validation / launch-validation / cancellation-determinism suites
 # (fast, and the properties the run-session lifecycle depends on), the
 # differential, trace, telemetry, generator, perf-smoke (which also runs
-# each Go benchmark once at its smallest size) and serving gates below, the
-# figure golden (expdet), the benchmark's result pins (pincheck), and a
+# each Go benchmark once at its smallest size), examples and serving gates
+# below, the figure golden (expdet), the benchmark's result pins
+# (pincheck), and a
 # race-detector pass over the
 # packages that run goroutines (the chip loop's worker pool and the
 # experiment prewarm fan-out). The race pass uses -short because the
@@ -14,9 +15,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet pincheck fmt fmtcheck profile
+.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke examples serve expdet pincheck fmt fmtcheck profile
 
-check: fmtcheck build test vet perfbench valcancel relaxdet tracedet telemetry gendet perfsmoke serve expdet pincheck race
+check: fmtcheck build test vet perfbench valcancel relaxdet tracedet telemetry gendet perfsmoke examples serve expdet pincheck race
 
 build:
 	$(GO) build ./...
@@ -94,7 +95,7 @@ serve:
 # prewarmed on 2 workers) must print experiments_output.txt byte for byte,
 # less the file's EXIT=0 trailer. Every simulated number of every figure
 # passes through the point memo, so this guards the memo as well as the
-# simulator. About 35 s on a 2-vCPU host.
+# simulator. About 13 s on a 2-vCPU host with a warm build cache.
 expdet:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/gscalar-experiments -exp all -parallel 2 > "$$tmp/out" && \
@@ -138,6 +139,14 @@ perfsmoke:
 	$(GO) test -short -run 'TestPerfSmoke' .
 	$(GO) test -run '^$$' -bench SMCycle -benchtime 1x ./internal/sm
 	$(GO) test -short -run '^$$' -bench Schedules -benchtime 1x .
+
+# Examples gate: run each program under examples/ once with its default
+# flags; a non-zero exit fails the gate. Their output is not compared. About
+# 3 s in total on a 2-vCPU host once the build cache is warm.
+examples:
+	@for e in examples/*/; do \
+		$(GO) run ./$$e > /dev/null || { echo "examples: $$e failed"; exit 1; }; \
+	done; echo "examples: every example ran"
 
 # End-to-end CPU/heap profiling via internal/hostprof: run the LBM stressor
 # under -cpuprofile/-memprofile and print the top-10 hot functions of each.

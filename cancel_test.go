@@ -91,21 +91,3 @@ func TestDeadlinePropagates(t *testing.T) {
 		t.Errorf("expired-deadline run simulated %d cycles", res.Cycles)
 	}
 }
-
-// TestCancelledSweep checks that cancellation propagates out of the
-// warp-size sweep with its point context attached.
-func TestCancelledSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s, err := gscalar.NewSession(gscalar.DefaultConfig(), gscalar.GScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.WarpSizeSweep(ctx, "HS", []int{32, 64}, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !strings.Contains(err.Error(), "warp-size sweep") {
-		t.Errorf("error %q lacks sweep context", err)
-	}
-}

@@ -16,17 +16,21 @@
 //	                    [-trace-out DIR] [-cpuprofile exp.pprof] [-memprofile exp.mprof]
 //
 // With -metrics-out (and/or -chrome-trace) every freshly simulated
-// (architecture, workload) point additionally writes its telemetry — final
-// counters plus the sampled time series, and a Perfetto-loadable Chrome
-// trace — into the given directory as <arch>_<workload> files. A point
-// answered from the point memo, or joined while another call simulated it,
-// produces no new telemetry and therefore no files.
+// (architecture, workload) point of the point memo additionally writes its
+// telemetry — final counters plus the sampled time series, and a
+// Perfetto-loadable Chrome trace — into the given directory as
+// <arch>_<workload> files. The memo points include the ALU-scalar and
+// G-Scalar points that the scalar-bank and scheduler ablations read. A
+// point answered from the memo, or joined while another call simulated it,
+// produces no new telemetry and therefore no files, and neither do the runs
+// outside the memo (the ablations' custom architectures, Figure 10's
+// warp-64 chip and the width sweep).
 //
-// -trace-out DIR captures every freshly simulated point's simulation input
-// as a replayable trace (<arch>_<workload>.gstr, written atomically on
-// success, under any schedule). A captured trace replays through gscalar-sim
-// -workload trace:<file> — or back through this command, since -bench
-// accepts trace:<path> and gen:<dials> specs alongside benchmark
+// -trace-out DIR captures every freshly simulated memo point's simulation
+// input as a replayable trace (<arch>_<workload>.gstr, written atomically
+// on success, under any schedule). A captured trace replays through
+// gscalar-sim -workload trace:<file> — or back through this command, since
+// -bench accepts trace:<path> and gen:<dials> specs alongside benchmark
 // abbreviations (a gen spec's own commas are kept with it).
 package main
 
@@ -146,7 +150,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		opts.Telemetry = gscalar.TelemetryOptions{Enabled: true}
 		opts.OnMetrics = sink.write
 		defer func() {
 			if err := sink.err(); err != nil {

@@ -42,17 +42,21 @@ func main() {
 			100*res.Eligibility.Total())
 	}
 
+	// Figure 10: widen the warps and keep the resident threads of Table 1.
 	fmt.Println("\nwarp-size sweep (16-thread checking granularity, Figure 10):")
-	gs, err := gscalar.NewSession(cfg, gscalar.GScalar)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sweep, err := gs.WarpSizeSweep(context.Background(), *bench, []int{32, 64}, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range sweep {
+	for _, ws := range []int{32, 64} {
+		c := cfg
+		c.MaxWarpsPerSM = cfg.MaxWarpsPerSM * cfg.WarpSize / ws
+		c.WarpSize = ws
+		s, err := gscalar.NewSession(c, gscalar.GScalar)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := s.RunWorkload(context.Background(), *bench, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  warp=%2d: half/quarter-scalar %.1f%%, total scalar-eligible %.1f%%\n",
-			pt.WarpSize, 100*pt.HalfFrac, 100*pt.TotalFrac)
+			ws, 100*res.Eligibility.Half, 100*res.Eligibility.Total())
 	}
 }

@@ -259,13 +259,13 @@ func resultFrom(r gpu.Result) Result {
 		total = 1
 	}
 	out := Result{
-		Cycles:      r.Cycles,
+		Cycles:      st.Cycles,
 		WarpInsts:   st.WarpInsts,
 		ThreadInsts: st.ThreadInsts,
-		IPC:         r.IPC,
+		IPC:         st.IPC(),
 		PowerW:      r.Power.AvgPowerW,
 		IPCPerW:     r.IPCPerW,
-		EnergyJ:     r.EnergyJ,
+		EnergyJ:     r.Power.EnergyJ,
 
 		ExecPowerShare: r.Power.ExecShare(),
 		RFPowerShare:   r.Power.RFShare(),

@@ -24,8 +24,11 @@ func (s *Suite) chip() gpu.Config {
 // runCustomArch runs one workload spec on the suite's chip under an
 // SM-level architecture the public Arch enum does not expose, and checks a
 // builtin's output against its golden model, as Session.RunWorkload does.
-// It does not memoize: a sweep never asks for one custom-architecture point
-// twice.
+// Three ablation columns need one: G-Scalar without half-warp support
+// (§4.3), with compiler-assisted move elision (§3.3), and under loose
+// round-robin scheduling. Every public-architecture point comes from the
+// memo instead. It does not memoize: a sweep never asks for one
+// custom-architecture point twice.
 func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
 	src, err := workloads.Resolve(spec)
 	if err != nil {
@@ -113,26 +116,39 @@ type ScalarBankRow struct {
 	ALUScalarIPC      float64 // vs baseline
 }
 
-// ScalarBankAblation measures the single-bank burst bottleneck.
+// ScalarBankAblation measures the single-bank burst bottleneck from the
+// ALU-scalar and G-Scalar memo points: their entries' counters give the
+// conflicts per kilo-instruction, and the Results the IPC.
 func (s *Suite) ScalarBankAblation() ([]ScalarBankRow, error) {
+	perKInst := func(arch gscalar.Arch, abbr string) (float64, error) {
+		c, err := s.r.counters(arch, abbr)
+		if err != nil {
+			return 0, err
+		}
+		return 1000 * c["sm.scalarbank_conflicts"] / c["sm.warp_insts"], nil
+	}
 	var rows []ScalarBankRow
 	for _, abbr := range s.r.o.Workloads {
 		base, err := s.r.run(gscalar.Baseline, abbr)
 		if err != nil {
 			return nil, err
 		}
-		alu, err := s.runCustomArch(abbr, sm.PriorScalarRF())
+		alu, err := s.r.run(gscalar.ALUScalar, abbr)
 		if err != nil {
 			return nil, err
 		}
-		gs, err := s.runCustomArch(abbr, sm.GScalar())
+		aluConflicts, err := perKInst(gscalar.ALUScalar, abbr)
+		if err != nil {
+			return nil, err
+		}
+		gsConflicts, err := perKInst(gscalar.GScalar, abbr)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ScalarBankRow{
 			Abbr:              abbr,
-			ConflictsPerKInst: 1000 * float64(alu.Stats.ScalarBankConflicts) / float64(alu.Stats.WarpInsts),
-			GScalarConflicts:  1000 * float64(gs.Stats.ScalarBankConflicts) / float64(gs.Stats.WarpInsts),
+			ConflictsPerKInst: aluConflicts,
+			GScalarConflicts:  gsConflicts,
 			ALUScalarIPC:      alu.IPC / base.IPC,
 		})
 	}

@@ -26,9 +26,10 @@ func captureTrace(t *testing.T, cfg gscalar.Config, abbr, path string) string {
 	return workloads.TracePrefix + path
 }
 
-// TestAblationsAcceptEveryWorkloadSpec runs every ablation on a generated
-// kernel and on a captured trace, the two spec kinds -bench accepts besides
-// builtin names. Each must yield one row per spec, as the figures do.
+// TestAblationsAcceptEveryWorkloadSpec runs every ablation, and Figure 10's
+// warp-64 runs, on a generated kernel and on a captured trace, the two spec
+// kinds -bench accepts besides builtin names. Each must yield one row per
+// spec, as the figures do.
 func TestAblationsAcceptEveryWorkloadSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -49,6 +50,7 @@ func TestAblationsAcceptEveryWorkloadSpec(t *testing.T) {
 		{"scalarbank", func() (int, error) { r, err := s.ScalarBankAblation(); return len(r), err }},
 		{"sched", func() (int, error) { r, err := s.SchedAblation(); return len(r), err }},
 		{"compiler", func() (int, error) { r, err := s.CompilerScalar(); return len(r), err }},
+		{"fig10", func() (int, error) { r, err := s.Fig10(); return len(r), err }},
 	}
 	for _, a := range ablations {
 		t.Run(a.name, func(t *testing.T) {
@@ -85,8 +87,8 @@ func TestCustomArchTraceRecaptured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Cycles == before.Cycles {
-		t.Errorf("re-captured trace replayed the old result (%d cycles)", after.Cycles)
+	if after.Stats.Cycles == before.Stats.Cycles {
+		t.Errorf("re-captured trace replayed the old result (%d cycles)", after.Stats.Cycles)
 	}
 }
 
@@ -119,9 +121,9 @@ func TestCustomArchRunsTheSuiteChip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if custom.Cycles != pub.Cycles || custom.EnergyJ != pub.EnergyJ {
+			if custom.Stats.Cycles != pub.Cycles || custom.Power.EnergyJ != pub.EnergyJ {
 				t.Errorf("runCustomArch: %d cycles, %g J; memo point: %d cycles, %g J",
-					custom.Cycles, custom.EnergyJ, pub.Cycles, pub.EnergyJ)
+					custom.Stats.Cycles, custom.Power.EnergyJ, pub.Cycles, pub.EnergyJ)
 			}
 		})
 	}

@@ -25,15 +25,12 @@ type Options struct {
 	Scale     int      // workload scale factor (1 = default)
 	Workloads []string // default: all of Table 2
 
-	// Telemetry enables per-run metric collection on every simulation the
-	// suite performs. It lives off-Config (like a Session's), so enabling it
-	// changes neither a point's key nor any figure's numbers.
-	Telemetry gscalar.TelemetryOptions
-	// OnMetrics, when non-nil and Telemetry.Enabled, receives the collected
-	// metrics of each freshly simulated (arch, workload) point. A point
-	// answered from the memo, or joined while another call simulated it,
-	// does not refire it (no new run produced telemetry). Under the parallel
-	// prewarm fan-out it is called concurrently and must be safe for that.
+	// OnMetrics, when non-nil, receives the telemetry of each freshly
+	// simulated (arch, workload) point: the metrics the memo entry keeps. A
+	// point answered from the memo, or joined while another call simulated
+	// it, does not refire it (no new run produced telemetry). Under the
+	// parallel prewarm fan-out it is called concurrently and must be safe
+	// for that.
 	OnMetrics func(arch gscalar.Arch, abbr string, m *gscalar.Metrics)
 	// CaptureDir, when non-empty, writes a replayable trace of every
 	// freshly simulated point to <CaptureDir>/<arch>_<workload>.gstr (each
@@ -66,8 +63,9 @@ var memo = store.NewMemory()
 // runner simulates the points of one option set through a point memo (by
 // default the shared one), so figures sharing runs do not re-simulate and
 // independent Suites over the same configuration reuse each other's runs.
-// It is safe for concurrent use, which is what the PrewarmContext fan-out
-// relies on.
+// Each entry keeps its run's Result and telemetry, so a figure that needs a
+// counter the Result does not carry reads it from the entry. It is safe for
+// concurrent use, which is what the PrewarmContext fan-out relies on.
 type runner struct {
 	ctx  context.Context
 	o    Options
@@ -78,18 +76,12 @@ func newRunner(ctx context.Context, o Options) *runner {
 	return &runner{ctx: ctx, o: o.defaults(), memo: memo}
 }
 
-func (r *runner) run(arch gscalar.Arch, abbr string) (gscalar.Result, error) {
-	return r.runCtx(r.ctx, arch, abbr)
-}
-
-// runCtx returns the Result of one point. The memo stores it as compact
-// JSON and every read decodes it; Go's float formatting round-trips
-// exactly, so a decoded Result equals the simulated one.
-func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gscalar.Result, error) {
-	// Do memoizes and deduplicates: if another goroutine — a PrewarmContext
-	// sibling, or another Suite over the same options — is already
-	// simulating this key, this call joins that run instead of repeating
-	// it, so each distinct point simulates at most once per process.
+// point returns the memo entry of one point, simulating it on a miss. Do
+// memoizes and deduplicates: if another goroutine — a PrewarmContext
+// sibling, or another Suite over the same options — is already simulating
+// this key, this call joins that run instead of repeating it, so each
+// distinct point simulates at most once per process.
+func (r *runner) point(ctx context.Context, arch gscalar.Arch, abbr string) (store.Entry, error) {
 	e, _, err := r.memo.Do(ctx, PointKey(r.o.Config, r.o.Scale, arch, abbr), func() (store.Entry, error) {
 		// One Session per fresh point: the prewarm fan-out runs points
 		// concurrently, and a session's telemetry is per-run state. The
@@ -99,7 +91,7 @@ func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gs
 		if err != nil {
 			return store.Entry{}, err
 		}
-		s.Telemetry = r.o.Telemetry
+		s.Telemetry.Enabled = true
 		if r.o.CaptureDir != "" {
 			s.Capture.Path = filepath.Join(r.o.CaptureDir, PointFileName(arch, abbr)+".gstr")
 		}
@@ -111,18 +103,50 @@ func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gs
 		if err != nil {
 			return store.Entry{}, err
 		}
-		if r.o.OnMetrics != nil {
-			if m := s.Metrics(); m != nil {
-				r.o.OnMetrics(arch, abbr, m)
-			}
+		m := s.Metrics()
+		mb, err := m.JSON()
+		if err != nil {
+			return store.Entry{}, err
 		}
-		return store.Entry{Result: b}, nil
+		if r.o.OnMetrics != nil {
+			r.o.OnMetrics(arch, abbr, m)
+		}
+		return store.Entry{Result: b, Metrics: mb}, nil
 	})
+	return e, err
+}
+
+// run returns the Result of one point. The memo stores it as compact JSON
+// and every read decodes it; Go's float formatting round-trips exactly, so
+// a decoded Result equals the simulated one.
+func (r *runner) run(arch gscalar.Arch, abbr string) (gscalar.Result, error) {
+	e, err := r.point(r.ctx, arch, abbr)
 	var res gscalar.Result
 	if err == nil {
 		err = json.Unmarshal(e.Result, &res)
 	}
 	return res, err
+}
+
+// counters returns the final telemetry counters of one point by name, each
+// summed over its instances (SMs, DRAM channels). The counters are integer
+// counts, so the sums are exact.
+func (r *runner) counters(arch gscalar.Arch, abbr string) (map[string]float64, error) {
+	e, err := r.point(r.ctx, arch, abbr)
+	if err != nil {
+		return nil, err
+	}
+	var m struct {
+		Counters []gscalar.CounterValue `json:"counters"`
+	}
+	if err := json.Unmarshal(e.Metrics, &m); err != nil {
+		return nil, err
+	}
+	sums := make(map[string]float64)
+	for _, c := range m.Counters {
+		sums[c.Name] += c.Value
+	}
+	return sums, nil
 }
 
 // canonicalHash is the configuration component of a point key: the content
@@ -340,19 +364,32 @@ type Fig10Row struct {
 	Half64 float64 // "quarter-scalar" at warp size 64 (16-thread checks)
 }
 
-// Fig10 sweeps warp size {32, 64} with the 16-thread checking granularity.
+// Fig10 compares the 16-thread-granularity eligibility at warp sizes 32 and
+// 64. The warp-32 column is the G-Scalar memo point's half-scalar fraction
+// (Figure 9's "+half" column), so it assumes the suite's chip has Table 1's
+// 32-thread warps. The warp-64 column runs each workload on the suite's
+// chip with 64-thread warps and as many fewer warps per SM, so the resident
+// threads stay the same. That run is outside the memo: its telemetry and
+// trace files would take the memo point's names.
 func (s *Suite) Fig10() ([]Fig10Row, error) {
-	sess, err := gscalar.NewSession(s.r.o.Config, gscalar.GScalar)
+	c := s.r.o.Config
+	c.MaxWarpsPerSM = c.MaxWarpsPerSM * c.WarpSize / 64
+	c.WarpSize = 64
+	wide, err := gscalar.NewSession(c, gscalar.GScalar)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("warp size 64: %w", err)
 	}
 	var rows []Fig10Row
 	for _, abbr := range s.r.o.Workloads {
-		sweep, err := sess.WarpSizeSweep(s.r.ctx, abbr, []int{32, 64}, s.r.o.Scale)
+		narrow, err := s.r.run(gscalar.GScalar, abbr)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", abbr, err)
+			return nil, err
 		}
-		rows = append(rows, Fig10Row{abbr, sweep[0].HalfFrac, sweep[1].HalfFrac})
+		res, err := wide.RunWorkload(s.r.ctx, abbr, s.r.o.Scale)
+		if err != nil {
+			return nil, fmt.Errorf("warp size 64: %w", err)
+		}
+		rows = append(rows, Fig10Row{abbr, narrow.Eligibility.Half, res.Eligibility.Half})
 	}
 	return rows, nil
 }

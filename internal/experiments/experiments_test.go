@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"gscalar"
+	"gscalar/internal/store"
 )
 
 // smallSuite runs on a 2-SM chip over a 3-benchmark subset so the whole
@@ -67,6 +69,58 @@ func TestSuiteFig9CachesRuns(t *testing.T) {
 	}
 	if n := sims.Load(); n != before || s.r.memo.Len() != 3 {
 		t.Errorf("Fig1 re-simulated despite the memo (%d -> %d simulations, %d entries)", before, n, s.r.memo.Len())
+	}
+}
+
+// TestMemoEntriesKeepCounters: every memo entry keeps its run's telemetry
+// beside its Result, with no option set, so an experiment can read a
+// counter the Result does not carry without simulating the point again. The
+// summed per-SM instruction counters must equal the Result's count.
+func TestMemoEntriesKeepCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := gscalar.DefaultConfig()
+	cfg.NumSMs = 2
+	s := NewSuiteContext(context.Background(), Options{Config: cfg, Workloads: []string{"HS", "MQ"}})
+	s.r.memo = store.NewMemory()
+	if _, err := s.Fig11(); err != nil {
+		t.Fatal(err)
+	}
+	fig11, err := Select("fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := s.Points(fig11)
+	if s.r.memo.Len() != len(points) {
+		t.Fatalf("memo holds %d entries, Fig11 reads %d points", s.r.memo.Len(), len(points))
+	}
+	for _, p := range points {
+		e, ok, err := s.r.memo.Get(PointKey(s.r.o.Config, s.r.o.Scale, p.Arch, p.Abbr))
+		if err != nil || !ok {
+			t.Fatalf("%v: entry missing (%v)", p, err)
+		}
+		if len(e.Metrics) == 0 {
+			t.Errorf("%v: entry has no metrics", p)
+			continue
+		}
+		var res gscalar.Result
+		var m gscalar.Metrics
+		if err := json.Unmarshal(e.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(e.Metrics, &m); err != nil {
+			t.Fatal(err)
+		}
+		var insts float64
+		for _, c := range m.Counters {
+			if c.Name == "sm.warp_insts" {
+				insts += c.Value
+			}
+		}
+		if insts != float64(res.WarpInsts) {
+			t.Errorf("%v: summed sm.warp_insts = %v, Result.WarpInsts = %d", p, insts, res.WarpInsts)
+		}
 	}
 }
 

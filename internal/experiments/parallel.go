@@ -33,7 +33,7 @@ func (s *Suite) PrewarmContext(ctx context.Context, points []Point, par int) err
 	defer cancel()
 	if par <= 1 || len(points) <= 1 {
 		for _, p := range points {
-			if _, err := s.r.runCtx(ctx, p.Arch, p.Abbr); err != nil {
+			if _, err := s.r.point(ctx, p.Arch, p.Abbr); err != nil {
 				return err
 			}
 		}
@@ -54,7 +54,7 @@ func (s *Suite) PrewarmContext(ctx context.Context, points []Point, par int) err
 					errs[i] = err
 					continue
 				}
-				_, errs[i] = s.r.runCtx(ctx, points[i].Arch, points[i].Abbr)
+				_, errs[i] = s.r.point(ctx, points[i].Arch, points[i].Abbr)
 				if errs[i] != nil {
 					cancel()
 				}

@@ -15,7 +15,6 @@ import (
 // joined.
 func countingSuite(o Options) (*Suite, *atomic.Int32) {
 	var sims atomic.Int32
-	o.Telemetry.Enabled = true
 	o.OnMetrics = func(gscalar.Arch, string, *gscalar.Metrics) { sims.Add(1) }
 	s := NewSuiteContext(context.Background(), o)
 	s.r.memo = store.NewMemory()

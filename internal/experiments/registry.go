@@ -15,8 +15,9 @@ type Experiment struct {
 	Name string
 	// Archs lists the public architectures whose memo points Render reads,
 	// for every workload of the suite; Points prewarms exactly these.
-	// Simulations outside the memo — custom SM architectures and
-	// non-default chip configurations — are not listed.
+	// Simulations outside the memo — the three custom SM architectures of
+	// runCustomArch, Figure 10's warp-64 chip and the width sweep's
+	// synthetic kernel — are not listed.
 	Archs []gscalar.Arch
 	// Render runs the experiment and returns its text table and its CSV,
 	// or "" for an experiment that has no CSV.
@@ -52,7 +53,7 @@ var registry = []Experiment{
 	{Name: "fig1", Archs: onlyGScalar, Render: rows((*Suite).Fig1, FormatFig1, Fig1CSV)},
 	{Name: "fig8", Archs: onlyGScalar, Render: rows((*Suite).Fig8, FormatFig8, Fig8CSV)},
 	{Name: "fig9", Archs: onlyGScalar, Render: rows((*Suite).Fig9, FormatFig9, Fig9CSV)},
-	{Name: "fig10", Render: rows((*Suite).Fig10, FormatFig10, Fig10CSV)},
+	{Name: "fig10", Archs: onlyGScalar, Render: rows((*Suite).Fig10, FormatFig10, Fig10CSV)},
 	{Name: "fig11",
 		Archs:  []gscalar.Arch{gscalar.Baseline, gscalar.ALUScalar, gscalar.GScalarNoDiv, gscalar.GScalar},
 		Render: rows((*Suite).Fig11, FormatFig11, Fig11CSV)},
@@ -65,8 +66,8 @@ var registry = []Experiment{
 		Render: rows((*Suite).HalfAblation, FormatHalfAblation, nil)},
 	{Name: "width", Render: rows(func(s *Suite) ([]WidthRow, error) { return s.WidthSweep([]int{8, 16, 24, 32}) },
 		FormatWidthSweep, WidthCSV)},
-	{Name: "sched", Render: rows((*Suite).SchedAblation, FormatSched, nil)},
-	{Name: "scalarbank", Archs: []gscalar.Arch{gscalar.Baseline},
+	{Name: "sched", Archs: onlyGScalar, Render: rows((*Suite).SchedAblation, FormatSched, nil)},
+	{Name: "scalarbank", Archs: []gscalar.Arch{gscalar.Baseline, gscalar.ALUScalar, gscalar.GScalar},
 		Render: rows((*Suite).ScalarBankAblation, FormatScalarBank, nil)},
 }
 

@@ -61,7 +61,6 @@ var runRegistry = sync.OnceValue(func() map[string]registryRun {
 	for _, e := range registry {
 		archs := map[gscalar.Arch]bool{}
 		o := Options{Config: cfg, Workloads: []string{"HW"}}
-		o.Telemetry.Enabled = true
 		o.OnMetrics = func(a gscalar.Arch, _ string, _ *gscalar.Metrics) { archs[a] = true }
 		s := NewSuiteContext(context.Background(), o)
 		s.r.memo = store.NewMemory()

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"gscalar/internal/gpu"
+	"gscalar"
 	"gscalar/internal/sm"
 	"gscalar/internal/stats"
 )
@@ -21,28 +21,26 @@ type SchedRow struct {
 	GTOElig, LRRElig float64
 }
 
-// SchedAblation runs every benchmark under GTO and LRR scheduling.
+// SchedAblation compares every benchmark's G-Scalar memo point, which runs
+// the default greedy-then-oldest scheduler, with a loose round-robin run.
 func (s *Suite) SchedAblation() ([]SchedRow, error) {
-	run := func(spec string, pol sm.SchedPolicy) (gpu.Result, error) {
-		arch := sm.GScalar()
-		arch.Sched = pol
-		return s.runCustomArch(spec, arch)
-	}
+	lrrArch := sm.GScalar()
+	lrrArch.Sched = sm.SchedLRR
 	var rows []SchedRow
 	for _, spec := range s.r.o.Workloads {
-		gto, err := run(spec, sm.SchedGTO)
+		gto, err := s.r.run(gscalar.GScalar, spec)
 		if err != nil {
 			return nil, err
 		}
-		lrr, err := run(spec, sm.SchedLRR)
+		lrr, err := s.runCustomArch(spec, lrrArch)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, SchedRow{
 			Abbr:    spec,
 			GTOIPC:  gto.IPC,
-			LRRIPC:  lrr.IPC,
-			GTOElig: float64(gto.Stats.EligibleTotal()) / float64(gto.Stats.WarpInsts),
+			LRRIPC:  lrr.Stats.IPC(),
+			GTOElig: gto.Eligibility.Total(),
 			LRRElig: float64(lrr.Stats.EligibleTotal()) / float64(lrr.Stats.WarpInsts),
 		})
 	}

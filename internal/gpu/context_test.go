@@ -18,8 +18,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.Cycles != 0 {
-		t.Errorf("pre-cancelled run simulated %d cycles", res.Cycles)
+	if res.Stats.Cycles != 0 {
+		t.Errorf("pre-cancelled run simulated %d cycles", res.Stats.Cycles)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 			t.Errorf("workers=%d: observed run differs from unobserved run", workers)
 		}
 		if len(snaps) == 0 {
-			t.Fatalf("workers=%d: observer never called over %d cycles", workers, res.Cycles)
+			t.Fatalf("workers=%d: observer never called over %d cycles", workers, res.Stats.Cycles)
 		}
 		for i, p := range snaps {
 			if p.Cycle%cfg.ObserverStride != 0 {
@@ -93,10 +93,10 @@ func TestCancelMidRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.Cycles < 128 {
-			t.Fatalf("workload too short to cancel mid-run (%d cycles)", full.Cycles)
+		if full.Stats.Cycles < 128 {
+			t.Fatalf("workload too short to cancel mid-run (%d cycles)", full.Stats.Cycles)
 		}
-		cancelAt := full.Cycles / 2
+		cancelAt := full.Stats.Cycles / 2
 
 		partial := func() Result {
 			prog, lc, mem, _ := buildSaxpy(t, 4096)
@@ -117,8 +117,8 @@ func TestCancelMidRunDeterministic(t *testing.T) {
 		}
 		a := partial()
 		b := partial()
-		if a.Cycles == 0 || a.Cycles >= full.Cycles {
-			t.Errorf("workers=%d: partial run spans %d cycles, full run %d", workers, a.Cycles, full.Cycles)
+		if a.Stats.Cycles == 0 || a.Stats.Cycles >= full.Stats.Cycles {
+			t.Errorf("workers=%d: partial run spans %d cycles, full run %d", workers, a.Stats.Cycles, full.Stats.Cycles)
 		}
 		if a.Power.AvgPowerW <= 0 {
 			t.Errorf("workers=%d: partial run has no finalized power", workers)

@@ -84,7 +84,7 @@ func TestLRRScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mem.ReadU32(out, 8*128), res.Cycles
+		return mem.ReadU32(out, 8*128), res.Stats.Cycles
 	}
 	gto, cg := run(sm.SchedGTO)
 	lrr, cl := run(sm.SchedLRR)

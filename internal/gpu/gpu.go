@@ -60,14 +60,13 @@ type Progress struct {
 // DefaultConfig returns Table 1's chip with no hooks.
 func DefaultConfig() Config { return Config{Config: sm.DefaultConfig()} }
 
-// Result summarises one simulated launch.
+// Result summarises one simulated launch. Stats holds the cycle count and
+// the instruction counts (Stats.IPC is chip-wide warp instructions per
+// cycle), and Power the energy.
 type Result struct {
-	Cycles  uint64
 	Stats   stats.Sim
 	Power   power.Breakdown
-	IPC     float64 // committed warp instructions per cycle (chip-wide)
 	IPCPerW float64 // the paper's power-efficiency metric
-	EnergyJ float64
 	// ExecMode and Workers record how the run actually executed — the chip
 	// loop's schedule ("serial", "phased", or "relaxed") and the resolved
 	// compute-worker count after the crossover heuristics — so benches and
@@ -101,7 +100,6 @@ func isContextErr(err error) bool {
 // sequences can share one energy meter. Mode and Workers record the chip
 // loop's schedule and its resolved compute-worker count.
 type rawResult struct {
-	Cycles  uint64
 	Stats   stats.Sim
 	Mode    string
 	Workers int
@@ -270,5 +268,5 @@ func finishRun(sms []*sm.SM, cycle uint64, mode string, workers int) rawResult {
 		agg.Add(s.Stats())
 	}
 	agg.Cycles = cycle
-	return rawResult{Cycles: cycle, Stats: agg, Mode: mode, Workers: workers}
+	return rawResult{Stats: agg, Mode: mode, Workers: workers}
 }

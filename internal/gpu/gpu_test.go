@@ -100,17 +100,17 @@ func TestSaxpyTimedAllArchs(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkSaxpy(t, mem, lc, want)
-			if res.Cycles == 0 || res.Stats.WarpInsts == 0 {
+			if res.Stats.Cycles == 0 || res.Stats.WarpInsts == 0 {
 				t.Fatalf("empty result: %+v", res)
 			}
-			if res.IPC <= 0 {
-				t.Fatalf("IPC = %v", res.IPC)
+			if res.Stats.IPC() <= 0 {
+				t.Fatalf("IPC = %v", res.Stats.IPC())
 			}
 			if res.Power.AvgPowerW <= 0 {
 				t.Fatalf("power = %v", res.Power.AvgPowerW)
 			}
 			t.Logf("%s: cycles=%d warpinsts=%d IPC=%.3f P=%.1fW IPC/W=%.4f",
-				name, res.Cycles, res.Stats.WarpInsts, res.IPC, res.Power.AvgPowerW, res.IPCPerW)
+				name, res.Stats.Cycles, res.Stats.WarpInsts, res.Stats.IPC(), res.Power.AvgPowerW, res.IPCPerW)
 		})
 	}
 }

@@ -61,8 +61,8 @@ STORE:
 		if err != nil {
 			t.Fatalf("arch %+v: %v", arch, err)
 		}
-		if res.Cycles > 50_000 {
-			t.Errorf("suspiciously slow: %d cycles for %d warps", res.Cycles, n/32)
+		if res.Stats.Cycles > 50_000 {
+			t.Errorf("suspiciously slow: %d cycles for %d warps", res.Stats.Cycles, n/32)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func TestEnergyInvariants(t *testing.T) {
 
 			// Energy bookkeeping is self-consistent.
 			for _, r := range []Result{base, gs, rvc} {
-				if math.Abs(r.Power.AvgPowerW*r.Power.Seconds-r.EnergyJ) > 1e-9*r.EnergyJ {
+				if math.Abs(r.Power.AvgPowerW*r.Power.Seconds-r.Power.EnergyJ) > 1e-9*r.Power.EnergyJ {
 					t.Errorf("power × time != energy: %v", r.Power)
 				}
 				for c := power.Component(0); c < power.NumComponents; c++ {
@@ -141,8 +141,8 @@ func TestIPCBound(t *testing.T) {
 	for name, src := range invariantKernels {
 		res := runInvariant(t, src, sm.Baseline())
 		limit := float64(2 * 2) // 2 schedulers × 2 SMs
-		if res.IPC > limit {
-			t.Errorf("%s: IPC %.2f exceeds issue bound %.0f", name, res.IPC, limit)
+		if res.Stats.IPC() > limit {
+			t.Errorf("%s: IPC %.2f exceeds issue bound %.0f", name, res.Stats.IPC(), limit)
 		}
 	}
 }

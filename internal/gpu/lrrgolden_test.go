@@ -9,7 +9,9 @@ import (
 	"os"
 	"testing"
 
+	"gscalar/internal/power"
 	"gscalar/internal/sm"
+	"gscalar/internal/stats"
 	"gscalar/internal/workloads"
 )
 
@@ -78,13 +80,32 @@ func runLRRGoldenPoint(t *testing.T, spec, arch string, workers, epoch int) lrrG
 	if err != nil {
 		t.Fatalf("%s on %s: %v", spec, arch, err)
 	}
-	blob, err := json.Marshal(relaxedResult(res))
+	// The digest covers the Result less its execution metadata, encoded in
+	// the field layout the golden was written with: the cycle count, IPC
+	// and energy, which Stats and Power hold, were then fields of their own.
+	blob, err := json.Marshal(struct {
+		Cycles   uint64
+		Stats    stats.Sim
+		Power    power.Breakdown
+		IPC      float64
+		IPCPerW  float64
+		EnergyJ  float64
+		ExecMode string
+		Workers  int
+	}{
+		Cycles:  res.Stats.Cycles,
+		Stats:   res.Stats,
+		Power:   res.Power,
+		IPC:     res.Stats.IPC(),
+		IPCPerW: res.IPCPerW,
+		EnergyJ: res.Power.EnergyJ,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(blob)
 	return lrrGoldenPoint{
-		Cycles:          res.Cycles,
+		Cycles:          res.Stats.Cycles,
 		WarpInsts:       res.Stats.WarpInsts,
 		StallUnit:       res.Stats.IssueStallUnit,
 		StallCollector:  res.Stats.IssueStallOC,

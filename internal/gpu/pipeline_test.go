@@ -130,9 +130,9 @@ LOOP:
 `
 	base := runSrc(t, sm.Baseline(), src, nil)
 	rvc := runSrc(t, sm.RVCOnly(), src, nil)
-	if rvc.Cycles <= base.Cycles {
+	if rvc.Stats.Cycles <= base.Stats.Cycles {
 		t.Fatalf("compressing pipeline (%d cycles) not slower than baseline (%d)",
-			rvc.Cycles, base.Cycles)
+			rvc.Stats.Cycles, base.Stats.Cycles)
 	}
 }
 
@@ -295,7 +295,7 @@ func TestDeterminism(t *testing.T) {
 		})
 	}
 	a, b := run(), run()
-	if a.Cycles != b.Cycles || a.EnergyJ != b.EnergyJ || a.Stats.WarpInsts != b.Stats.WarpInsts {
+	if a.Stats.Cycles != b.Stats.Cycles || a.Power.EnergyJ != b.Power.EnergyJ || a.Stats.WarpInsts != b.Stats.WarpInsts {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
 }

@@ -36,14 +36,14 @@ func RunSequenceContext(ctx context.Context, cfg Config, arch sm.Arch, gmem *ker
 	var runErr error
 	for i, st := range steps {
 		stepCfg := cfg
-		stepCfg.MaxCycles = maxCycles - agg.Cycles
+		stepCfg.MaxCycles = maxCycles - agg.Stats.Cycles
 		if cfg.Telemetry != nil {
 			// Each launch's internal cycle counter restarts at zero; the base
 			// keeps the recorded series on the sequence-global cycle axis.
-			cfg.Telemetry.SetCycleBase(agg.Cycles)
+			cfg.Telemetry.SetCycleBase(agg.Stats.Cycles)
 		}
 		r, err := runWithMeter(ctx, stepCfg, arch, st.Prog, st.Launch, gmem, &meter)
-		agg.Cycles += r.Cycles
+		agg.Stats.Cycles += r.Stats.Cycles // Add sums every counter but the cycle count
 		agg.Stats.Add(&r.Stats)
 		agg.Mode, agg.Workers = r.Mode, r.Workers
 		if err != nil {
@@ -57,25 +57,20 @@ func RunSequenceContext(ctx context.Context, cfg Config, arch sm.Arch, gmem *ker
 			break
 		}
 	}
-	agg.Stats.Cycles = agg.Cycles
-
 	staticW := power.DefaultEnergies().StaticW(cfg.NumSMs, arch.HasCodec())
-	bd := meter.Finish(agg.Cycles, cfg.CoreClockHz, staticW)
+	bd := meter.Finish(agg.Stats.Cycles, cfg.CoreClockHz, staticW)
 	// Finalize after Finish so the power gauges capture the static bucket.
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Finalize()
 	}
 	res := Result{
-		Cycles:   agg.Cycles,
 		Stats:    agg.Stats,
 		Power:    bd,
-		IPC:      agg.Stats.IPC(),
-		EnergyJ:  bd.EnergyJ,
 		ExecMode: agg.Mode,
 		Workers:  agg.Workers,
 	}
 	if bd.AvgPowerW > 0 {
-		res.IPCPerW = res.IPC / bd.AvgPowerW
+		res.IPCPerW = agg.Stats.IPC() / bd.AvgPowerW
 	}
 	return res, runErr
 }

@@ -39,8 +39,10 @@ func Key(configHash string, scale int, arch, workload string) string {
 
 // Entry is one stored simulation point. Result holds the exact JSON bytes of
 // the gscalar.Result — kept raw so a served repeat request is byte-identical
-// to the run that produced it — and Metrics optionally holds the telemetry
-// blob collected alongside it.
+// to the run that produced it — and Metrics the telemetry blob collected
+// alongside it (gscalar.Metrics.JSON). The experiment suite always fills
+// Metrics, because its ablations read counters from it; gscalar-serve fills
+// it when started with telemetry on.
 type Entry struct {
 	Key        string          `json:"key"`
 	ConfigHash string          `json:"config_hash"`

@@ -111,7 +111,7 @@ func TestAllWorkloadsTimed(t *testing.T) {
 				t.Errorf("half-scalar = %.2f, want >= %.2f", half, sh.halfMin)
 			}
 			t.Logf("%s: cycles=%d warpinsts=%d IPC=%.2f P=%.1fW elig=%.1f%% div=%.1f%% wall=%v",
-				w.Abbr, res.Cycles, st.WarpInsts, res.IPC, res.Power.AvgPowerW,
+				w.Abbr, res.Stats.Cycles, st.WarpInsts, res.Stats.IPC(), res.Power.AvgPowerW,
 				100*elig, 100*div, time.Since(start).Round(time.Millisecond))
 		})
 	}

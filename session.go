@@ -183,11 +183,12 @@ func resolveWorkload(spec string) (workloads.Source, error) {
 	return src, nil
 }
 
-// runInstance executes a built workload instance on the timed simulator,
-// without the golden-output check (sweeps that deliberately skip it reuse
-// this path). With capture enabled, the input is snapshotted before the run
-// mutates memory, and written only if the run succeeds: a trace must
-// represent a complete execution.
+// runInstance executes a built workload instance on the timed simulator.
+// It makes no golden-output check: RunWorkload checks a builtin's output
+// after it returns, and Run's custom programs have no golden model. With
+// capture enabled, the input is snapshotted before the run mutates memory,
+// and written only if the run succeeds: a trace must represent a complete
+// execution.
 func (s *Session) runInstance(ctx context.Context, label string, scale int, inst *workloads.Instance) (Result, error) {
 	var cap *trace.Capture
 	if s.Capture.Path != "" {
@@ -229,54 +230,4 @@ func (s *Session) RunSequence(ctx context.Context, mem *Memory, seq []KernelLaun
 	r, err := gpu.RunSequenceContext(ctx, g, s.arch.model(), mem.m, steps)
 	s.finishMetrics(g.Telemetry, "sequence", r)
 	return resultFrom(r), s.wrapErr("sequence", err)
-}
-
-// WarpSizeSweep reproduces Figure 10: the fraction of instructions eligible
-// for 16-thread-granularity ("half-scalar"; "quarter-scalar" at warp size
-// 64) scalar execution, for each warp size. The same workload is rebuilt per
-// point so thread counts stay constant while warps widen; each point derives
-// a per-warp-size session from this one (same architecture, observer, and
-// telemetry options, with MaxWarpsPerSM rescaled to keep resident-thread
-// capacity constant). Warp size 8 needs 192 warps, 96 per Table 1
-// scheduler, which Config.Validate rejects (at most 64 per scheduler).
-// Cancelling ctx aborts the sweep at the in-flight point's next lifecycle
-// checkpoint.
-func (s *Session) WarpSizeSweep(ctx context.Context, abbr string, warpSizes []int, scale int) ([]WarpSizeSweepResult, error) {
-	src, err := resolveWorkload(abbr)
-	if err != nil {
-		return nil, err
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	out := make([]WarpSizeSweepResult, 0, len(warpSizes))
-	for _, ws := range warpSizes {
-		inst, err := src.Build(scale)
-		if err != nil {
-			return nil, err
-		}
-		c := s.cfg
-		c.WarpSize = ws
-		// Keep resident-thread capacity constant as warps widen.
-		c.MaxWarpsPerSM = DefaultConfig().MaxWarpsPerSM * DefaultConfig().WarpSize / ws
-		p, err := NewSession(c, s.arch)
-		if err != nil {
-			return nil, fmt.Errorf("gscalar: warp-size sweep at %d: %w", ws, err)
-		}
-		p.Observer = s.Observer
-		p.ObserverStride = s.ObserverStride
-		p.Telemetry = s.Telemetry
-		// Capture is deliberately not inherited: one trace file cannot hold
-		// a whole sweep of runs.
-		r, err := p.runInstance(ctx, abbr, scale, inst)
-		if err != nil {
-			return nil, fmt.Errorf("gscalar: warp-size sweep at %d: %w", ws, err)
-		}
-		out = append(out, WarpSizeSweepResult{
-			WarpSize:  ws,
-			HalfFrac:  r.Eligibility.Half,
-			TotalFrac: r.Eligibility.Total(),
-		})
-	}
-	return out, nil
 }
