@@ -1,23 +1,19 @@
 # Verification targets. `make check` is the tier-1 gate (see ROADMAP.md):
-# gofmt cleanliness, build + full tests, vet (of the root module and of
-# perfbench, the benchmark's own module), an explicit pass over the
-# config-validation / launch-validation / cancellation-determinism suites
-# (fast, and the properties the run-session lifecycle depends on), the
-# differential, trace, telemetry, generator, perf-smoke (which also runs
-# each Go benchmark once at its smallest size), examples and serving gates
-# below, the figure golden (expdet), the benchmark's result pins
-# (pincheck), and a
-# race-detector pass over the
-# packages that run goroutines (the chip loop's worker pool and the
-# experiment prewarm fan-out). The race pass uses -short because the
-# detector slows simulation ~10x; the short subset still drives the phased
-# and relaxed schedules through the pool.
+# gofmt cleanliness, build, the full test suite, vet (of the root module and
+# of perfbench, the benchmark's own module), each Go benchmark run once at
+# its smallest size (benchsmoke), the examples, the figure golden (expdet),
+# the benchmark's result pins (pincheck), and a race-detector pass. The
+# per-area targets below (valcancel, relaxdet, tracedet, telemetry, gendet,
+# serve, perfsmoke) run subsets of `go test ./...` to re-verify one area in
+# isolation, so `check` runs only what they add: the race passes of gendet
+# and serve, which `race` carries, and perfsmoke's benchmark lines, which
+# `benchsmoke` carries.
 
 GO ?= go
 
-.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke examples serve expdet pincheck fmt fmtcheck profile
+.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke benchsmoke examples serve expdet pincheck fmt fmtcheck profile
 
-check: fmtcheck build test vet perfbench valcancel relaxdet tracedet telemetry gendet perfsmoke examples serve expdet pincheck race
+check: fmtcheck build test vet perfbench benchsmoke examples expdet pincheck race
 
 build:
 	$(GO) build ./...
@@ -44,12 +40,16 @@ fmtcheck:
 valcancel:
 	$(GO) test -run 'TestConfig|TestValidate|TestNormalize|TestNewSession|TestCancel|TestDeadline|TestRunRejects' . ./internal/gpu
 
-# The -short root pass also drives the relaxed schedule (accuracy-envelope
-# subset + determinism), and internal/gpu's worker-invariance and
-# startup-order tests (relaxed and phased) all run in short mode, so the
-# detector covers the worker pool and both parallel commit paths.
+# A race-detector pass over the packages that run goroutines: the chip
+# loop's worker pool, the experiment prewarm fan-out, the store and sweep
+# server, and the generator and workload layers. It uses -short because the
+# detector slows simulation ~10x. The -short root pass still drives the
+# relaxed schedule (accuracy-envelope subset + determinism), and
+# internal/gpu's worker-invariance and startup-order tests (relaxed and
+# phased) all run in short mode, so the detector covers the worker pool and
+# both parallel commit paths.
 race:
-	$(GO) test -race -short . ./internal/gpu ./internal/experiments
+	$(GO) test -race -short . ./internal/gpu ./internal/experiments ./internal/gen ./internal/workloads ./internal/store ./internal/serve
 
 # Relaxed-schedule differential oracle: the full 17-workload x 2-architecture
 # accuracy envelope against the serial schedule plus the (Workers, EpochCycles)
@@ -129,14 +129,17 @@ gendet:
 
 # Perf smoke: fail fast when a workload blows a generous wall-clock ceiling
 # (order-of-magnitude simulator regressions, not benchmarking), and run each
-# benchmark once at its smallest size so it stays runnable: one batch of each
-# input of the SM layer's benchmark, and one round of HS at scale 1 under the
-# five chip-loop schedules, with the schedule benchmark's identity checks.
-# To time them:
+# benchmark once (benchsmoke).
+perfsmoke: benchsmoke
+	$(GO) test -short -run 'TestPerfSmoke' .
+
+# Run each benchmark once at its smallest size so it stays runnable: one
+# batch of each input of the SM layer's benchmark, and one round of HS at
+# scale 1 under the five chip-loop schedules, with the schedule benchmark's
+# identity checks. To time them:
 #   go test -run '^$' -bench SMCycle -benchmem ./internal/sm
 #   go test -run '^$' -bench Schedules -benchtime 1x .   (about a minute)
-perfsmoke:
-	$(GO) test -short -run 'TestPerfSmoke' .
+benchsmoke:
 	$(GO) test -run '^$$' -bench SMCycle -benchtime 1x ./internal/sm
 	$(GO) test -short -run '^$$' -bench Schedules -benchtime 1x .
 
@@ -148,8 +151,8 @@ examples:
 		$(GO) run ./$$e > /dev/null || { echo "examples: $$e failed"; exit 1; }; \
 	done; echo "examples: every example ran"
 
-# End-to-end CPU/heap profiling via internal/hostprof: run the LBM stressor
-# under -cpuprofile/-memprofile and print the top-10 hot functions of each.
+# End-to-end CPU/heap profiling: run the LBM stressor under gscalar-sim's
+# -cpuprofile/-memprofile and print the top-10 hot functions of each.
 PROFILE_BENCH ?= LBM
 profile:
 	$(GO) build -o gscalar-sim.prof.bin ./cmd/gscalar-sim

@@ -24,7 +24,7 @@
 // point answered from the memo, or joined while another call simulated it,
 // produces no new telemetry and therefore no files, and neither do the runs
 // outside the memo (the ablations' custom architectures, Figure 10's
-// warp-64 chip and the width sweep).
+// column at a warp size other than the chip's, and the width sweep).
 //
 // -trace-out DIR captures every freshly simulated memo point's simulation
 // input as a replayable trace (<arch>_<workload>.gstr, written atomically
@@ -35,132 +35,61 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
 
 	"gscalar"
+	"gscalar/internal/cli"
 	"gscalar/internal/experiments"
-	"gscalar/internal/hostprof"
 	"gscalar/internal/store"
 	"gscalar/internal/workloads"
 )
 
 func main() {
+	cmd := cli.New("gscalar-experiments")
 	names := experiments.Names()
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: gscalar-experiments [-exp all|%s] [flags]\n", strings.Join(names, "|"))
 		flag.PrintDefaults()
 	}
 	exp := flag.String("exp", "all", "experiment to run: all, "+strings.Join(names, ", "))
-	scale := flag.Int("scale", 1, "workload scale factor")
-	sms := flag.Int("sms", 0, "override number of SMs (0 = Table 1 value)")
 	bench := flag.String("bench", "", "comma-separated workload subset: abbreviations, trace:<path> and/or gen:<dials> specs (default: all)")
 	csvDir := flag.String("csv", "", "also write machine-readable CSV files into this directory")
 	metricsOut := flag.String("metrics-out", "", "write per-point telemetry (counters + time series) into this directory")
-	metricsFormat := flag.String("metrics-format", "json", "telemetry file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write per-point Chrome trace-event files into this directory")
 	traceOut := flag.String("trace-out", "", "capture every freshly simulated point's input as a replayable trace (.gstr) in this directory")
 	parallel := flag.Int("parallel", 1, "simulate up to N (arch, workload) points concurrently; output is identical to -parallel 1")
-	workers := flag.Int("workers", 0, "phased-schedule compute workers per simulation (0 = serial schedule, -1 = one per host core)")
-	epoch := flag.Int("epoch", 0, "use the relaxed schedule with this epoch length in simulated cycles (deterministic, not bit-identical to serial; 0 = the per-cycle schedule -workers selects)")
-	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
-	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
-	timeout := flag.Duration("timeout", 0, "stop simulating after this wall-clock duration")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to this file")
-	flag.Parse()
+	cmd.Parse()
+	cmd.StartProfiles()
+	defer cmd.Stop()
 
-	prof, err := hostprof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gscalar-experiments:", err)
-		os.Exit(1)
-	}
-	defer prof.Stop()
-
-	fail := func(err error) {
-		prof.Stop() // os.Exit skips the defer
-		fmt.Fprintln(os.Stderr, "gscalar-experiments:", err)
-		os.Exit(1)
-	}
-
-	cfg := gscalar.DefaultConfig()
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			fail(err)
-		}
-		cfg, err = gscalar.ConfigFromJSON(data)
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", *configPath, err))
-		}
-	}
-	// Apply only the flags the user actually set, so a -config file's values
-	// are not clobbered by flag defaults.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "sms":
-			if *sms > 0 {
-				cfg.NumSMs = *sms
-			}
-		case "workers":
-			cfg.Workers = *workers
-		case "epoch":
-			cfg.EpochCycles = *epoch
-		}
-	})
-	if *dumpConfig {
-		cfg.Normalize()
-		if err := cfg.Validate(); err != nil {
-			fail(err)
-		}
-		b, err := cfg.JSON()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(string(b))
-		fmt.Fprintln(os.Stderr, "config hash:", cfg.Hash())
-		return
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	if *metricsFormat != "json" && *metricsFormat != "csv" {
-		fail(fmt.Errorf("unknown -metrics-format %q (want json or csv)", *metricsFormat))
-	}
-
-	opts := experiments.Options{Config: cfg, Scale: *scale, CaptureDir: *traceOut}
+	opts := experiments.Options{Config: cmd.Config(), Scale: cmd.Scale, CaptureDir: *traceOut}
 	if *bench != "" {
 		opts.Workloads = workloads.SplitList(*bench)
 	}
 	if *metricsOut != "" || *chromeTrace != "" {
-		sink, err := newMetricsSink(*metricsOut, *metricsFormat, *chromeTrace)
+		sink, err := newMetricsSink(*metricsOut, cmd.MetricsFormat, *chromeTrace)
 		if err != nil {
-			fail(err)
+			cmd.Fatal(err)
 		}
 		opts.OnMetrics = sink.write
 		defer func() {
 			if err := sink.err(); err != nil {
-				fail(err)
+				cmd.Fatal(err)
 			}
 		}()
 	}
+	ctx, stop := cmd.Context()
+	defer stop()
 	suite := experiments.NewSuiteContext(ctx, opts)
 	exps, err := experiments.Select(strings.ToLower(*exp))
 	if err != nil {
-		fail(err)
+		cmd.Fatal(err)
 	}
 
 	// With -parallel N the selected experiments' memo points run
@@ -171,26 +100,26 @@ func main() {
 	// cancels the sibling simulations.
 	if *parallel > 1 {
 		if err := suite.PrewarmContext(ctx, suite.Points(exps), *parallel); err != nil {
-			fail(err)
+			cmd.Fatal(err)
 		}
 	}
 
 	for _, e := range exps {
 		text, csv, err := e.Render(suite)
 		if err != nil {
-			fail(err)
+			cmd.Fatal(err)
 		}
 		fmt.Println(text)
 		if csv != "" && *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fail(err)
+				cmd.Fatal(err)
 			}
 			err := store.AtomicWrite(filepath.Join(*csvDir, e.Name+".csv"), func(w io.Writer) error {
 				_, err := io.WriteString(w, csv)
 				return err
 			})
 			if err != nil {
-				fail(err)
+				cmd.Fatal(err)
 			}
 		}
 	}
@@ -219,28 +148,21 @@ func newMetricsSink(metricsDir, format, traceDir string) (*metricsSink, error) {
 	return &metricsSink{metricsDir: metricsDir, format: format, traceDir: traceDir}, nil
 }
 
-// write is the experiments.Options.OnMetrics hook. Each file is written
-// atomically (temp file + rename), so an export that fails mid-render
-// leaves no truncated file behind.
+// write is the experiments.Options.OnMetrics hook: it exports one point's
+// telemetry as gscalar-sim exports a single run.
 func (s *metricsSink) write(arch gscalar.Arch, abbr string, m *gscalar.Metrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	point := experiments.PointFileName(arch, abbr)
-	record := func(err error) {
-		if err != nil && s.firstErr == nil {
-			s.firstErr = err
-		}
-	}
+	var metricsPath, tracePath string
 	if s.metricsDir != "" {
-		record(store.AtomicWrite(filepath.Join(s.metricsDir, point+"."+s.format), func(w io.Writer) error {
-			if s.format == "csv" {
-				return m.WriteCSV(w)
-			}
-			return m.WriteJSON(w)
-		}))
+		metricsPath = filepath.Join(s.metricsDir, point+"."+s.format)
 	}
 	if s.traceDir != "" {
-		record(store.AtomicWrite(filepath.Join(s.traceDir, point+".trace.json"), m.WriteTrace))
+		tracePath = filepath.Join(s.traceDir, point+".trace.json")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := cli.WriteTelemetry(gscalar.MetricsSet{m}, s.format, metricsPath, tracePath); err != nil && s.firstErr == nil {
+		s.firstErr = err
 	}
 }
 

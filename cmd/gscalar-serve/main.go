@@ -61,7 +61,7 @@ func run(addr, dir string, workers, queue int, telemetry bool) error {
 	log.Printf("store %s: %d completed points", st.Dir(), stats.StoreEntries)
 	log.Printf("listening on %s (%d workers, queue depth %d)", addr, stats.Workers, stats.QueueCap)
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := httpServer(addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
@@ -90,4 +90,17 @@ func run(addr, dir string, workers, queue int, telemetry bool) error {
 		return err
 	}
 	return derr
+}
+
+// A client gets readHeaderTimeout to send its request headers, and an idle
+// keep-alive connection is closed after idleTimeout, so a client that
+// stalls cannot hold a connection open forever. There is no write timeout:
+// GET /api/v1/jobs/{id}/result writes a whole sweep's Results.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func httpServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -46,166 +46,97 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"gscalar"
+	"gscalar/internal/cli"
 	"gscalar/internal/gen"
-	"gscalar/internal/hostprof"
-	"gscalar/internal/store"
 )
 
 func main() {
+	cmd := cli.New("gscalar-sim")
 	var workload string
 	flag.StringVar(&workload, "workload", "", "workload spec: a benchmark abbreviation, trace:<path>, or gen:<dials> (see -list-workloads)")
 	archName := flag.String("arch", "gscalar", "architecture: "+strings.Join(gscalar.ArchNames(), ", "))
-	scale := flag.Int("scale", 1, "workload scale factor")
-	sms := flag.Int("sms", 0, "override number of SMs")
 	list := flag.Bool("list-workloads", false, "list builtin workloads and the generator dials, and exit")
 	breakdown := flag.Bool("breakdown", false, "print the per-component power breakdown")
 	all := flag.Bool("all", false, "run every Table 2 benchmark and print a summary table")
-	workers := flag.Int("workers", 0, "phased-schedule compute workers (0 = serial schedule, -1 = one per host core)")
-	epoch := flag.Int("epoch", 0, "use the relaxed schedule with this epoch length in simulated cycles (deterministic, not bit-identical to serial; 0 = the per-cycle schedule -workers selects)")
-	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")
-	dumpConfig := flag.Bool("dump-config", false, "print the effective configuration as canonical JSON (stdout) and its content hash (stderr), then exit")
-	timeout := flag.Duration("timeout", 0, "stop simulating after this wall-clock duration; partial statistics are printed")
 	progress := flag.Uint64("progress", 0, "report progress to stderr every N simulated cycles, the checkpoint stride (0 = off)")
 	metricsOut := flag.String("metrics-out", "", "write final counters and the sampled time series to this file")
-	metricsFormat := flag.String("metrics-format", "json", "metrics file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write a Chrome trace-event file (Perfetto-loadable) to this file")
 	traceOut := flag.String("trace-out", "", "capture the run's input as a replayable trace at this path (replay with -workload trace:<path>)")
 	sampleEvery := flag.Uint64("sample-stride", 0, "simulated cycles between lifecycle checkpoints, where telemetry samples (0 = the -progress value, or 4096)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to this file")
-	flag.Parse()
+	cmd.Parse()
 
-	if *metricsFormat != "json" && *metricsFormat != "csv" {
-		fmt.Fprintf(os.Stderr, "gscalar-sim: unknown -metrics-format %q (want json or csv)\n", *metricsFormat)
-		os.Exit(1)
-	}
 	stride, err := checkpointStride(*sampleEvery, *progress)
 	if err != nil {
-		fatal(err)
+		cmd.Fatal(err)
 	}
-
-	prof, err = hostprof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fatal(err)
-	}
-	defer prof.Stop()
+	cmd.StartProfiles()
+	defer cmd.Stop()
 
 	if *list {
-		for _, abbr := range gscalar.Workloads() {
-			w, _ := gscalar.WorkloadByAbbr(abbr)
-			fmt.Printf("%-4s %-11s %-8s %s\n", w.Abbr, w.Name, w.Suite, w.Desc)
-		}
-		fmt.Println("\ntrace:<path>  replay a trace captured with -trace-out")
-		fmt.Println("gen:<dials>   calibrated synthetic kernel; dials (name=value, comma-separated):")
-		for _, d := range gen.Schema() {
-			ff := func(v float64) string {
-				if d.Type == "int" {
-					return strconv.FormatFloat(v, 'f', -1, 64)
-				}
-				return strconv.FormatFloat(v, 'g', -1, 64)
-			}
-			fmt.Printf("  %-5s %-6s [%s, %s] default %-4s %s\n",
-				d.Name, d.Type, ff(d.Min), ff(d.Max), ff(d.Default), d.Desc)
-		}
+		listWorkloads()
 		return
 	}
-
-	cfg, err := loadConfig(*configPath)
-	if err != nil {
-		fatal(err)
-	}
-	// Apply only the flags the user actually set, so a -config file's values
-	// are not clobbered by flag defaults.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "sms":
-			if *sms > 0 {
-				cfg.NumSMs = *sms
-			}
-		case "workers":
-			cfg.Workers = *workers
-		case "epoch":
-			cfg.EpochCycles = *epoch
-		}
-	})
-	if *dumpConfig {
-		cfg.Normalize()
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
-		}
-		b, err := cfg.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(b))
-		fmt.Fprintln(os.Stderr, "config hash:", cfg.Hash())
-		return
-	}
-
+	cfg := cmd.Config()
 	arch, ok := gscalar.ArchByName(*archName)
 	if !ok {
-		fatal(fmt.Errorf("unknown architecture %q (want one of %s)", *archName, strings.Join(gscalar.ArchNames(), ", ")))
+		cmd.Fatal(fmt.Errorf("unknown architecture %q (want one of %s)", *archName, strings.Join(gscalar.ArchNames(), ", ")))
 	}
-
 	// SIGINT (and -timeout) cancel the run at its next lifecycle checkpoint;
 	// the partial result accumulated up to that cycle is still printed.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := cmd.Context()
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	s, err := gscalar.NewSession(cfg, arch)
 	if err != nil {
-		fatal(err)
+		cmd.Fatal(err)
 	}
 	s.Telemetry.Enabled = *metricsOut != "" || *chromeTrace != ""
 	s.ObserverStride = stride
+	var set gscalar.MetricsSet
 	if *all {
 		if *traceOut != "" {
-			fatal(fmt.Errorf("-trace-out captures a single run; it cannot be combined with -all"))
+			cmd.Fatal(fmt.Errorf("-trace-out captures a single run; it cannot be combined with -all"))
 		}
-		runAll(ctx, s, *scale, *metricsOut, *metricsFormat, *chromeTrace)
-		return
-	}
-	if workload == "" {
-		fatal(fmt.Errorf("missing -workload (use -list-workloads to see options)"))
-	}
-
-	s.Capture.Path = *traceOut
-	if *progress > 0 {
-		start := time.Now()
-		s.Observer = func(p gscalar.Progress) {
-			fmt.Fprintf(os.Stderr, "  cycle %12d  insts %12d  live SMs %2d  (%.1fs)\n",
-				p.Cycle, p.WarpInsts, p.LiveSMs, time.Since(start).Seconds())
+		set, err = runAll(ctx, s, cmd.Scale)
+	} else {
+		if workload == "" {
+			cmd.Fatal(fmt.Errorf("missing -workload (use -list-workloads to see options)"))
+		}
+		s.Capture.Path = *traceOut
+		if *progress > 0 {
+			start := time.Now()
+			s.Observer = func(p gscalar.Progress) {
+				fmt.Fprintf(os.Stderr, "  cycle %12d  insts %12d  live SMs %2d  (%.1fs)\n",
+					p.Cycle, p.WarpInsts, p.LiveSMs, time.Since(start).Seconds())
+			}
+		}
+		var res gscalar.Result
+		res, err = s.RunWorkload(ctx, workload, cmd.Scale)
+		if err == nil || isCancel(err) {
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "gscalar-sim: %v — printing partial statistics\n", err)
+			}
+			printResult(os.Stdout, workload, arch, cmd.Scale, cfg, res, *breakdown)
+			if m := s.Metrics(); m != nil {
+				set = gscalar.MetricsSet{m}
+			}
 		}
 	}
-	res, err := s.RunWorkload(ctx, workload, *scale)
 	if err != nil && !isCancel(err) {
-		fatal(err)
+		cmd.Fatal(err)
 	}
-	if isCancel(err) {
-		fmt.Fprintf(os.Stderr, "gscalar-sim: %v — printing partial statistics\n", err)
-	}
-	printResult(os.Stdout, workload, arch, *scale, cfg, res, *breakdown)
-	// A cancelled run still flushes the partial series collected so far.
-	if m := s.Metrics(); m != nil {
-		if werr := writeTelemetry(gscalar.MetricsSet{m}, *metricsOut, *metricsFormat, *chromeTrace); werr != nil {
-			fatal(werr)
-		}
+	// A cancelled run still writes the partial telemetry collected so far.
+	if werr := cli.WriteTelemetry(set, cmd.MetricsFormat, *metricsOut, *chromeTrace); werr != nil {
+		cmd.Fatal(werr)
 	}
 	if err != nil {
-		prof.Stop()
-		os.Exit(1)
+		cmd.Exit(1)
 	}
 }
 
@@ -217,53 +148,6 @@ func checkpointStride(sample, progress uint64) (uint64, error) {
 		return 0, fmt.Errorf("-sample-stride %d and -progress %d set the same checkpoint stride; give one of them, or equal values", sample, progress)
 	}
 	return max(sample, progress), nil
-}
-
-// writeTelemetry writes the collected metrics and trace artifacts for the
-// flags that were given. A single-run set exports as one JSON object; a
-// multi-run set (from -all) as {"runs": [...]}. Files land atomically
-// (store.AtomicWrite: temp file + rename), so an export that fails
-// mid-render leaves no truncated artifact behind — and never clobbers a
-// previous good one.
-func writeTelemetry(set gscalar.MetricsSet, metricsOut, format, chromeTrace string) error {
-	if len(set) == 0 {
-		return nil
-	}
-	write := func(path string, emit func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		return store.AtomicWrite(path, emit)
-	}
-	if err := write(metricsOut, func(w io.Writer) error {
-		if format == "csv" {
-			return set.WriteCSV(w)
-		}
-		if len(set) == 1 {
-			return set[0].WriteJSON(w)
-		}
-		return set.WriteJSON(w)
-	}); err != nil {
-		return err
-	}
-	return write(chromeTrace, set.WriteTrace)
-}
-
-// loadConfig returns the default configuration, or the one decoded from the
-// JSON file at path (unknown fields rejected, invariants validated).
-func loadConfig(path string) (gscalar.Config, error) {
-	if path == "" {
-		return gscalar.DefaultConfig(), nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return gscalar.Config{}, err
-	}
-	cfg, err := gscalar.ConfigFromJSON(data)
-	if err != nil {
-		return gscalar.Config{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return cfg, nil
 }
 
 func isCancel(err error) bool {
@@ -327,21 +211,16 @@ func joules(j float64) string {
 
 // runAll prints a one-line summary per benchmark, running every workload
 // through the one Session s so telemetry accumulates into a single set. A
-// cancellation still flushes the in-flight benchmark's partial row — and the
-// partial telemetry — before exiting.
-func runAll(ctx context.Context, s *gscalar.Session, scale int, metricsOut, metricsFormat, chromeTrace string) {
+// cancelled benchmark still prints its partial row, and its partial
+// telemetry joins the set.
+func runAll(ctx context.Context, s *gscalar.Session, scale int) (gscalar.MetricsSet, error) {
 	var set gscalar.MetricsSet
-	flush := func() {
-		if werr := writeTelemetry(set, metricsOut, metricsFormat, chromeTrace); werr != nil {
-			fatal(werr)
-		}
-	}
 	fmt.Printf("%-4s %8s %10s %7s %8s %9s %8s %7s\n",
 		"sim", "cycles", "warpinsts", "IPC", "power(W)", "IPC/W", "eligible", "diverg")
 	for _, abbr := range gscalar.Workloads() {
 		res, err := s.RunWorkload(ctx, abbr, scale)
 		if err != nil && !isCancel(err) {
-			fatal(err)
+			return nil, err
 		}
 		if m := s.Metrics(); m != nil {
 			set = append(set, m)
@@ -351,20 +230,28 @@ func runAll(ctx context.Context, s *gscalar.Session, scale int, metricsOut, metr
 			100*res.Eligibility.Total(), 100*res.FracDivergent)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gscalar-sim: %v — last row is partial\n", err)
-			flush()
-			prof.Stop()
-			os.Exit(1)
+			return set, err
 		}
 	}
-	flush()
+	return set, nil
 }
 
-// prof is stopped on every exit path; fatal must flush it because os.Exit
-// skips main's defer.
-var prof *hostprof.Profiles
-
-func fatal(err error) {
-	prof.Stop()
-	fmt.Fprintln(os.Stderr, "gscalar-sim:", err)
-	os.Exit(1)
+// listWorkloads prints the builtin workloads and the generator's dials.
+func listWorkloads() {
+	for _, abbr := range gscalar.Workloads() {
+		w, _ := gscalar.WorkloadByAbbr(abbr)
+		fmt.Printf("%-4s %-11s %-8s %s\n", w.Abbr, w.Name, w.Suite, w.Desc)
+	}
+	fmt.Println("\ntrace:<path>  replay a trace captured with -trace-out")
+	fmt.Println("gen:<dials>   calibrated synthetic kernel; dials (name=value, comma-separated):")
+	for _, d := range gen.Schema() {
+		ff := func(v float64) string {
+			if d.Type == "int" {
+				return strconv.FormatFloat(v, 'f', -1, 64)
+			}
+			return strconv.FormatFloat(v, 'g', -1, 64)
+		}
+		fmt.Printf("  %-5s %-6s [%s, %s] default %-4s %s\n",
+			d.Name, d.Type, ff(d.Min), ff(d.Max), ff(d.Default), d.Desc)
+	}
 }

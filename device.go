@@ -1,7 +1,6 @@
 package gscalar
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -156,22 +155,19 @@ func (e *UnknownWorkloadError) Error() string {
 		e.Abbr, strings.Join(workloads.Abbrs(), " "), workloads.TracePrefix, workloads.GenPrefix)
 }
 
-// CanonicalWorkloadKey resolves a workload spec — a Table 2 abbreviation or
-// "trace:<path>" — to its canonical identity: the abbreviation itself for
-// builtins, "trace:" + the trace file's sha256 content hash for trace
-// replays. Two specs with equal keys simulate identically, which is what
-// lets point keys (experiments.PointKey, used by the experiment suite's
-// memo and the sweep server's result store) name trace-backed points by
-// trace *content* rather than by a file path that may be moved, copied or
-// overwritten.
+// CanonicalWorkloadKey resolves a workload spec — a Table 2 abbreviation,
+// "trace:<path>" or "gen:<dials>" — to its canonical identity: the
+// abbreviation itself for builtins, "trace:" + the trace file's sha256
+// content hash for trace replays, and "gen:" + the canonical dial spelling
+// for generated kernels. Two specs with equal keys simulate identically, which
+// is what lets point keys (experiments.PointKey, used by the experiment
+// suite's memo and the sweep server's result store) name trace-backed
+// points by trace *content* rather than by a file path that may be moved,
+// copied or overwritten.
 func CanonicalWorkloadKey(spec string) (string, error) {
-	src, err := workloads.Resolve(spec)
+	src, err := resolveWorkload(spec)
 	if err != nil {
-		var unk *workloads.UnknownError
-		if errors.As(err, &unk) {
-			return "", errUnknownWorkload(spec)
-		}
-		return "", fmt.Errorf("gscalar: workload %s: %w", spec, err)
+		return "", err
 	}
 	return src.Key(), nil
 }

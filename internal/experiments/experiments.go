@@ -365,33 +365,46 @@ type Fig10Row struct {
 }
 
 // Fig10 compares the 16-thread-granularity eligibility at warp sizes 32 and
-// 64. The warp-32 column is the G-Scalar memo point's half-scalar fraction
-// (Figure 9's "+half" column), so it assumes the suite's chip has Table 1's
-// 32-thread warps. The warp-64 column runs each workload on the suite's
-// chip with 64-thread warps and as many fewer warps per SM, so the resident
-// threads stay the same. That run is outside the memo: its telemetry and
-// trace files would take the memo point's names.
+// 64, each column on the suite's chip at that warp size (see halfScalarAt).
 func (s *Suite) Fig10() ([]Fig10Row, error) {
-	c := s.r.o.Config
-	c.MaxWarpsPerSM = c.MaxWarpsPerSM * c.WarpSize / 64
-	c.WarpSize = 64
-	wide, err := gscalar.NewSession(c, gscalar.GScalar)
-	if err != nil {
-		return nil, fmt.Errorf("warp size 64: %w", err)
-	}
 	var rows []Fig10Row
 	for _, abbr := range s.r.o.Workloads {
-		narrow, err := s.r.run(gscalar.GScalar, abbr)
+		h32, err := s.halfScalarAt(32, abbr)
 		if err != nil {
 			return nil, err
 		}
-		res, err := wide.RunWorkload(s.r.ctx, abbr, s.r.o.Scale)
+		h64, err := s.halfScalarAt(64, abbr)
 		if err != nil {
-			return nil, fmt.Errorf("warp size 64: %w", err)
+			return nil, err
 		}
-		rows = append(rows, Fig10Row{abbr, narrow.Eligibility.Half, res.Eligibility.Half})
+		rows = append(rows, Fig10Row{abbr, h32, h64})
 	}
 	return rows, nil
+}
+
+// halfScalarAt returns a workload's half-scalar fraction on G-Scalar on the
+// suite's chip at the given warp size, with as many warps per SM as keep
+// the suite's resident threads. At the suite's own warp size that is the
+// G-Scalar memo point (Figure 9's "+half" column). Any other warp size runs
+// outside the memo: its telemetry and trace files would take the memo
+// point's names.
+func (s *Suite) halfScalarAt(warp int, abbr string) (float64, error) {
+	c := s.r.o.Config
+	if warp == c.WarpSize {
+		res, err := s.r.run(gscalar.GScalar, abbr)
+		return res.Eligibility.Half, err
+	}
+	c.MaxWarpsPerSM = c.MaxWarpsPerSM * c.WarpSize / warp
+	c.WarpSize = warp
+	sess, err := gscalar.NewSession(c, gscalar.GScalar)
+	var res gscalar.Result
+	if err == nil {
+		res, err = sess.RunWorkload(s.r.ctx, abbr, s.r.o.Scale)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("warp size %d: %w", warp, err)
+	}
+	return res.Eligibility.Half, nil
 }
 
 // FormatFig10 renders the Figure 10 table.

@@ -129,6 +129,44 @@ func TestMemoEntriesKeepCounters(t *testing.T) {
 // a distinct PointKey, so a changed point can never be served a stale
 // result, while the phased worker count (which never changes results) is
 // collapsed so those points share one key.
+// TestFig10ColumnsFollowTheirWarpSize runs Figure 10 on a chip with
+// 64-thread warps. Each column must be HS's half-scalar fraction on that
+// chip at the column's warp size, with the same resident threads, so the
+// warp-32 column is not the suite's warp-64 memo point.
+func TestFig10ColumnsFollowTheirWarpSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := gscalar.DefaultConfig()
+	cfg.NumSMs = 2
+	cfg.WarpSize = 64
+	rows, err := NewSuiteContext(context.Background(), Options{Config: cfg, Workloads: []string{"HS"}}).Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := func(warp int) float64 {
+		c := cfg
+		c.MaxWarpsPerSM = cfg.MaxWarpsPerSM * cfg.WarpSize / warp
+		c.WarpSize = warp
+		s, err := gscalar.NewSession(c, gscalar.GScalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunWorkload(context.Background(), "HS", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Eligibility.Half
+	}
+	want := Fig10Row{"HS", half(32), half(64)}
+	if want.Half32 == want.Half64 {
+		t.Fatalf("HS's half-scalar fraction is %g at both warp sizes; the test cannot tell them apart", want.Half32)
+	}
+	if len(rows) != 1 || rows[0] != want {
+		t.Errorf("Fig10 = %+v, want [%+v]", rows, want)
+	}
+}
+
 func TestConfigKeyInvalidation(t *testing.T) {
 	key := func(cfg gscalar.Config, scale int) string { return PointKey(cfg, scale, gscalar.GScalar, "HW") }
 	base := key(gscalar.DefaultConfig(), 1)
