@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke benchsmoke examples serve expdet pincheck fmt fmtcheck profile
+.PHONY: check build test vet perfbench race valcancel relaxdet tracedet telemetry gendet perfsmoke benchsmoke examples serve expdet pincheck tracecheck fmt fmtcheck profile
 
 check: fmtcheck build test vet perfbench benchsmoke examples expdet pincheck race
 
@@ -113,6 +113,27 @@ pincheck:
 	"$$tmp/perfbench" -mode pin -out "$$tmp/digests.json" -tmp "$$tmp/work" && \
 	diff -u perfbench/digests.json "$$tmp/digests.json" && \
 	echo "pincheck: perfbench -mode pin reproduces perfbench/digests.json"
+
+# Traced benchmark runs: each perfbench workload once for 30 s at seed 1
+# with -trace 1. Besides the pinned digests, a traced run checks each
+# workload's character (stall-bound: chip IPC < 1, an `sm` share of the
+# profiled CPU >= 0.5 and a warp+core share < 0.15), so a change that moves
+# where host time goes can fail the benchmark while every test passes. Each
+# run must exit 0 and its last line must report "correct": true and
+# "failed": 0; perfbench prints each failed check on stderr, which passes
+# through. It only reads perfbench/; the build, the accuracy reference
+# and the scratch files land in the gitignored .bench_build/. It takes
+# minutes, so `check` does not run it.
+TRACECHECK_WORKLOADS = paper-sweep stall-bound serve-mixed
+tracecheck:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for w in $(TRACECHECK_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 1 > "$$out" || \
+			{ echo "tracecheck: $$w: perfbench exited non-zero"; exit 1; }; \
+		tail -n 1 "$$out" | python3 -c 'import json, sys; r = json.load(sys.stdin); \
+print("tracecheck: %s: correct %s, failed %d of %d" % (sys.argv[1], r["correct"], r["failed"], r["attempted"])); \
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' $$w || exit 1; \
+	done
 
 # Synthetic-generator gate: the gen-package unit tests (dial parsing and
 # typed errors, canonicalization round-trip, schema sanity, byte-identical

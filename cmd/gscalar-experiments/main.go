@@ -15,16 +15,18 @@
 //	                    [-metrics-out DIR] [-metrics-format json|csv] [-chrome-trace DIR]
 //	                    [-trace-out DIR] [-cpuprofile exp.pprof] [-memprofile exp.mprof]
 //
-// With -metrics-out (and/or -chrome-trace) every freshly simulated
-// (architecture, workload) point of the point memo additionally writes its
-// telemetry — final counters plus the sampled time series, and a
-// Perfetto-loadable Chrome trace — into the given directory as
-// <arch>_<workload> files. The memo points include the ALU-scalar and
-// G-Scalar points that the scalar-bank and scheduler ablations read. A
-// point answered from the memo, or joined while another call simulated it,
-// produces no new telemetry and therefore no files, and neither do the runs
-// outside the memo (the ablations' custom architectures, Figure 10's
-// column at a warp size other than the chip's, and the width sweep).
+// With -metrics-out (and/or -chrome-trace) every freshly simulated point of
+// the point memo additionally writes its telemetry — final counters plus
+// the sampled time series, and a Perfetto-loadable Chrome trace — into the
+// given directory: the suite hands each fresh experiments.Point and its
+// metrics to the Options.OnMetrics hook, which names the files
+// <arch>_<workload> with Point.FileName. The memo points include the
+// ALU-scalar and G-Scalar points that the scalar-bank and scheduler
+// ablations read. A point answered from the memo, or joined while another
+// call simulated it, produces no new telemetry and therefore no files, and
+// neither do the runs outside the memo (the ablations' custom
+// architectures, Figure 10's column at a warp size other than the chip's,
+// and the width sweep).
 //
 // -trace-out DIR captures every freshly simulated memo point's simulation
 // input as a replayable trace (<arch>_<workload>.gstr, written atomically
@@ -149,9 +151,9 @@ func newMetricsSink(metricsDir, format, traceDir string) (*metricsSink, error) {
 }
 
 // write is the experiments.Options.OnMetrics hook: it exports one point's
-// telemetry as gscalar-sim exports a single run.
-func (s *metricsSink) write(arch gscalar.Arch, abbr string, m *gscalar.Metrics) {
-	point := experiments.PointFileName(arch, abbr)
+// telemetry as gscalar-sim exports a single run, named with p.FileName.
+func (s *metricsSink) write(p experiments.Point, m *gscalar.Metrics) {
+	point := p.FileName()
 	var metricsPath, tracePath string
 	if s.metricsDir != "" {
 		metricsPath = filepath.Join(s.metricsDir, point+"."+s.format)

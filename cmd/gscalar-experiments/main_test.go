@@ -22,11 +22,12 @@ func TestMetricsSinkTraceSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := "trace:" + filepath.Join(dir, "hw.gstr")
-	sink.write(gscalar.GScalar, spec, &gscalar.Metrics{Workload: spec, Arch: gscalar.GScalar.String()})
+	p := experiments.Point{Arch: gscalar.GScalar, Workload: spec, Scale: 1}
+	sink.write(p, &gscalar.Metrics{Workload: spec, Arch: gscalar.GScalar.String()})
 	if err := sink.err(); err != nil {
 		t.Fatal(err)
 	}
-	stem := experiments.PointFileName(gscalar.GScalar, spec)
+	stem := p.FileName()
 	data, err := os.ReadFile(filepath.Join(metricsDir, stem+".json"))
 	if err != nil {
 		t.Fatal(err)

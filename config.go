@@ -12,7 +12,7 @@ import (
 // Normalize fills Table 1 defaults into unset fields, Validate enforces the
 // structural invariants every layer below assumes, JSON round-tripping backs
 // the CLIs' -config/-dump-config flags, and Hash provides the canonical
-// content identity that point keys (experiments.PointKey) are built on.
+// content identity that point keys (experiments.Point.Key) are built on.
 
 // defaultEpochCycles is the epoch length a config carrying the retired
 // Relaxed key without an EpochCycles loads with.
@@ -184,7 +184,7 @@ func ConfigFromJSON(data []byte) (Config, error) {
 // is independent of Go field declaration order and stable when new Config
 // fields are added later (a config that does not use a new field keeps its
 // identity). Two configs hash equal iff they denote the same simulation
-// input, which is what point keys (experiments.PointKey, shared by the
+// input, which is what point keys (experiments.Point.Key, shared by the
 // experiment suite's memo and the sweep server's store) build on.
 func (c Config) Hash() string {
 	blob, err := json.Marshal(c)

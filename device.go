@@ -160,7 +160,7 @@ func (e *UnknownWorkloadError) Error() string {
 // abbreviation itself for builtins, "trace:" + the trace file's sha256
 // content hash for trace replays, and "gen:" + the canonical dial spelling
 // for generated kernels. Two specs with equal keys simulate identically, which
-// is what lets point keys (experiments.PointKey, used by the experiment
+// is what lets point keys (experiments.Point.Key, used by the experiment
 // suite's memo and the sweep server's result store) name trace-backed
 // points by trace *content* rather than by a file path that may be moved,
 // copied or overwritten.

@@ -12,7 +12,7 @@ type cfg struct {
 	blockStart []int   // block -> first PC
 	blockEnd   []int   // block -> one past last PC
 	blockOf    []int   // PC -> block
-	succs      [][]int // block -> successor blocks; exitNode has none
+	succs      [][]int // block (and exitNode, which has none) -> successor blocks
 	exitNode   int     // virtual exit block id (== len(blockStart))
 }
 
@@ -49,7 +49,7 @@ func buildCFG(p *kernel.Program) *cfg {
 	c.blockEnd = append(c.blockEnd, n)
 	nb := len(c.blockStart)
 	c.exitNode = nb
-	c.succs = make([][]int, nb)
+	c.succs = make([][]int, nb+1)
 
 	addSucc := func(b, s int) {
 		for _, x := range c.succs[b] {
@@ -90,51 +90,64 @@ func buildCFG(p *kernel.Program) *cfg {
 	return c
 }
 
-// postDominators computes, for each block, the set of blocks that
-// post-dominate it (including itself), using the iterative dataflow
-// formulation over the reverse CFG. The virtual exit node post-dominates
-// everything.
-func (c *cfg) postDominators() []bitset {
-	nb := len(c.blockStart)
-	total := nb + 1 // + virtual exit
-	pdom := make([]bitset, total)
-	full := newBitset(total)
-	for i := 0; i < total; i++ {
+// dominance computes, for each of n nodes, the set of nodes that dominate
+// it (including itself) in a graph rooted at root whose edges into node b
+// come from in[b]: the greatest fixpoint of dom(b) = {b} ∪ ⋂ dom(p) over
+// p ∈ in[b], by iterative dataflow. A node no path from root reaches keeps
+// the full set (vacuously dominated by everything). The fixpoint does not
+// depend on the order nodes are visited.
+func dominance(n, root int, in [][]int) []bitset {
+	full := newBitset(n)
+	for i := 0; i < n; i++ {
 		full.set(i)
 	}
-	for b := 0; b < nb; b++ {
-		pdom[b] = full.clone()
+	dom := make([]bitset, n)
+	for b := range dom {
+		dom[b] = full.clone()
 	}
-	pdom[c.exitNode] = newBitset(total)
-	pdom[c.exitNode].set(c.exitNode)
-
-	changed := true
-	for changed {
+	dom[root] = newBitset(n)
+	dom[root].set(root)
+	for changed := true; changed; {
 		changed = false
-		// Iterate blocks in reverse order: post-dominance information flows
-		// backwards, so reverse order converges quickly.
-		for b := nb - 1; b >= 0; b-- {
-			meet := full.clone()
-			if len(c.succs[b]) == 0 {
-				// Unreachable-from-exit block (e.g. infinite loop); treat as
-				// post-dominated only by itself.
-				meet = newBitset(total)
+		for b := 0; b < n; b++ {
+			if b == root || len(in[b]) == 0 {
+				continue
 			}
-			for i, s := range c.succs[b] {
-				if i == 0 {
-					meet = pdom[s].clone()
-				} else {
-					meet.intersect(pdom[s])
-				}
+			meet := dom[in[b][0]].clone()
+			for _, p := range in[b][1:] {
+				meet.intersect(dom[p])
 			}
 			meet.set(b)
-			if !meet.equal(pdom[b]) {
-				pdom[b] = meet
+			if !meet.equal(dom[b]) {
+				dom[b] = meet
 				changed = true
 			}
 		}
 	}
-	return pdom
+	return dom
+}
+
+// dominators computes, per block, the set of blocks that dominate it
+// (including itself): dominance over predecessor edges from the entry
+// block.
+func (c *cfg) dominators() []bitset {
+	nb := len(c.blockStart)
+	preds := make([][]int, nb)
+	for b := 0; b < nb; b++ {
+		for _, s := range c.succs[b] {
+			if s < nb {
+				preds[s] = append(preds[s], b)
+			}
+		}
+	}
+	return dominance(nb, 0, preds)
+}
+
+// postDominators computes, for each block and the virtual exit node, the
+// set of nodes that post-dominate it (including itself): dominance over
+// successor edges from the virtual exit, which post-dominates everything.
+func (c *cfg) postDominators() []bitset {
+	return dominance(c.exitNode+1, c.exitNode, c.succs)
 }
 
 // assignRPCs computes each branch's reconvergence PC: the first instruction

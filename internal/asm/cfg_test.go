@@ -174,8 +174,35 @@ func genRandomProgram(rng *rand.Rand) string {
 	return src
 }
 
-// TestRPCMatchesBruteForce cross-checks the iterative postdominator
-// analysis against the path-based definition on random programs.
+// bruteForceDom computes dominators by the definition: q dominates b iff
+// every path from the entry block to b passes through q, vacuously so when
+// no path reaches b. It enumerates reachability with q removed.
+func bruteForceDom(c *cfg, b, q int) bool {
+	if b == q || q == 0 {
+		return true
+	}
+	seen := make([]bool, len(c.blockStart)+1)
+	stack := []int{0}
+	seen[0] = true
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == b {
+			return false
+		}
+		for _, s := range c.succs[n] {
+			if s != q && !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return true
+}
+
+// TestRPCMatchesBruteForce cross-checks the iterative dominator and
+// postdominator analyses against their path-based definitions on random
+// programs.
 func TestRPCMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -185,16 +212,21 @@ func TestRPCMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
 		c := buildCFG(p)
-		pdom := c.postDominators()
-		for b := 0; b < len(c.blockStart); b++ {
-			if len(c.succs[b]) == 0 {
-				continue // unreachable-from-exit special case
-			}
-			for q := 0; q <= len(c.blockStart); q++ {
+		nb := len(c.blockStart)
+		pdom, dom := c.postDominators(), c.dominators()
+		for b := 0; b < nb; b++ {
+			for q := 0; q <= nb; q++ {
 				got := pdom[b].has(q)
 				want := bruteForcePostDom(c, b, q)
 				if got != want {
 					t.Fatalf("trial %d: pdom(%d,%d) = %v, want %v\n%s",
+						trial, b, q, got, want, src)
+				}
+				if q == nb {
+					continue // the virtual exit is no block's dominator
+				}
+				if got, want := dom[b].has(q), bruteForceDom(c, b, q); got != want {
+					t.Fatalf("trial %d: dom(%d,%d) = %v, want %v\n%s",
 						trial, b, q, got, want, src)
 				}
 			}

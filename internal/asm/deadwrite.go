@@ -59,8 +59,8 @@ func DeadOnWrite(p *kernel.Program) []bool {
 			// safe zone.
 			limit = pc
 		}
-		dead[pc] = !siblingReads(p, c, dom, an, pc, r, limit) &&
-			!staleObservable(p, c, dom, pc, r, limit)
+		dead[pc] = !siblingReads(p, c, dom, pc, r, limit) &&
+			!staleObservable(p, c, dom, an, pc, r, limit)
 	}
 	return dead
 }
@@ -70,7 +70,7 @@ func DeadOnWrite(p *kernel.Program) []bool {
 // but outside the write's safe zone. The SIMT stack executes sibling paths
 // after the write even though no CFG path connects them (Figure 7(b)), so
 // CFG reachability alone would miss these reads.
-func siblingReads(p *kernel.Program, c *cfg, dom []bitset, an *StaticAnalysis, wpc int, r uint8, limit int) bool {
+func siblingReads(p *kernel.Program, c *cfg, dom []bitset, wpc int, r uint8, limit int) bool {
 	n := p.Len()
 	wblock := c.blockOf[wpc]
 	for b := 0; b < wpc; b++ {
@@ -139,9 +139,8 @@ func flowSuccs(p *kernel.Program, pc int) (x, y int) {
 // of the dominated region in later loop iterations, which the write always
 // precedes under its then-current mask) are skipped. A convergent
 // unguarded redefinition fully kills the stale bytes and stops the path.
-func staleObservable(p *kernel.Program, c *cfg, dom []bitset, wpc int, r uint8, limit int) bool {
+func staleObservable(p *kernel.Program, c *cfg, dom []bitset, an *StaticAnalysis, wpc int, r uint8, limit int) bool {
 	wblock := c.blockOf[wpc]
-	an := Analyze(p)
 	n := p.Len()
 	visited := make([]bool, n)
 	var stack []int
@@ -176,54 +175,4 @@ func staleObservable(p *kernel.Program, c *cfg, dom []bitset, wpc int, r uint8, 
 		push(qy)
 	}
 	return false
-}
-
-// dominators computes, per block, the set of blocks that dominate it
-// (including itself), by iterative dataflow from the entry block.
-func (c *cfg) dominators() []bitset {
-	nb := len(c.blockStart)
-	preds := make([][]int, nb)
-	for b := 0; b < nb; b++ {
-		for _, s := range c.succs[b] {
-			if s < nb {
-				preds[s] = append(preds[s], b)
-			}
-		}
-	}
-	full := newBitset(nb)
-	for i := 0; i < nb; i++ {
-		full.set(i)
-	}
-	dom := make([]bitset, nb)
-	for b := range dom {
-		dom[b] = full.clone()
-	}
-	entry := newBitset(nb)
-	entry.set(0)
-	dom[0] = entry
-
-	changed := true
-	for changed {
-		changed = false
-		for b := 1; b < nb; b++ {
-			meet := full.clone()
-			if len(preds[b]) == 0 {
-				// Unreachable block: dominated by everything (vacuous).
-				continue
-			}
-			for i, pr := range preds[b] {
-				if i == 0 {
-					meet = dom[pr].clone()
-				} else {
-					meet.intersect(dom[pr])
-				}
-			}
-			meet.set(b)
-			if !meet.equal(dom[b]) {
-				dom[b] = meet
-				changed = true
-			}
-		}
-	}
-	return dom
 }

@@ -60,11 +60,15 @@ func New(name string) *Command {
 }
 
 // Parse parses the command line and checks the shared flags. A bad
-// -metrics-format exits here, before any profile or simulation starts.
+// -metrics-format or a negative -sms exits here, before any profile or
+// simulation starts.
 func (c *Command) Parse() {
 	flag.Parse()
 	if c.MetricsFormat != "json" && c.MetricsFormat != "csv" {
 		c.Fatal(fmt.Errorf("unknown -metrics-format %q (want json or csv)", c.MetricsFormat))
+	}
+	if c.sms < 0 {
+		c.Fatal(fmt.Errorf("-sms %d: the SM count cannot be negative (0 keeps the -config or Table 1 value)", c.sms))
 	}
 }
 

@@ -97,6 +97,29 @@ func TestConfigFlagsOverFile(t *testing.T) {
 	}
 }
 
+// TestNegativeSMsRejected gives each command a negative -sms, which no chip
+// can have. It must exit 1 with one message naming the flag, not simulate
+// or dump the -config or Table 1 SM count instead.
+func TestNegativeSMsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+	}{
+		{"gscalar-sim", []string{"-workload", "HS"}},
+		{"gscalar-sim", []string{"-dump-config"}},
+		{"gscalar-experiments", []string{"-exp", "fig9", "-bench", "HS"}},
+		{"gscalar-experiments", []string{"-dump-config"}},
+	} {
+		args := append(tc.args, "-sms", "-4")
+		stdout, stderr, code := run(t, t.TempDir(), tc.cmd, args...)
+		want := tc.cmd + ": -sms -4: the SM count cannot be negative (0 keeps the -config or Table 1 value)\n"
+		if code != 1 || stdout != "" || stderr != want {
+			t.Errorf("%s %q: exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr %q",
+				tc.cmd, args, code, stdout, stderr, want)
+		}
+	}
+}
+
 // TestBadMetricsFormatStartsNothing gives each command an unknown
 // -metrics-format with both profiles asked for. It must exit 1 with one
 // message before it starts a profile, a simulation or a -dump-config.

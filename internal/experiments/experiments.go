@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"gscalar"
 	"gscalar/internal/stats"
@@ -25,13 +24,12 @@ type Options struct {
 	Scale     int      // workload scale factor (1 = default)
 	Workloads []string // default: all of Table 2
 
-	// OnMetrics, when non-nil, receives the telemetry of each freshly
-	// simulated (arch, workload) point: the metrics the memo entry keeps. A
-	// point answered from the memo, or joined while another call simulated
-	// it, does not refire it (no new run produced telemetry). Under the
-	// parallel prewarm fan-out it is called concurrently and must be safe
-	// for that.
-	OnMetrics func(arch gscalar.Arch, abbr string, m *gscalar.Metrics)
+	// OnMetrics, when non-nil, receives each freshly simulated point and
+	// its telemetry: the metrics the memo entry keeps. A point answered
+	// from the memo, or joined while another call simulated it, does not
+	// refire it (no new run produced telemetry). Under the parallel prewarm
+	// fan-out it is called concurrently and must be safe for that.
+	OnMetrics func(p Point, m *gscalar.Metrics)
 	// CaptureDir, when non-empty, writes a replayable trace of every
 	// freshly simulated point to <CaptureDir>/<arch>_<workload>.gstr (each
 	// file is written atomically; replay with -workload trace:<file>), under
@@ -76,51 +74,49 @@ func newRunner(ctx context.Context, o Options) *runner {
 	return &runner{ctx: ctx, o: o.defaults(), memo: memo}
 }
 
-// point returns the memo entry of one point, simulating it on a miss. Do
-// memoizes and deduplicates: if another goroutine — a PrewarmContext
-// sibling, or another Suite over the same options — is already simulating
-// this key, this call joins that run instead of repeating it, so each
-// distinct point simulates at most once per process.
-func (r *runner) point(ctx context.Context, arch gscalar.Arch, abbr string) (store.Entry, error) {
-	e, _, err := r.memo.Do(ctx, PointKey(r.o.Config, r.o.Scale, arch, abbr), func() (store.Entry, error) {
+// point returns the memo entry of p, simulating it on a miss. Do memoizes
+// and deduplicates: if another goroutine — a PrewarmContext sibling, or
+// another Suite over the same options — is already simulating this key,
+// this call joins that run instead of repeating it, so each distinct point
+// simulates at most once per process.
+func (r *runner) point(ctx context.Context, p Point) (store.Entry, error) {
+	e, _, err := r.memo.Do(ctx, p.Key(), func() (store.Entry, error) {
 		// One Session per fresh point: the prewarm fan-out runs points
 		// concurrently, and a session's telemetry is per-run state. The
 		// session layer annotates escaping errors with the workload and
 		// architecture; a cancelled run's partial result is never stored.
-		s, err := gscalar.NewSession(r.o.Config, arch)
+		s, err := gscalar.NewSession(p.Config, p.Arch)
 		if err != nil {
 			return store.Entry{}, err
 		}
 		s.Telemetry.Enabled = true
 		if r.o.CaptureDir != "" {
-			s.Capture.Path = filepath.Join(r.o.CaptureDir, PointFileName(arch, abbr)+".gstr")
+			s.Capture.Path = filepath.Join(r.o.CaptureDir, p.FileName()+".gstr")
 		}
-		res, err := s.RunWorkload(ctx, abbr, r.o.Scale)
-		if err != nil {
-			return store.Entry{}, err
-		}
-		b, err := json.Marshal(res)
+		res, err := s.RunWorkload(ctx, p.Workload, p.Scale)
 		if err != nil {
 			return store.Entry{}, err
 		}
 		m := s.Metrics()
-		mb, err := m.JSON()
-		if err != nil {
-			return store.Entry{}, err
+		e, err := p.Entry(res, m)
+		if err == nil && r.o.OnMetrics != nil {
+			r.o.OnMetrics(p, m)
 		}
-		if r.o.OnMetrics != nil {
-			r.o.OnMetrics(arch, abbr, m)
-		}
-		return store.Entry{Result: b, Metrics: mb}, nil
+		return e, err
 	})
 	return e, err
+}
+
+// at returns the suite's point of one architecture and workload.
+func (r *runner) at(arch gscalar.Arch, abbr string) Point {
+	return Point{Config: r.o.Config, Arch: arch, Workload: abbr, Scale: r.o.Scale}
 }
 
 // run returns the Result of one point. The memo stores it as compact JSON
 // and every read decodes it; Go's float formatting round-trips exactly, so
 // a decoded Result equals the simulated one.
 func (r *runner) run(arch gscalar.Arch, abbr string) (gscalar.Result, error) {
-	e, err := r.point(r.ctx, arch, abbr)
+	e, err := r.point(r.ctx, r.at(arch, abbr))
 	var res gscalar.Result
 	if err == nil {
 		err = json.Unmarshal(e.Result, &res)
@@ -132,7 +128,7 @@ func (r *runner) run(arch gscalar.Arch, abbr string) (gscalar.Result, error) {
 // summed over its instances (SMs, DRAM channels). The counters are integer
 // counts, so the sums are exact.
 func (r *runner) counters(arch gscalar.Arch, abbr string) (map[string]float64, error) {
-	e, err := r.point(r.ctx, arch, abbr)
+	e, err := r.point(r.ctx, r.at(arch, abbr))
 	if err != nil {
 		return nil, err
 	}
@@ -147,52 +143,6 @@ func (r *runner) counters(arch gscalar.Arch, abbr string) (map[string]float64, e
 		sums[c.Name] += c.Value
 	}
 	return sums, nil
-}
-
-// canonicalHash is the configuration component of a point key: the content
-// hash of the normalized config with the phased worker count collapsed.
-// Hashing the normalized form makes a sparse config and its explicit
-// equivalent — the same simulation input — share one key. Workers is
-// collapsed to 0 (serial schedule) or 1 (phased schedule): every non-zero
-// worker count is bit-identical by construction, so those points share an
-// entry, while the two schedules — which may differ in the last bits of
-// energy sums — stay apart.
-func canonicalHash(cfg gscalar.Config) string {
-	cfg.Normalize()
-	if cfg.Workers != 0 {
-		cfg.Workers = 1
-	}
-	return cfg.Hash()
-}
-
-// PointKey is the canonical content identity of one simulation point —
-// "configHash|scale=N|arch/workload" — under which the experiment suite's
-// memory store and gscalar-serve's directory store (internal/store) keep
-// it. Two points share a key iff they denote the same simulation input, so
-// a key can never be served a stale or foreign result.
-//
-// The workload component is canonicalized: a trace-backed spec
-// ("trace:<path>") keys on "trace:" + the file's sha256 content hash, so the
-// same capture is one entry under any path, and replacing the file behind a
-// path can never be served the old file's result. A spec that fails to
-// resolve (unknown name, unreadable trace) keys on its literal text; the
-// simulation itself then reports the real error, and a key that never
-// simulates successfully is never stored.
-func PointKey(cfg gscalar.Config, scale int, arch gscalar.Arch, abbr string) string {
-	if key, err := gscalar.CanonicalWorkloadKey(abbr); err == nil {
-		abbr = key
-	}
-	return store.Key(canonicalHash(cfg), scale, arch.String(), abbr)
-}
-
-// PointFileName renders an (arch, workload-spec) pair as a safe file-name
-// stem: path separators and the trace-spec colon are flattened, so a file
-// named for a "trace:/dir/f.gstr" point still lands in the directory it is
-// written to. Every per-point file — a captured trace, a telemetry export —
-// is named with it.
-func PointFileName(arch gscalar.Arch, abbr string) string {
-	clean := strings.NewReplacer("/", "_", "\\", "_", ":", "_").Replace(abbr)
-	return arch.String() + "_" + clean
 }
 
 // Suite bundles a memoizing runner over one option set; create it once and

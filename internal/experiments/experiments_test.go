@@ -96,7 +96,7 @@ func TestMemoEntriesKeepCounters(t *testing.T) {
 		t.Fatalf("memo holds %d entries, Fig11 reads %d points", s.r.memo.Len(), len(points))
 	}
 	for _, p := range points {
-		e, ok, err := s.r.memo.Get(PointKey(s.r.o.Config, s.r.o.Scale, p.Arch, p.Abbr))
+		e, ok, err := s.r.memo.Get(p.Key())
 		if err != nil || !ok {
 			t.Fatalf("%v: entry missing (%v)", p, err)
 		}
@@ -124,11 +124,6 @@ func TestMemoEntriesKeepCounters(t *testing.T) {
 	}
 }
 
-// TestConfigKeyInvalidation checks that every semantically meaningful
-// change to a point — a config field, the scale, the architecture — yields
-// a distinct PointKey, so a changed point can never be served a stale
-// result, while the phased worker count (which never changes results) is
-// collapsed so those points share one key.
 // TestFig10ColumnsFollowTheirWarpSize runs Figure 10 on a chip with
 // 64-thread warps. Each column must be HS's half-scalar fraction on that
 // chip at the column's warp size, with the same resident threads, so the
@@ -167,62 +162,6 @@ func TestFig10ColumnsFollowTheirWarpSize(t *testing.T) {
 	}
 }
 
-func TestConfigKeyInvalidation(t *testing.T) {
-	key := func(cfg gscalar.Config, scale int) string { return PointKey(cfg, scale, gscalar.GScalar, "HW") }
-	base := key(gscalar.DefaultConfig(), 1)
-
-	mutations := map[string]func(*gscalar.Config){
-		"NumSMs":      func(c *gscalar.Config) { c.NumSMs = 7 },
-		"L1Bytes":     func(c *gscalar.Config) { c.L1Bytes = 32 << 10 },
-		"L2Bytes":     func(c *gscalar.Config) { c.L2Bytes = 256 << 10 },
-		"MemChannels": func(c *gscalar.Config) { c.MemChannels = 2 },
-		"WarpSize":    func(c *gscalar.Config) { c.WarpSize = 64 },
-		"MaxCycles":   func(c *gscalar.Config) { c.MaxCycles = 5 },
-	}
-	for name, mutate := range mutations {
-		cfg := gscalar.DefaultConfig()
-		mutate(&cfg)
-		if k := key(cfg, 1); k == base {
-			t.Errorf("changing %s did not change the point key", name)
-		}
-	}
-	if k := key(gscalar.DefaultConfig(), 2); k == base {
-		t.Error("changing scale did not change the point key")
-	}
-	if k := PointKey(gscalar.DefaultConfig(), 1, gscalar.Baseline, "HW"); k == base {
-		t.Error("changing the architecture did not change the point key")
-	}
-
-	// Workers normalisation: 0 (serial schedule) is its own key; every
-	// non-zero count maps to one shared key (bit-identical results).
-	phased := func(n int) string {
-		cfg := gscalar.DefaultConfig()
-		cfg.Workers = n
-		return key(cfg, 1)
-	}
-	if phased(1) != phased(8) || phased(1) != phased(-1) {
-		t.Error("phased worker counts should share one point key")
-	}
-	if phased(1) == base {
-		t.Error("phased and serial schedules must not share a point key")
-	}
-	if !strings.Contains(base, "|scale=1|") {
-		t.Errorf("key %q lacks the scale component", base)
-	}
-	if !strings.HasPrefix(base, gscalar.DefaultConfig().Hash()) {
-		t.Errorf("key %q is not prefixed by the config content hash", base)
-	}
-
-	// The key hashes the normalized config: a sparse config denotes "Table 1
-	// with these changes" and must share the entry of its explicit form.
-	sparse := gscalar.Config{NumSMs: 7}
-	explicit := gscalar.DefaultConfig()
-	explicit.NumSMs = 7
-	if key(sparse, 1) != key(explicit, 1) {
-		t.Error("sparse config and its normalized equivalent should share a point key")
-	}
-}
-
 // TestSparseOptionsConfig checks that a suite keeps the fields a sparse
 // Options.Config sets and fills the rest from Table 1: the point keys it
 // simulates and the Table 1 it prints both follow the normalized config.
@@ -258,7 +197,7 @@ func TestSparseOptionsConfig(t *testing.T) {
 	if s.r.o.Config != want {
 		t.Errorf("{MemChannels: 2} became %+v, want %+v", s.r.o.Config, want)
 	}
-	if PointKey(s.r.o.Config, 1, gscalar.GScalar, "HW") == PointKey(gscalar.DefaultConfig(), 1, gscalar.GScalar, "HW") {
+	if s.r.at(gscalar.GScalar, "HW").Key() == (Point{Arch: gscalar.GScalar, Workload: "HW", Scale: 1}).Key() {
 		t.Error("{MemChannels: 2} keys its points as Table 1's")
 	}
 	if got := table1(s)["memory channels"]; got != "2" {

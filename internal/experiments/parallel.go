@@ -4,15 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
-
-	"gscalar"
 )
-
-// Point identifies one (architecture, workload) simulation a figure needs.
-type Point struct {
-	Arch gscalar.Arch
-	Abbr string
-}
 
 // PrewarmContext simulates the given points concurrently, at most par at a
 // time, filling the suite's point memo. Figures rendered afterwards are
@@ -33,7 +25,7 @@ func (s *Suite) PrewarmContext(ctx context.Context, points []Point, par int) err
 	defer cancel()
 	if par <= 1 || len(points) <= 1 {
 		for _, p := range points {
-			if _, err := s.r.point(ctx, p.Arch, p.Abbr); err != nil {
+			if _, err := s.r.point(ctx, p); err != nil {
 				return err
 			}
 		}
@@ -54,7 +46,7 @@ func (s *Suite) PrewarmContext(ctx context.Context, points []Point, par int) err
 					errs[i] = err
 					continue
 				}
-				_, errs[i] = s.r.point(ctx, points[i].Arch, points[i].Abbr)
+				_, errs[i] = s.r.point(ctx, points[i])
 				if errs[i] != nil {
 					cancel()
 				}

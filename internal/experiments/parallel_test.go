@@ -15,7 +15,7 @@ import (
 // joined.
 func countingSuite(o Options) (*Suite, *atomic.Int32) {
 	var sims atomic.Int32
-	o.OnMetrics = func(gscalar.Arch, string, *gscalar.Metrics) { sims.Add(1) }
+	o.OnMetrics = func(Point, *gscalar.Metrics) { sims.Add(1) }
 	s := NewSuiteContext(context.Background(), o)
 	s.r.memo = store.NewMemory()
 	return s, &sims
@@ -32,7 +32,7 @@ func TestPrewarmDedupsConcurrentIdenticalPoints(t *testing.T) {
 
 	// Four copies of the same point dispatched to four workers: all four
 	// miss the (empty) memo near-simultaneously.
-	p := Point{Arch: gscalar.GScalar, Abbr: "HW"}
+	p := Point{Config: cfg, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}
 	points := []Point{p, p, p, p}
 	if err := s.PrewarmContext(context.Background(), points, len(points)); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 func TestPrewarmPropagatesError(t *testing.T) {
 	s := NewSuiteContext(context.Background(), Options{Workloads: []string{"NOPE"}})
 	s.r.memo = store.NewMemory()
-	if err := s.PrewarmContext(context.Background(), []Point{{gscalar.GScalar, "NOPE"}}, 4); err == nil {
+	if err := s.PrewarmContext(context.Background(), []Point{{Arch: gscalar.GScalar, Workload: "NOPE", Scale: 1}}, 4); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
 }

@@ -97,9 +97,8 @@ func Select(name string) ([]Experiment, error) {
 		name, strings.Join(Names(), ", "))
 }
 
-// Points returns the deduplicated (architecture, workload) memo points the
-// given experiments read, architecture in presentation order, then the
-// suite's workload order.
+// Points returns the deduplicated memo points the given experiments read,
+// architecture in presentation order, then the suite's workload order.
 func (s *Suite) Points(exps []Experiment) []Point {
 	var pts []Point
 	for _, a := range gscalar.AllArchs() {
@@ -107,7 +106,7 @@ func (s *Suite) Points(exps []Experiment) []Point {
 			continue
 		}
 		for _, abbr := range s.r.o.Workloads {
-			pts = append(pts, Point{Arch: a, Abbr: abbr})
+			pts = append(pts, s.r.at(a, abbr))
 		}
 	}
 	return pts

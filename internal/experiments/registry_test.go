@@ -61,7 +61,7 @@ var runRegistry = sync.OnceValue(func() map[string]registryRun {
 	for _, e := range registry {
 		archs := map[gscalar.Arch]bool{}
 		o := Options{Config: cfg, Workloads: []string{"HW"}}
-		o.OnMetrics = func(a gscalar.Arch, _ string, _ *gscalar.Metrics) { archs[a] = true }
+		o.OnMetrics = func(p Point, _ *gscalar.Metrics) { archs[p.Arch] = true }
 		s := NewSuiteContext(context.Background(), o)
 		s.r.memo = store.NewMemory()
 		_, csv, err := e.Render(s)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"gscalar"
+	"gscalar/internal/experiments"
 	"gscalar/internal/gen"
 	"gscalar/internal/workloads"
 )
@@ -98,7 +99,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // grid expands the request into its point list, validating every component.
-func (req submitRequest) grid() ([]PointSpec, error) {
+func (req submitRequest) grid() ([]experiments.Point, error) {
 	archs := req.Archs
 	if req.Arch != "" {
 		archs = append([]string{req.Arch}, archs...)
@@ -120,37 +121,57 @@ func (req submitRequest) grid() ([]PointSpec, error) {
 	if len(scales) == 0 {
 		scales = []int{1}
 	}
-	var specs []PointSpec
+	var points []experiments.Point
 	seen := make(map[string]bool)
 	for _, a := range archs {
 		for _, wl := range wls {
 			for _, sc := range scales {
-				spec, err := specFromParts(req.Config, a, wl, sc)
+				pt, err := pointFromParts(req.Config, a, wl, sc)
 				if err != nil {
 					return nil, err
 				}
-				k := spec.Key()
+				k := pt.Key()
 				if seen[k] { // an identical grid cell, e.g. arch repeated in archs
 					continue
 				}
 				seen[k] = true
-				specs = append(specs, spec)
+				points = append(points, pt)
 			}
 		}
 	}
-	return specs, nil
+	return points, nil
+}
+
+// pointHead is the wire identity and state of one point, the fields every
+// per-point view starts with.
+type pointHead struct {
+	Arch     string `json:"arch"`
+	Workload string `json:"workload"`
+	Scale    int    `json:"scale"`
+	Key      string `json:"key"`
+	Status   string `json:"status"`
+	Cached   bool   `json:"cached,omitempty"`
+	Joined   bool   `json:"joined,omitempty"`
+	Partial  bool   `json:"partial,omitempty"`
+}
+
+// headLocked returns p's wire identity and state; callers hold s.mu.
+func (p *pointState) headLocked() pointHead {
+	return pointHead{
+		Arch:     p.pt.Arch.String(),
+		Workload: p.pt.Workload,
+		Scale:    p.pt.Scale,
+		Key:      p.key,
+		Status:   p.status.String(),
+		Cached:   p.cached,
+		Joined:   p.joined,
+		Partial:  p.partial,
+	}
 }
 
 // pointView is the wire form of one point's state.
 type pointView struct {
-	Arch     string            `json:"arch"`
-	Workload string            `json:"workload"`
-	Scale    int               `json:"scale"`
-	Key      string            `json:"key"`
-	Status   string            `json:"status"`
-	Cached   bool              `json:"cached,omitempty"`
-	Joined   bool              `json:"joined,omitempty"`
-	Partial  bool              `json:"partial,omitempty"`
+	pointHead
 	Error    string            `json:"error,omitempty"`
 	Progress *gscalar.Progress `json:"progress,omitempty"`
 }
@@ -181,17 +202,7 @@ func (s *Server) viewLocked(j *job, withPoints bool) jobView {
 			anyCancelled = true
 		}
 		if withPoints {
-			pv := pointView{
-				Arch:     p.spec.Arch.String(),
-				Workload: p.spec.Workload,
-				Scale:    p.spec.Scale,
-				Key:      p.key,
-				Status:   p.status.String(),
-				Cached:   p.cached,
-				Joined:   p.joined,
-				Partial:  p.partial,
-				Error:    p.errMsg,
-			}
+			pv := pointView{pointHead: p.headLocked(), Error: p.errMsg}
 			if p.status == pointRunning {
 				if pr, ok := s.progress[p.key]; ok {
 					pv.Progress = &pr
@@ -251,15 +262,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // resultView pairs a point's identity with its Result bytes, verbatim from
 // the store (or the partial prefix of a cancelled run).
 type resultView struct {
-	Arch     string          `json:"arch"`
-	Workload string          `json:"workload"`
-	Scale    int             `json:"scale"`
-	Key      string          `json:"key"`
-	Status   string          `json:"status"`
-	Cached   bool            `json:"cached,omitempty"`
-	Joined   bool            `json:"joined,omitempty"`
-	Partial  bool            `json:"partial,omitempty"`
-	Result   json.RawMessage `json:"result,omitempty"`
+	pointHead
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -271,17 +275,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	v := s.viewLocked(j, false)
 	results := make([]resultView, 0, len(j.points))
 	for _, p := range j.points {
-		results = append(results, resultView{
-			Arch:     p.spec.Arch.String(),
-			Workload: p.spec.Workload,
-			Scale:    p.spec.Scale,
-			Key:      p.key,
-			Status:   p.status.String(),
-			Cached:   p.cached,
-			Joined:   p.joined,
-			Partial:  p.partial,
-			Result:   p.result,
-		})
+		results = append(results, resultView{pointHead: p.headLocked(), Result: p.result})
 	}
 	s.mu.Unlock()
 	// Compact encoding: the stored Result bytes are compact, and compacting

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"gscalar"
+	"gscalar/internal/experiments"
 	"gscalar/internal/store"
 )
 
@@ -45,16 +46,16 @@ func (s *Server) persistPending() (int, error) {
 			if p.status != pointQueued {
 				continue
 			}
-			cfg, err := json.Marshal(p.spec.Config)
+			cfg, err := json.Marshal(p.pt.Config)
 			if err != nil {
 				s.mu.Unlock()
 				return 0, fmt.Errorf("serve: encode pending config: %w", err)
 			}
 			pf.Points = append(pf.Points, pendingPoint{
 				Config:   cfg,
-				Arch:     p.spec.Arch.String(),
-				Workload: p.spec.Workload,
-				Scale:    p.spec.Scale,
+				Arch:     p.pt.Arch.String(),
+				Workload: p.pt.Workload,
+				Scale:    p.pt.Scale,
 			})
 		}
 	}
@@ -94,35 +95,35 @@ func (s *Server) loadPending() error {
 	if len(pf.Points) == 0 {
 		return nil
 	}
-	specs := make([]PointSpec, 0, len(pf.Points))
+	points := make([]experiments.Point, 0, len(pf.Points))
 	for i, pp := range pf.Points {
-		spec, err := specFromParts(pp.Config, pp.Arch, pp.Workload, pp.Scale)
+		pt, err := pointFromParts(pp.Config, pp.Arch, pp.Workload, pp.Scale)
 		if err != nil {
 			return fmt.Errorf("serve: %s point %d: %w", pendingFileName, i, err)
 		}
-		specs = append(specs, spec)
+		points = append(points, pt)
 	}
-	_, err = s.submit(specs, true)
+	_, err = s.submit(points, true)
 	return err
 }
 
-// specFromParts validates and assembles one point from its wire form.
-func specFromParts(cfgJSON json.RawMessage, archName, workload string, scale int) (PointSpec, error) {
-	var spec PointSpec
+// pointFromParts validates and assembles one point from its wire form.
+func pointFromParts(cfgJSON json.RawMessage, archName, workload string, scale int) (experiments.Point, error) {
+	var pt experiments.Point
 	if len(cfgJSON) == 0 || string(cfgJSON) == "null" {
-		spec.Config = gscalar.DefaultConfig()
+		pt.Config = gscalar.DefaultConfig()
 	} else {
 		cfg, err := gscalar.ConfigFromJSON(cfgJSON)
 		if err != nil {
-			return PointSpec{}, err
+			return experiments.Point{}, err
 		}
-		spec.Config = cfg
+		pt.Config = cfg
 	}
 	arch, ok := gscalar.ArchByName(archName)
 	if !ok {
-		return PointSpec{}, fmt.Errorf("unknown arch %q (valid: %v)", archName, gscalar.ArchNames())
+		return experiments.Point{}, fmt.Errorf("unknown arch %q (valid: %v)", archName, gscalar.ArchNames())
 	}
-	spec.Arch = arch
+	pt.Arch = arch
 	// A workload is a spec: a builtin abbreviation or "trace:<path>".
 	// CanonicalWorkloadKey resolves both — for traces it decodes the file,
 	// so a submission referencing a missing or corrupt trace is rejected
@@ -130,17 +131,17 @@ func specFromParts(cfgJSON json.RawMessage, archName, workload string, scale int
 	if _, err := gscalar.CanonicalWorkloadKey(workload); err != nil {
 		var unk *gscalar.UnknownWorkloadError
 		if errors.As(err, &unk) {
-			return PointSpec{}, fmt.Errorf("unknown workload %q (valid: %v; or trace:<path>)", workload, gscalar.Workloads())
+			return experiments.Point{}, fmt.Errorf("unknown workload %q (valid: %v; or trace:<path>)", workload, gscalar.Workloads())
 		}
-		return PointSpec{}, fmt.Errorf("workload %q: %w", workload, err)
+		return experiments.Point{}, fmt.Errorf("workload %q: %w", workload, err)
 	}
-	spec.Workload = workload
+	pt.Workload = workload
 	if scale == 0 {
 		scale = 1
 	}
 	if scale < 1 {
-		return PointSpec{}, fmt.Errorf("scale %d: must be >= 1", scale)
+		return experiments.Point{}, fmt.Errorf("scale %d: must be >= 1", scale)
 	}
-	spec.Scale = scale
-	return spec, nil
+	pt.Scale = scale
+	return pt, nil
 }

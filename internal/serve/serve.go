@@ -18,10 +18,10 @@
 //     directory re-enqueues them, and whatever did complete resolves as a
 //     store hit.
 //
-// Keys are experiments.PointKey — the same canonical identity the
-// experiment suite's memory store uses — so results are interchangeable
-// across entry points and a key can never be served a stale or foreign
-// result.
+// A point is an experiments.Point, keyed by Point.Key and stored as the
+// entry Point.Entry builds — the same identity and entry the experiment
+// suite's memory store keeps — so results are interchangeable across entry
+// points and a key can never be served a stale or foreign result.
 package serve
 
 import (
@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -63,19 +62,6 @@ type Options struct {
 	ObserverStride uint64
 }
 
-// PointSpec is one simulation point: the full input of a run.
-type PointSpec struct {
-	Config   gscalar.Config
-	Arch     gscalar.Arch
-	Workload string
-	Scale    int
-}
-
-// Key returns the point's canonical store key.
-func (p PointSpec) Key() string {
-	return experiments.PointKey(p.Config, p.Scale, p.Arch, p.Workload)
-}
-
 type pointStatus int
 
 const (
@@ -103,10 +89,10 @@ func (s pointStatus) String() string {
 }
 
 // pointState tracks one point of a job. All fields are guarded by Server.mu
-// except spec and key, which are immutable after creation.
+// except pt and key, which are immutable after creation.
 type pointState struct {
-	spec PointSpec
-	key  string
+	pt  experiments.Point
+	key string
 
 	status  pointStatus
 	cached  bool // completed from the store without a fresh simulation
@@ -161,8 +147,8 @@ type Server struct {
 	joins     atomic.Uint64 // points that joined an in-flight simulation (joined)
 
 	// Test hooks (nil in production).
-	testBeforeRun  func(PointSpec)  // entered a fresh simulation
-	testOnProgress func(key string) // after a progress snapshot landed
+	testBeforeRun  func(experiments.Point) // entered a fresh simulation
+	testOnProgress func(key string)        // after a progress snapshot landed
 }
 
 // Stats is a point-in-time snapshot of server counters.
@@ -212,12 +198,12 @@ func New(o Options) (*Server, error) {
 // Submit registers the points as one job and enqueues them FIFO. It fails
 // without side effects when the server is draining or the queue cannot hold
 // the job.
-func (s *Server) Submit(specs []PointSpec) (*job, error) {
-	return s.submit(specs, false)
+func (s *Server) Submit(points []experiments.Point) (*job, error) {
+	return s.submit(points, false)
 }
 
-func (s *Server) submit(specs []PointSpec, recovered bool) (*job, error) {
-	if len(specs) == 0 {
+func (s *Server) submit(points []experiments.Point, recovered bool) (*job, error) {
+	if len(points) == 0 {
 		return nil, errors.New("serve: job has no points")
 	}
 	s.mu.Lock()
@@ -227,13 +213,13 @@ func (s *Server) submit(specs []PointSpec, recovered bool) (*job, error) {
 	}
 	// All sends happen under mu, so len(queue) cannot grow concurrently;
 	// this capacity check is exact.
-	if len(s.queue)+len(specs) > cap(s.queue) {
+	if len(s.queue)+len(points) > cap(s.queue) {
 		return nil, errQueueFull
 	}
 	s.nextID++
 	j := &job{id: "j" + strconv.Itoa(s.nextID), recovered: recovered}
-	for _, sp := range specs {
-		j.points = append(j.points, &pointState{spec: sp, key: sp.Key()})
+	for _, pt := range points {
+		j.points = append(j.points, &pointState{pt: pt, key: pt.Key()})
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -397,10 +383,10 @@ func (s *Server) simulate(ctx context.Context, p *pointState) (e store.Entry, er
 		}
 	}()
 	if hook := s.testBeforeRun; hook != nil {
-		hook(p.spec)
+		hook(p.pt)
 	}
 	s.sims.Add(1)
-	sess, err := gscalar.NewSession(p.spec.Config, p.spec.Arch)
+	sess, err := gscalar.NewSession(p.pt.Config, p.pt.Arch)
 	if err != nil {
 		return store.Entry{}, err
 	}
@@ -417,7 +403,7 @@ func (s *Server) simulate(ctx context.Context, p *pointState) (e store.Entry, er
 			hook(key)
 		}
 	}
-	res, err := sess.RunWorkload(ctx, p.spec.Workload, p.spec.Scale)
+	res, err := sess.RunWorkload(ctx, p.pt.Workload, p.pt.Scale)
 	s.mu.Lock()
 	delete(s.progress, key)
 	s.mu.Unlock()
@@ -435,23 +421,7 @@ func (s *Server) simulate(ctx context.Context, p *pointState) (e store.Entry, er
 		}
 		return store.Entry{}, err
 	}
-	resultJSON, err := json.Marshal(res)
-	if err != nil {
-		return store.Entry{}, err
-	}
-	e = store.Entry{
-		ConfigHash: key[:strings.IndexByte(key, '|')],
-		Arch:       p.spec.Arch.String(),
-		Workload:   p.spec.Workload,
-		Scale:      p.spec.Scale,
-		Result:     resultJSON,
-	}
-	if m := sess.Metrics(); m != nil {
-		if mb, err := m.JSON(); err == nil {
-			e.Metrics = mb
-		}
-	}
-	return e, nil
+	return p.pt.Entry(res, sess.Metrics())
 }
 
 func isCancel(err error) bool {

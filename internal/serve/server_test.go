@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gscalar"
+	"gscalar/internal/experiments"
 	"gscalar/internal/store"
 )
 
@@ -395,7 +396,7 @@ func TestDrainPersistsAndResumes(t *testing.T) {
 	reached3 := make(chan struct{})
 	release := make(chan struct{})
 	var fresh atomic.Int32
-	s1.testBeforeRun = func(PointSpec) {
+	s1.testBeforeRun = func(experiments.Point) {
 		if fresh.Add(1) == 3 {
 			close(reached3)
 			// Hold the third simulation until the drain is underway, so it
@@ -621,14 +622,33 @@ func TestQueueFullRejected(t *testing.T) {
 }
 
 // TestStoreKeyMatchesExperimentsCache pins the cross-component contract:
-// the server's point key is experiments.PointKey, the key the experiment
-// suite's memory store derives for the same input, so results are
+// a point submitted over the wire is keyed exactly as the experiment
+// suite's memory store keys the same input, so results are
 // interchangeable.
 func TestStoreKeyMatchesExperimentsCache(t *testing.T) {
+	wireKey := func(cfg gscalar.Config) string {
+		t.Helper()
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := submitRequest{Config: b, Arch: "gscalar", Workload: "HW", Scale: 1}
+		pts, err := req.grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != 1 {
+			t.Fatalf("grid expanded to %d points, want 1", len(pts))
+		}
+		return pts[0].Key()
+	}
 	cfg := gscalar.DefaultConfig()
 	cfg.NumSMs = 2
-	spec := PointSpec{Config: cfg, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}
-	key := spec.Key()
+	key := wireKey(cfg)
+	want := experiments.Point{Config: cfg, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}.Key()
+	if key != want {
+		t.Fatalf("server key %q != experiments key %q", key, want)
+	}
 	for _, frag := range []string{"|scale=1|", "gscalar/HW"} {
 		if !strings.Contains(key, frag) {
 			t.Fatalf("key %q lacks %q", key, frag)
@@ -639,22 +659,13 @@ func TestStoreKeyMatchesExperimentsCache(t *testing.T) {
 	cfg2a, cfg2b := cfg, cfg
 	cfg2a.Workers = 7
 	cfg2b.Workers = 3
-	k2a := PointSpec{Config: cfg2a, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}.Key()
-	k2b := PointSpec{Config: cfg2b, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}.Key()
-	if k2a != k2b {
+	if k2a, k2b := wireKey(cfg2a), wireKey(cfg2b); k2a != k2b {
 		t.Fatalf("worker count leaked into the key:\n%s\nvs\n%s", k2a, k2b)
 	}
 	// A semantic config change must change the key.
 	cfg3 := cfg
 	cfg3.NumSMs = 3
-	if got := (PointSpec{Config: cfg3, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}).Key(); got == key {
+	if wireKey(cfg3) == key {
 		t.Fatal("distinct configs share a key")
 	}
-}
-
-func ExamplePointSpec_Key() {
-	cfg := gscalar.DefaultConfig()
-	spec := PointSpec{Config: cfg, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}
-	fmt.Println(strings.Count(spec.Key(), "|"))
-	// Output: 2
 }

@@ -5,13 +5,15 @@
 // group, and stores what the single run produced.
 //
 // Each entry is one completed simulation point, addressed by the canonical
-// key "configHash|scale=N|arch/workload" (experiments.PointKey), derived
+// key "configHash|scale=N|arch/workload" (experiments.Point.Key), derived
 // from Config.Hash(), so two requests denote the same entry iff they denote
-// the same simulation input. A directory store keeps each entry as one JSON
-// file named by the SHA-256 of its key, written atomically (temp file +
-// rename); the in-memory index is rebuilt by scanning the directory on
-// Open, so a restarted — or crashed — server re-serves every point that
-// completed before it went down without re-simulating anything.
+// the same simulation input. Keys are opaque strings to the store, and one
+// function, experiments.Point.Entry, builds the entries both front ends
+// store. A directory store keeps each entry as one JSON file named by the
+// SHA-256 of its key, written atomically (temp file + rename); the
+// in-memory index is rebuilt by scanning the directory on Open, so a
+// restarted — or crashed — server re-serves every point that completed
+// before it went down without re-simulating anything.
 // All simulation loops are deterministic, which is what makes a stored blob
 // equivalent to a fresh run: the stored Result bytes are the byte-identical
 // answer a new simulation of that key would produce.
@@ -24,25 +26,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 )
 
-// Key builds the canonical store key of one simulation point. The config
-// hash must be the canonical content hash of the normalized configuration
-// (gscalar.Config.Hash after Normalize); scale is the workload scale factor,
-// arch and workload the short names the CLIs use.
-func Key(configHash string, scale int, arch, workload string) string {
-	return configHash + "|scale=" + strconv.Itoa(scale) + "|" + arch + "/" + workload
-}
-
-// Entry is one stored simulation point. Result holds the exact JSON bytes of
-// the gscalar.Result — kept raw so a served repeat request is byte-identical
-// to the run that produced it — and Metrics the telemetry blob collected
-// alongside it (gscalar.Metrics.JSON). The experiment suite always fills
-// Metrics, because its ablations read counters from it; gscalar-serve fills
-// it when started with telemetry on.
+// Entry is one stored simulation point: its key, the key's components,
+// Result — the exact JSON bytes of the gscalar.Result, kept raw so a served
+// repeat request is byte-identical to the run that produced it — and
+// Metrics, the telemetry blob collected alongside it (gscalar.Metrics.JSON).
+// The experiment suite always fills Metrics, because its ablations read
+// counters from it; gscalar-serve fills it when started with telemetry on.
 type Entry struct {
 	Key        string          `json:"key"`
 	ConfigHash string          `json:"config_hash"`

@@ -85,13 +85,6 @@ func assertNoTempFiles(t *testing.T, dir string) {
 	}
 }
 
-func TestKeyShape(t *testing.T) {
-	k := Key("abc123", 2, "gscalar", "BP")
-	if k != "abc123|scale=2|gscalar/BP" {
-		t.Fatalf("key = %q", k)
-	}
-}
-
 func testEntry(key string) Entry {
 	return Entry{
 		Key:        key,
@@ -109,7 +102,7 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key("h1", 1, "gscalar", "BP")
+	key := "h1|scale=1|gscalar/BP"
 	if _, ok, err := s.Get(key); ok || err != nil {
 		t.Fatalf("empty store Get = ok=%v err=%v", ok, err)
 	}
@@ -139,9 +132,9 @@ func TestStoreReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []string{
-		Key("h1", 1, "gscalar", "BP"),
-		Key("h1", 1, "baseline", "BP"),
-		Key("h2", 3, "gscalar", "LBM"),
+		"h1|scale=1|gscalar/BP",
+		"h1|scale=1|baseline/BP",
+		"h2|scale=3|gscalar/LBM",
 	}
 	for _, k := range keys {
 		if err := s.Put(testEntry(k)); err != nil {
@@ -188,7 +181,7 @@ func TestStorePutOverwritesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key("h1", 1, "gscalar", "BP")
+	key := "h1|scale=1|gscalar/BP"
 	e := testEntry(key)
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
@@ -494,7 +487,7 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				key := Key("h", (g+i)%4, "gscalar", "BP")
+				key := fmt.Sprintf("h|scale=%d|gscalar/BP", (g+i)%4)
 				if _, ok, err := s.Get(key); err != nil {
 					t.Errorf("Get: %v", err)
 				} else if !ok {
